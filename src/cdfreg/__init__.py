@@ -8,9 +8,9 @@ estimates, and run replicated synthetic and tabular-data experiments.
 __version__ = "0.1.0"
 
 from .basis import (BasisFamily, BernoulliBasis, CustomBasis,
-                    GaussianLaplaceBasis, LogisticProbitBasis, MixtureCdf,
-                    PolynomialBasis, basis_from_spec, check_simplex,
-                    inverse_cdf_sample, mixture_cdf_eval)
+                    GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
+                    basis_from_spec, check_simplex, inverse_cdf_sample,
+                    mixture_cdf_eval)
 from .bounds import (epsilon_lambda, epsilon_unreg, fit_loglog_slope,
                      hilbert_bound, ks_distance, ks_grid, l2_error_crps,
                      min_eigenvalue, mismatch_bound, penalized_bound,

@@ -3,12 +3,14 @@
 Each family evaluates a d-vector of CDF values Phi(x, t) in [0,1]^d,
 where every coordinate t -> phi_i(x, t) is itself a CDF.  Families with
 purely discrete outcomes expose their atoms for exact inverse sampling.
+
+Evaluation and sampling take one context or a batch of n contexts.  A
+batch of contexts is anything indexed by its first axis: an (n,) array of
+scalar contexts, an (n, d) array of vector contexts, or a list.  The
+single-context call is the n=1 case of the batch code.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -16,6 +18,14 @@ from scipy.special import ndtr
 from .errors import BracketError
 
 _BISECT_TOL = 1e-10
+
+
+def _batch_form(x, ts):
+    """(contexts, (n, K) grid, single) for the two forms of eval_nodes."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim == 2:
+        return x, ts, False
+    return [x], ts.reshape(1, -1), True
 
 
 def polynomial_exponent(d: int, i: int) -> float:
@@ -38,7 +48,12 @@ class BasisFamily:
         return self.eval_nodes(x, np.array([float(t)]))[:, 0]
 
     def eval_nodes(self, x, ts: np.ndarray) -> np.ndarray:
-        """Phi(x, t) for a grid of t values; returns a (d, len(ts)) array."""
+        """Phi(x, t) on a grid of t values.
+
+        With one context x and a 1-D grid of K values, returns (d, K).  With
+        a 2-D ``ts`` of shape (n, K), x holds n contexts, row j of ts is the
+        grid of context j, and the result has shape (n, d, K).
+        """
         raise NotImplementedError
 
     def support(self, x):
@@ -57,31 +72,22 @@ class BasisFamily:
         raise NotImplementedError
 
 
-class BernoulliBasis(BasisFamily):
-    """d Bernoulli CDF coordinates; the context is the success-probability vector."""
+class _TwoPointBasis(BasisFamily):
+    """CDFs of d outcomes on the atoms {0, 1}: 1 - p_i on [0, 1), 1 from t = 1 on."""
 
-    kind = "bernoulli"
+    def _probs_batch(self, X) -> np.ndarray:
+        """(n, d) success probabilities p of the n contexts in X."""
+        raise NotImplementedError
 
-    def __init__(self, d: int, p_map=None):
-        self.d = int(d)
-        self.p_map = p_map
-
-    def probs(self, x) -> np.ndarray:
-        p = np.asarray(self.p_map(x) if self.p_map is not None else x, dtype=float)
-        if p.shape != (self.d,):
-            raise ValueError(f"context must give a ({self.d},) probability vector")
-        if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("Bernoulli success probabilities must lie in [0,1]")
-        return p
+    def success_probs(self, x) -> np.ndarray:
+        return self._probs_batch([x])[0]
 
     def eval_nodes(self, x, ts):
-        p = self.probs(x)
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros((self.d, ts.size))
-        mid = (ts >= 0) & (ts < 1)
-        out[:, mid] = (1.0 - p)[:, None]
-        out[:, ts >= 1] = 1.0
-        return out
+        X, T, single = _batch_form(x, ts)
+        q = 1.0 - self._probs_batch(X)
+        mid = ((T >= 0) & (T < 1))[:, None, :]
+        out = np.where(mid, q[:, :, None], (T >= 1)[:, None, :].astype(float))
+        return out[0] if single else out
 
     def support(self, x):
         return (0.0, 1.0)
@@ -90,12 +96,32 @@ class BernoulliBasis(BasisFamily):
         return np.array([0.0, 1.0])
 
     def pmf_vector(self, x, y):
-        p = self.probs(x)
+        p = self.success_probs(x)
         if y == 0:
             return 1.0 - p
         if y == 1:
             return p
         return np.zeros(self.d)
+
+
+class BernoulliBasis(_TwoPointBasis):
+    """d Bernoulli CDF coordinates; the context is the success-probability vector."""
+
+    kind = "bernoulli"
+
+    def __init__(self, d: int, p_map=None):
+        self.d = int(d)
+        self.p_map = p_map
+
+    def _probs_batch(self, X) -> np.ndarray:
+        if self.p_map is not None:
+            X = [self.p_map(x) for x in X]
+        p = np.asarray(X, dtype=float)
+        if p.shape[1:] != (self.d,):
+            raise ValueError(f"context must give a ({self.d},) probability vector")
+        if np.any(p < 0) or np.any(p > 1):
+            raise ValueError("Bernoulli success probabilities must lie in [0,1]")
+        return p
 
     def to_spec(self):
         return {"kind": self.kind, "d": self.d}
@@ -112,15 +138,16 @@ class PolynomialBasis(BasisFamily):
                                    for i in range(1, self.d + 1)])
 
     def eval_nodes(self, x, ts):
-        x = float(x)
-        if x <= 0:
+        X, T, single = _batch_form(x, ts)
+        X = np.asarray(X, dtype=float).reshape(-1, 1)
+        if np.any(X <= 0):
             raise ValueError("polynomial basis requires a positive context")
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros((self.d, ts.size))
-        inside = (ts >= 0) & (ts <= 1.0 / x)
-        out[:, inside] = np.power(x * ts[inside][None, :], self.exponents[:, None])
-        out[:, ts > 1.0 / x] = 1.0
-        return out
+        top = 1.0 / X
+        inside = (T >= 0) & (T <= top)
+        base = np.where(inside, X * T, 0.0)[:, None, :]
+        out = np.where(inside[:, None, :], np.power(base, self.exponents[:, None]),
+                       (T > top)[:, None, :].astype(float))
+        return out[0] if single else out
 
     def support(self, x):
         return (0.0, 1.0 / float(x))
@@ -161,11 +188,17 @@ class GaussianLaplaceBasis(BasisFamily):
         return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
     def eval_nodes(self, x, ts):
-        mu_n, mu_l = self._locations(x)
-        ts = np.asarray(ts, dtype=float)
-        zn = (ts[None, :] - mu_n[:, None]) / np.sqrt(self.sigma2)[:, None]
-        zl = (ts[None, :] - mu_l[:, None]) / self.b[:, None]
-        return (1.0 - self.w) * ndtr(zn) + self.w * self._laplace_cdf(zl)
+        X, T, single = _batch_form(x, ts)
+        X = np.asarray(X, dtype=float)
+        if X.shape[1:] != (self.d,):
+            raise ValueError(f"context must be a ({self.d},) vector")
+        mu_n = self.beta_n1 * X + self.beta_n0
+        mu_l = self.beta_l1 * X + self.beta_l0
+        T = T[:, None, :]
+        zn = (T - mu_n[:, :, None]) / np.sqrt(self.sigma2)[:, None]
+        zl = (T - mu_l[:, :, None]) / self.b[:, None]
+        out = (1.0 - self.w) * ndtr(zn) + self.w * self._laplace_cdf(zl)
+        return out[0] if single else out
 
     def support(self, x):
         mu_n, mu_l = self._locations(x)
@@ -181,7 +214,7 @@ class GaussianLaplaceBasis(BasisFamily):
                 "sigma2": self.sigma2.tolist(), "b": self.b.tolist()}
 
 
-class LogisticProbitBasis(BasisFamily):
+class LogisticProbitBasis(_TwoPointBasis):
     """Bernoulli CDFs whose success probability mixes logistic and probit links."""
 
     kind = "logistic_probit"
@@ -196,36 +229,13 @@ class LogisticProbitBasis(BasisFamily):
         self.beta_p0 = np.asarray(beta_p0, dtype=float)
         self.d = self.beta_l1.size
 
-    def success_probs(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
+    def _probs_batch(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.shape[1:] != (self.d,):
             raise ValueError(f"context must be a ({self.d},) vector")
-        logit = 1.0 / (1.0 + np.exp(-(self.beta_l1 * x + self.beta_l0)))
-        probit = ndtr(self.beta_p1 * x + self.beta_p0)
+        logit = 1.0 / (1.0 + np.exp(-(self.beta_l1 * X + self.beta_l0)))
+        probit = ndtr(self.beta_p1 * X + self.beta_p0)
         return self.w * logit + (1.0 - self.w) * probit
-
-    def eval_nodes(self, x, ts):
-        p = self.success_probs(x)
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros((self.d, ts.size))
-        mid = (ts >= 0) & (ts < 1)
-        out[:, mid] = (1.0 - p)[:, None]
-        out[:, ts >= 1] = 1.0
-        return out
-
-    def support(self, x):
-        return (0.0, 1.0)
-
-    def atoms(self, x):
-        return np.array([0.0, 1.0])
-
-    def pmf_vector(self, x, y):
-        p = self.success_probs(x)
-        if y == 0:
-            return 1.0 - p
-        if y == 1:
-            return p
-        return np.zeros(self.d)
 
     def to_spec(self):
         return {"kind": self.kind, "w": self.w,
@@ -247,7 +257,11 @@ class CustomBasis(BasisFamily):
         self._atoms = None if atoms is None else np.asarray(atoms, dtype=float)
 
     def eval_nodes(self, x, ts):
-        ts = np.asarray(ts, dtype=float)
+        X, T, single = _batch_form(x, ts)
+        out = np.stack([self._eval_one(xj, tj) for xj, tj in zip(X, T)])
+        return out[0] if single else out
+
+    def _eval_one(self, x, ts):
         out = np.asarray(self.evaluator(x, ts), dtype=float)
         if out.shape != (self.d, ts.size):
             out = np.stack([np.asarray(self.evaluator(x, np.array([t])), dtype=float).reshape(self.d)
@@ -277,11 +291,6 @@ def basis_from_spec(spec: dict) -> BasisFamily:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def eval_basis(basis: BasisFamily, x, t: float) -> np.ndarray:
-    """Phi(x, t) as a (d,) vector in [0,1]^d."""
-    return basis.eval(x, t)
-
-
 def check_simplex(theta, tol: float = 1e-9) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if abs(theta.sum() - 1.0) > tol or theta.min() < -tol:
@@ -295,52 +304,73 @@ def mixture_cdf_eval(theta, basis: BasisFamily, x, t: float) -> float:
     return float(np.dot(theta, basis.eval(x, t)))
 
 
-@dataclass(frozen=True)
-class MixtureCdf:
-    theta: np.ndarray
-    basis: BasisFamily
-    context: object
+def inverse_cdf_sample(theta, basis: BasisFamily, x, u):
+    """Smallest t with theta^T Phi(x, t) >= u, by atom lookup or bisection.
 
-    def __call__(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = self.theta @ self.basis.eval_nodes(self.context, ts)
-        return float(vals[0]) if np.isscalar(t) else vals
-
-
-def inverse_cdf_sample(theta, basis: BasisFamily, x, u: float) -> float:
-    """Smallest t with theta^T Phi(x, t) >= u, by atom lookup or bisection."""
-    if not 0.0 < u < 1.0:
+    A scalar u draws once for the context x and returns a float.  A 1-D u of
+    n levels draws for the n contexts in x at once and returns an (n,)
+    array; every draw takes the same steps as its scalar call, so the
+    results are identical to a loop of scalar calls.
+    """
+    us = np.asarray(u, dtype=float)
+    single = us.ndim == 0
+    us = us.reshape(-1)
+    if not np.all((us > 0.0) & (us < 1.0)):
         raise ValueError("u must lie in the open interval (0,1)")
     theta = check_simplex(theta)
-    atoms = basis.atoms(x)
-    if atoms is not None:
-        # Purely discrete family: compare u against cumulative atom masses.
-        cdf_at = theta @ basis.eval_nodes(x, atoms)
-        for a, c in zip(atoms, cdf_at):
-            if u <= c + 1e-15:
-                return float(a)
-        return float(atoms[-1])
+    if us.size == 0:
+        return np.empty(0)
+    X = np.asarray([x] if single else x)
+    if len(X) != us.size:
+        raise ValueError(f"{len(X)} contexts for {us.size} levels")
+    t = _atom_lookup(theta, basis, X, us)
+    if t is None:
+        t = _bisect(theta, basis, X, us)
+    return float(t[0]) if single else t
 
-    lo, hi = basis.support(x)
-    f = lambda t: float(theta @ basis.eval(x, t))
-    # Double outward if the declared support does not yet bracket u.
-    span = max(hi - lo, 1.0)
-    tries = 0
-    while f(hi) < u and tries < 60:
-        hi += span
-        span *= 2
-        tries += 1
-    span = max(hi - lo, 1.0)
-    while f(lo) >= u and lo > -1e308 and tries < 120:
-        lo -= span
-        span *= 2
-        tries += 1
-    if f(hi) < u or f(lo) >= u:
-        raise BracketError(f"could not bracket u={u} within search bounds")
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= u:
-            hi = mid
-        else:
-            lo = mid
+
+def _atom_lookup(theta, basis, X, us):
+    """Purely discrete family: the first atom whose cumulative mass reaches u."""
+    atoms = [basis.atoms(x) for x in X]
+    if atoms[0] is None:
+        return None
+    A = np.asarray(atoms, dtype=float)
+    hit = us[:, None] <= theta @ basis.eval_nodes(X, A) + 1e-15
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), A.shape[1] - 1)
+    return A[np.arange(len(A)), first]
+
+
+def _bisect(theta, basis, X, us):
+    """Bracket each level u_j, then bisect every draw to its own tolerance."""
+    def cdf(idx, ts):  # theta^T Phi(x_j, t_j) for the draws idx
+        return (theta @ basis.eval_nodes(X[idx], ts[:, None]))[:, 0]
+
+    lo, hi = np.array([basis.support(x) for x in X], dtype=float).T
+    # Double outward where the declared support does not yet bracket u.
+    span = np.maximum(hi - lo, 1.0)
+    tries = np.zeros(len(us), dtype=int)
+    idx = np.arange(len(us))
+    while idx.size:
+        idx = idx[(cdf(idx, hi[idx]) < us[idx]) & (tries[idx] < 60)]
+        hi[idx] += span[idx]
+        span[idx] *= 2
+        tries[idx] += 1
+    span = np.maximum(hi - lo, 1.0)
+    idx = np.arange(len(us))
+    while idx.size:
+        idx = idx[(cdf(idx, lo[idx]) >= us[idx]) & (lo[idx] > -1e308) & (tries[idx] < 120)]
+        lo[idx] -= span[idx]
+        span[idx] *= 2
+        tries[idx] += 1
+    idx = np.arange(len(us))
+    failed = (cdf(idx, hi) < us) | (cdf(idx, lo) >= us)
+    if failed.any():
+        raise BracketError(f"could not bracket u={us[failed.argmax()]} within search bounds")
+    idx = np.flatnonzero(hi - lo > _BISECT_TOL)
+    while idx.size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        up = cdf(idx, mid) >= us[idx]
+        hi[idx[up]] = mid[up]
+        lo[idx[~up]] = mid[~up]
+        idx = idx[hi[idx] - lo[idx] > _BISECT_TOL]
     return hi

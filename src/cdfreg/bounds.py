@@ -123,20 +123,21 @@ def ks_grid(support_lo: float, support_hi: float, jump_points=(),
 def l2_error_crps(samples, F_hat, m: msr.QuadMeasure) -> float:
     """Mean over samples of the squared L2(S, m) distance between 1{y<=.} and F_hat(x, .).
 
-    F_hat(x, ts) must accept a context and a node array.  Uses the identity
-    (1{y<=t} - F)^2 = 1{y<=t} - 2 1{y<=t} F + F^2 with the jump term
-    integrated on split panels.
+    All samples are scored at once: F_hat(X, T) receives the n contexts and
+    an (n, K) node array whose row j belongs to context j, and returns the
+    (n, K) values.  Uses the identity (1{y<=t} - F)^2 = 1{y<=t} - 2 1{y<=t} F
+    + F^2 with the jump term integrated on split panels.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("samples must be non-empty")
-    total = 0.0
-    for x, y in samples:
-        fsq = float(np.dot(m.weights, np.asarray(F_hat(x, m.nodes), dtype=float) ** 2))
-        ts, ws = msr.jump_panel(y, m)
-        cross = float(np.dot(ws, np.asarray(F_hat(x, ts), dtype=float))) if ts.size else 0.0
-        total += msr.tail_mass(y, m) - 2.0 * cross + fsq
-    return total / len(samples)
+    X = [x for x, _ in samples]
+    ys = np.array([y for _, y in samples], dtype=float)
+    nodes = np.broadcast_to(m.nodes, (len(ys), m.nodes.size))
+    fsq = np.asarray(F_hat(X, nodes), dtype=float) ** 2 @ m.weights
+    ts, ws = msr.jump_panel(ys, m)
+    cross = np.sum(ws * np.asarray(F_hat(X, ts), dtype=float), axis=1)
+    return float(np.mean(msr.tail_mass(ys, m) - 2.0 * cross + fsq))
 
 
 def fit_loglog_slope(points):

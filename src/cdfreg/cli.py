@@ -176,9 +176,17 @@ def _scaling_summary(config, records):
         means = [sum(by_n[n]) / len(by_n[n]) for n in ns]
         slope, intercept = fit_loglog_slope(list(zip(ns, means)))
         slopes[f"d={d},lambda={lam}"] = {"slope": slope, "intercept": intercept}
-    n_fail = sum(1 for r in records if r.metric_name == "failure")
-    return {"slope_metric": metric, "slopes": slopes,
-            "n_records": len(records), "n_failures": n_fail}
+    failures = [{"d": r.d, "n": r.n, "rep": r.rep, "error": r.error}
+                for r in records if r.metric_name == "failure"]
+    return {"slope_metric": metric, "slopes": slopes, "n_records": len(records),
+            "n_failures": len(failures), "failures": failures}
+
+
+def _exit_code(what, failures, any_succeeded):
+    """3, naming the first error, when every task failed; else 0 (failures stay rows)."""
+    if failures and not any_succeeded:
+        return _fail(3, "failed", f"every {what} failed; first: {failures[0]['error']}")
+    return 0
 
 
 def _cmd_scaling(args, config):
@@ -193,8 +201,10 @@ def _cmd_scaling(args, config):
     records, aggregates = run_scaling_experiment(config)
     write_records_csv(os.path.join(args.out, "records.csv"), records)
     write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), aggregates)
-    _write_summary(args.out, _scaling_summary(config, records), config)
-    return 0
+    summary = _scaling_summary(config, records)
+    _write_summary(args.out, summary, config)
+    return _exit_code("task", summary["failures"],
+                      any(r.metric_name != "failure" for r in records))
 
 
 def _cmd_bound_check(args, config):
@@ -229,7 +239,9 @@ def _cmd_real(args, config):
                              repr(st["q50"]), repr(st["q95"])])
     summary = {k: v for k, v in report.items() if k != "rows"}
     _write_summary(args.out, summary, config)
-    return 0
+    failed = {f["seed"] for f in report["failures"]}
+    return _exit_code("seed", report["failures"],
+                      any(r["seed"] not in failed for r in report["rows"]))
 
 
 def build_parser():

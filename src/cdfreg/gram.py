@@ -4,6 +4,9 @@ Accumulates U_n (integrated outer products of the basis vector) and u_n
 (integrated empirical-CDF responses) across samples, with a closed-form
 fast path for Bernoulli-type bases on the uniform unit interval, plus
 exact / Monte Carlo computation of the population Gram.
+
+Every statistic is computed for a batch of samples at once, a block of
+_BLOCK_ROWS rows at a time; the per-sample functions are the n=1 case.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as msr
-from .basis import BasisFamily, BernoulliBasis, LogisticProbitBasis
+from .basis import BasisFamily, _TwoPointBasis
 
 
 @dataclass
@@ -48,54 +51,93 @@ class PopulationGram:
     mc_samples: int
 
 
+# Rows per block of the batched quadrature: every temporary then holds
+# _BLOCK_ROWS * d * K values (16k for d=4, K=64), which keeps the peak
+# memory of a large batch flat.
+_BLOCK_ROWS = 64
+
+
 def _bernoulli_fast_path(basis: BasisFamily, m: msr.QuadMeasure) -> bool:
-    return (isinstance(basis, (BernoulliBasis, LogisticProbitBasis))
+    return (isinstance(basis, _TwoPointBasis)
             and m.kind == msr.UNIFORM
             and m.params.get("a") == 0.0 and m.params.get("b") == 1.0)
 
 
-def _q_vector(basis, x) -> np.ndarray:
-    if isinstance(basis, BernoulliBasis):
-        return 1.0 - basis.probs(x)
-    return 1.0 - basis.success_probs(x)
+def _q_matrix(basis, X) -> np.ndarray:
+    """(n, d) failure probabilities 1 - p: the two-point CDFs on [0, 1)."""
+    return basis.eval_nodes(X, np.zeros((len(X), 1)))[:, :, 0]
+
+
+def _block_sum(basis: BasisFamily, X, panel, outer: bool) -> np.ndarray:
+    """Sum over rows j of sum_k ws[j,k] Phi(x_j, ts[j,k]) (times its transpose if outer).
+
+    ``panel(rows)`` gives the (ts, ws) arrays of a slice of rows, so no
+    temporary grows beyond one block.
+    """
+    d = basis.d
+    total = np.zeros((d, d) if outer else d)
+    for s in range(0, len(X), _BLOCK_ROWS):
+        rows = slice(s, s + _BLOCK_ROWS)
+        ts, ws = panel(rows)
+        # (b, d, K) -> (d, b*K): one matrix product sums over rows and nodes.
+        A = basis.eval_nodes(X[rows], ts).transpose(1, 0, 2).reshape(d, -1)
+        w = ws.reshape(-1)
+        total += (A * w) @ A.T if outer else A @ w
+    return total
+
+
+def _gram_sum(basis: BasisFamily, X, m: msr.QuadMeasure, c=None) -> np.ndarray:
+    """sum_j c_j * integral Phi(x_j,t) Phi(x_j,t)^T m(dt); c defaults to ones."""
+    c = np.ones(len(X)) if c is None else np.asarray(c, dtype=float)
+    if _bernoulli_fast_path(basis, m):
+        Q = _q_matrix(basis, X)
+        return (Q.T * c) @ Q
+
+    def panel(rows):
+        ws = c[rows, None] * m.weights
+        return np.broadcast_to(m.nodes, ws.shape), ws
+
+    return _block_sum(basis, X, panel, outer=True)
+
+
+def _response_sum(basis: BasisFamily, X, ys: np.ndarray, m: msr.QuadMeasure) -> np.ndarray:
+    """sum_j integral 1{y_j<=t} Phi(x_j,t) m(dt), split at each jump."""
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("outcome y must be finite")
+    if _bernoulli_fast_path(basis, m):
+        return _q_matrix(basis, X).T @ np.clip(1.0 - ys, 0.0, 1.0)
+    return _block_sum(basis, X, lambda rows: msr.jump_panel(ys[rows], m), outer=False)
 
 
 def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndarray:
     """Integral of Phi(x,t) Phi(x,t)^T against the measure."""
-    if _bernoulli_fast_path(basis, m):
-        q = _q_vector(basis, x)
-        return np.outer(q, q)
-    P = basis.eval_nodes(x, m.nodes)
-    return (P * m.weights) @ P.T
+    return _gram_sum(basis, [x], m)
 
 
 def response_vector_of_sample(basis: BasisFamily, x, y: float, m: msr.QuadMeasure) -> np.ndarray:
     """Integral of 1{y<=t} Phi(x,t) against the measure, split at the jump."""
-    if not np.isfinite(y):
-        raise ValueError("outcome y must be finite")
-    if _bernoulli_fast_path(basis, m):
-        q = _q_vector(basis, x)
-        if y <= 0:
-            return q.copy()
-        if y >= 1:
-            return np.zeros(basis.d)
-        return q * (1.0 - y)
-    ts, ws = msr.jump_panel(y, m)
-    if ts.size == 0:
-        return np.zeros(basis.d)
-    return basis.eval_nodes(x, ts) @ ws
+    return _response_sum(basis, [x], np.array([y], dtype=float), m)
 
 
-def accumulate(state: GramState, basis: BasisFamily, x, y: float,
+def accumulate(state: GramState, basis: BasisFamily, x, y,
                m: msr.QuadMeasure | None = None) -> GramState:
-    """Return a new state with one (x, y) sample added."""
+    """Return a new state with the samples (x, y) added.
+
+    A scalar y adds one sample with context x; a 1-D y of n outcomes adds
+    n samples whose contexts are the n entries of x.
+    """
     m = state.measure if m is None else m
     if basis.d != state.d:
         raise ValueError(f"basis dimension {basis.d} != state dimension {state.d}")
-    U = state.U + gram_matrix_of_context(basis, x, m)
+    ys = np.asarray(y, dtype=float)
+    X = [x] if ys.ndim == 0 else x
+    ys = ys.reshape(-1)
+    if len(X) != ys.size:
+        raise ValueError(f"{len(X)} contexts for {ys.size} outcomes")
+    U = state.U + _gram_sum(basis, X, m)
     U = 0.5 * (U + U.T)  # quadrature round-off symmetry guard
-    u = state.u + response_vector_of_sample(basis, x, y, m)
-    return GramState(state.d, m, state.n + 1, U, u)
+    u = state.u + _response_sum(basis, X, ys, m)
+    return GramState(state.d, m, state.n + ys.size, U, u)
 
 
 def regularized_gram(state: GramState, lam: float) -> np.ndarray:
@@ -115,16 +157,12 @@ def population_gram_mc(basis: BasisFamily, context_sampler, m: msr.QuadMeasure,
     """
     if isinstance(context_sampler, tuple) and len(context_sampler) == 2:
         atoms, probs = context_sampler
-        probs = np.asarray(probs, dtype=float)
-        Sigma_step = sum(p * gram_matrix_of_context(basis, a, m)
-                         for a, p in zip(atoms, probs))
+        Sigma_step = _gram_sum(basis, atoms, m, probs)
         mc = 0
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        acc = np.zeros((basis.d, basis.d))
-        for _ in range(mc_per_step):
-            acc += gram_matrix_of_context(basis, context_sampler(rng), m)
-        Sigma_step = acc / mc_per_step
+        contexts = [context_sampler(rng) for _ in range(mc_per_step)]
+        Sigma_step = _gram_sum(basis, contexts, m) / mc_per_step
         mc = mc_per_step
     Sigma = n * 0.5 * (Sigma_step + Sigma_step.T)
     return PopulationGram(Sigma=Sigma, n=n, d=basis.d, mc_samples=mc)

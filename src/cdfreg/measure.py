@@ -8,11 +8,13 @@ probability measures: weights are non-negative and sum to one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfc
 
 UNIFORM = "uniform_interval"
 GAUSSIAN = "gaussian"
@@ -57,7 +59,7 @@ def make_uniform_measure(a: float, b: float, n_nodes: int = DEFAULT_NODES) -> Qu
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     # Jacobian (b-a)/2 times density 1/(b-a) leaves w/2.
     weights = 0.5 * w
@@ -125,43 +127,60 @@ def integrate(f, m: QuadMeasure) -> float:
     return float(np.dot(m.weights, _eval_on(f, m.nodes)))
 
 
-def _legendre_panel(lo: float, hi: float, n_nodes: int):
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n_nodes: int):
+    """Reference Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
-    ts = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)
-    ws = 0.5 * (hi - lo) * w
-    return ts, ws
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
-def jump_panel(y: float, m: QuadMeasure):
+def _legendre_panel(lo, hi, n_nodes: int):
+    """Affine image of the reference rule on [lo, hi]; lo and hi may be (n, 1) columns."""
+    x, w = _legendre_rule(n_nodes)
+    half = 0.5 * (hi - lo)
+    return half * x + 0.5 * (lo + hi), half * w
+
+
+def jump_panel(y, m: QuadMeasure):
     """Nodes and weights realizing t -> integral of 1{y<=t} g(t) m(dt).
 
-    Returns (ts, ws) such that the integral of 1{y<=t} g(t) m(dt) is
-    sum_k ws_k g(ts_k).  The interval is split at y so Gauss quadrature
-    stays spectrally accurate for smooth g.
+    For a scalar y, returns (ts, ws) such that the integral of
+    1{y<=t} g(t) m(dt) is sum_k ws_k g(ts_k).  The interval is split at y
+    so Gauss quadrature stays spectrally accurate for smooth g.
+
+    For a 1-D array of n outcomes, returns (n, K) arrays whose row j is the
+    panel of y_j.  Every row has the same K nodes: nodes a scalar panel
+    would leave out (y past the support, counting atoms below y) carry zero
+    weight.  The scalar panel is row 0 of the batch without those nodes.
     """
+    ys = np.asarray(y, dtype=float)
+    Y = ys.reshape(-1, 1)
     n_nodes = int(m.params.get("n_nodes", max(len(m.nodes), 2)))
     if m.kind == COUNTING:
-        keep = m.nodes >= y
-        return m.nodes[keep], m.weights[keep]
-    if m.kind == UNIFORM:
+        ts = np.broadcast_to(m.nodes, (Y.shape[0], m.nodes.size))
+        ws = np.where(m.nodes >= Y, m.weights, 0.0)
+    elif m.kind == UNIFORM:
         a, b = m.params["a"], m.params["b"]
-        if y <= a:
-            return m.nodes, m.weights
-        if y >= b:
-            return np.empty(0), np.empty(0)
-        ts, ws = _legendre_panel(y, b, n_nodes)
-        return ts, ws / (b - a)
-    if m.kind == GAUSSIAN:
+        ts, ws = _legendre_panel(np.clip(Y, a, b), b, n_nodes)
+        below = Y <= a  # the whole measure, with its own nodes and weights
+        ts = np.where(below, m.nodes, ts)
+        ws = np.where(below, m.weights, ws / (b - a))
+    elif m.kind == GAUSSIAN:
         c, var = m.params["c"], m.params["var"]
         sd = math.sqrt(var)
-        lo = max(y, c - _GAUSSIAN_TAIL_SD * sd)
         hi = c + _GAUSSIAN_TAIL_SD * sd
-        if lo >= hi:
-            return np.empty(0), np.empty(0)
+        lo = np.minimum(np.maximum(Y, c - _GAUSSIAN_TAIL_SD * sd), hi)
         ts, ws = _legendre_panel(lo, hi, n_nodes)
         pdf = np.exp(-0.5 * (ts - c) ** 2 / var) / math.sqrt(2 * math.pi * var)
-        return ts, ws * pdf
-    raise ValueError(f"unknown measure kind {m.kind!r}")
+        ws = ws * pdf
+    else:
+        raise ValueError(f"unknown measure kind {m.kind!r}")
+    if ys.ndim == 0:
+        keep = ws[0] != 0
+        return ts[0][keep], ws[0][keep]
+    return ts, ws
 
 
 def integrate_with_jump(f, y: float, m: QuadMeasure) -> float:
@@ -172,15 +191,20 @@ def integrate_with_jump(f, y: float, m: QuadMeasure) -> float:
     return float(np.dot(ws, _eval_on(f, ts)))
 
 
-def tail_mass(y: float, m: QuadMeasure) -> float:
-    """m([y, support_hi]): measure of the region where 1{y<=t} is active."""
+def tail_mass(y, m: QuadMeasure):
+    """m([y, support_hi]): measure of the region where 1{y<=t} is active.
+
+    A 1-D array of outcomes gives an array of tail masses.
+    """
+    ys = np.asarray(y, dtype=float)
     if m.kind == COUNTING:
-        return float(m.weights[m.nodes >= y].sum())
-    if m.kind == UNIFORM:
+        mass = np.where(m.nodes >= ys[..., None], m.weights, 0.0).sum(axis=-1)
+    elif m.kind == UNIFORM:
         a, b = m.params["a"], m.params["b"]
-        return float(min(max((b - min(max(y, a), b)) / (b - a), 0.0), 1.0))
-    if m.kind == GAUSSIAN:
+        mass = np.clip((b - np.clip(ys, a, b)) / (b - a), 0.0, 1.0)
+    elif m.kind == GAUSSIAN:
         c, var = m.params["c"], m.params["var"]
-        z = (y - c) / math.sqrt(2.0 * var)
-        return 0.5 * math.erfc(z)
-    raise ValueError(f"unknown measure kind {m.kind!r}")
+        mass = 0.5 * erfc((ys - c) / math.sqrt(2.0 * var))
+    else:
+        raise ValueError(f"unknown measure kind {m.kind!r}")
+    return float(mass) if ys.ndim == 0 else mass

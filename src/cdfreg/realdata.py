@@ -13,11 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.special import ndtr
 
 from . import measure as msr
 from .basis import GaussianLaplaceBasis, LogisticProbitBasis
 from .bounds import l2_error_crps
+from .errors import CdfRegError
 from .estimators import ecdf, fit_mle_simplex, project_simplex, ridge_estimate
 from .gram import GramState, accumulate
 from .synth import stream_rng
@@ -205,13 +207,6 @@ def fit_logistic_probit_basis(X, y, w: float) -> LogisticProbitBasis:
     return LogisticProbitBasis(w, bl1, bl0, bp1, bp0)
 
 
-def _fit_theta(basis, X, y, m, lam):
-    state = GramState(basis.d, m)
-    for xrow, yv in zip(X, y):
-        state = accumulate(state, basis, xrow, yv, m)
-    return ridge_estimate(state, lam)
-
-
 def evaluate_pipeline(config) -> dict:
     """Fit basis parameters, mixture weights, and baselines; report test CRPS rows."""
     data = load_csv(config["csv_path"], config["outcome"],
@@ -242,9 +237,9 @@ def evaluate_pipeline(config) -> dict:
                 raise ValueError(f"unknown pipeline basis kind {basis_kind!r}")
 
             test_pairs = list(zip(Xt, yt))
+            state = accumulate(GramState(basis.d, m), basis, Xr, yr, m)
             for lam in lambdas:
-                theta = _fit_theta(basis, Xr, yr, m, lam)
-                proj = project_simplex(theta)
+                proj = project_simplex(ridge_estimate(state, lam))
                 F_hat = lambda x, ts, _p=proj: _p @ basis.eval_nodes(x, np.atleast_1d(ts))
                 err = l2_error_crps(test_pairs, F_hat, m)
                 rows.append({"method": "ridge_projected", "lambda": lam,
@@ -265,7 +260,7 @@ def evaluate_pipeline(config) -> dict:
                 rows.append({"method": "mle_simplex", "lambda": float("nan"),
                              "seed": seed, "l2_error": float("nan"),
                              "unsupported": "continuous outcome"})
-        except Exception as exc:  # per-seed failures reported, pipeline continues
+        except (CdfRegError, LinAlgError, ValueError) as exc:  # reported, pipeline continues
             errors.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
 
     summary = {}

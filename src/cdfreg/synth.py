@@ -13,13 +13,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import bounds, measure as msr
 from .basis import BasisFamily, BernoulliBasis, PolynomialBasis, inverse_cdf_sample
+from .errors import CdfRegError
 from .estimators import (delta_nU_default, penalized_estimate, project_simplex,
                          ridge_estimate)
-from .gram import (GramState, accumulate, gram_matrix_of_context,
-                   regularized_gram, response_vector_of_sample)
+from .gram import (_BLOCK_ROWS, GramState, accumulate, gram_matrix_of_context,
+                   population_gram_mc, response_vector_of_sample)
 
 RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
                   "metric_name", "value"]
@@ -60,6 +62,7 @@ class ExperimentRecord:
     seed: int
     metric_name: str
     value: float
+    error: str | None = None  # why a "failure" record failed; not written to CSV
 
     def row(self):
         return [self.experiment_id, self.scheme, self.d, self.n,
@@ -153,12 +156,11 @@ def sample_scheme2(basis: BasisFamily, context_sampler, theta_star, n: int,
     """I.i.d. contexts: draw x, then y from the mixture CDF by inverse sampling."""
     theta_star = np.asarray(theta_star, dtype=float)
     rng = stream_rng(seed)
-    contexts, ys = [], np.empty(n)
+    contexts, us = [], np.empty(n)
     for j in range(n):
-        x = context_sampler(rng)
-        u = rng.uniform()
-        ys[j] = inverse_cdf_sample(theta_star, basis, x, u)
-        contexts.append(x)
+        contexts.append(context_sampler(rng))
+        us[j] = rng.uniform()
+    ys = inverse_cdf_sample(theta_star, basis, contexts, us)
     return Dataset(contexts, ys, "Random", seed, theta_star, basis.to_spec())
 
 
@@ -187,23 +189,24 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
     if not 0.0 <= q <= 1.0:
         raise ValueError("mixture weight q must lie in [0,1]")
     theta_star = np.asarray(theta_star, dtype=float)
-    one = np.array([1.0])
     rng = stream_rng(seed)
-    contexts, ys = [], np.empty(n)
-    E_n = np.zeros(basis.d)
+    contexts, pick_e, us = [], np.empty(n, dtype=bool), np.empty(n)
     for j in range(n):
-        x = context_sampler(rng)
-        pick_e = rng.uniform() < q
-        u = rng.uniform()
-        if pick_e:
-            ys[j] = inverse_cdf_sample(one, phi_e, x, u)
-        else:
-            ys[j] = inverse_cdf_sample(theta_star, basis, x, u)
-        contexts.append(x)
-        # e_j(t) = q (phi_e(x,t) - theta*^T Phi(x,t)); accumulate its Gram response.
-        P = basis.eval_nodes(x, m.nodes)
-        e_vals = q * (phi_e.eval_nodes(x, m.nodes)[0] - theta_star @ P)
-        E_n += P @ (m.weights * e_vals)
+        contexts.append(context_sampler(rng))
+        pick_e[j] = rng.uniform() < q
+        us[j] = rng.uniform()
+    X = np.asarray(contexts)
+    ys = np.empty(n)
+    ys[pick_e] = inverse_cdf_sample(np.array([1.0]), phi_e, X[pick_e], us[pick_e])
+    ys[~pick_e] = inverse_cdf_sample(theta_star, basis, X[~pick_e], us[~pick_e])
+    # e_j(t) = q (phi_e(x_j,t) - theta*^T Phi(x_j,t)); accumulate its Gram response.
+    E_n = np.zeros(basis.d)
+    for s in range(0, n, _BLOCK_ROWS):
+        Xb = X[s:s + _BLOCK_ROWS]
+        T = np.broadcast_to(m.nodes, (len(Xb), m.nodes.size))
+        P = basis.eval_nodes(Xb, T)
+        e_vals = q * (phi_e.eval_nodes(Xb, T)[:, 0] - theta_star @ P)
+        E_n += np.einsum("bik,bk->i", P, m.weights * e_vals)
     return Dataset(contexts, ys, "Random", seed, theta_star, basis.to_spec(), E_n=E_n)
 
 
@@ -281,23 +284,11 @@ def _quantiles(vals):
             float(np.quantile(vals, 0.95)))
 
 
-def _polynomial_gram(basis, m, xs, ys):
-    state = GramState(basis.d, m)
-    for x, y in zip(xs, ys):
-        state = accumulate(state, basis, x, y, m)
-    return state
-
-
 def _polynomial_sigma_n(d, n, x_lo, x_hi, n_nodes=64):
     """Sigma_n for the uniform context distribution, by Gauss-Legendre over x."""
-    basis = PolynomialBasis(d)
     m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
     mx = msr.make_uniform_measure(x_lo, x_hi, n_nodes)
-    Sigma1 = np.zeros((d, d))
-    for x, w in zip(mx.nodes, mx.weights):
-        P = basis.eval_nodes(x, m.nodes)
-        Sigma1 += w * ((P * m.weights) @ P.T)
-    return n * Sigma1
+    return population_gram_mc(PolynomialBasis(d), (mx.nodes, mx.weights), m, n).Sigma
 
 
 def _scaling_rep_metrics(config, d, n, rep, seed):
@@ -321,7 +312,7 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
         m = msr.make_uniform_measure(0.0, 2.0, int(config["basis"].get("n_nodes", 64)))
         ds = sample_scheme2(basis, lambda r: r.uniform(x_lo, x_hi), theta_star, n,
                             int(rng.integers(2 ** 62)))
-        state = _polynomial_gram(basis, m, ds.contexts, ds.outcomes)
+        state = accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes, m)
         U, u = state.U, state.u
         Sigma_n = _polynomial_sigma_n(d, n, x_lo, x_hi)
         grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
@@ -391,7 +382,7 @@ def run_scaling_experiment(config) -> tuple[list, list]:
         d, n = points[pi]
         try:
             return (pi, rep, _scaling_rep_metrics(config, d, n, rep, seed), None)
-        except Exception as exc:  # per-record failure marker; sweep continues
+        except (CdfRegError, LinAlgError, ValueError) as exc:  # failure row; sweep continues
             return (pi, rep, None, f"{type(exc).__name__}: {exc}")
 
     if threads > 1:
@@ -401,13 +392,12 @@ def run_scaling_experiment(config) -> tuple[list, list]:
         results = [run_task(t) for t in tasks]
     results.sort(key=lambda r: (r[0], r[1]))
 
-    records, failures = [], []
+    records = []
     for pi, rep, payload, err in results:
         d, n = points[pi]
         if err is not None:
             records.append(ExperimentRecord(exp_id, scheme, d, n, float("nan"),
-                                            rep, seed, "failure", float("nan")))
-            failures.append({"d": d, "n": n, "rep": rep, "error": err})
+                                            rep, seed, "failure", float("nan"), err))
             continue
         for lam, vals in payload:
             for name, value in vals.items():

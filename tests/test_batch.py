@@ -1,0 +1,188 @@
+"""The batched paths against loops of their single-sample calls.
+
+Gram accumulation sums in a different order when batched, so it is held to
+1e-12 relative; sampling, panels and basis evaluation do the same
+arithmetic per row and must match bit for bit.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdfreg import measure as msr
+from cdfreg.basis import (BernoulliBasis, CustomBasis, GaussianLaplaceBasis,
+                          LogisticProbitBasis, PolynomialBasis, inverse_cdf_sample)
+from cdfreg.bounds import l2_error_crps
+from cdfreg.errors import BracketError
+from cdfreg.gram import GramState, accumulate
+
+_RNG = np.random.default_rng(11)
+
+
+def _ramp(x, ts):
+    """Two CDFs on [0, 1]: a context-scaled ramp and the identity ramp."""
+    return np.vstack([np.clip(np.asarray(ts) * x, 0.0, 1.0), np.clip(ts, 0.0, 1.0)])
+
+
+# name -> (basis, context sampler)
+FAMILIES = {
+    "bernoulli": (BernoulliBasis(3), lambda r: r.uniform(0.0, 1.0, 3)),
+    "polynomial": (PolynomialBasis(4), lambda r: float(r.uniform(0.5, 2.0))),
+    "gaussian_laplace": (GaussianLaplaceBasis(0.4, *_RNG.normal(size=(4, 3)),
+                                              _RNG.uniform(0.5, 2.0, 3),
+                                              _RNG.uniform(0.5, 2.0, 3)),
+                         lambda r: r.normal(size=3)),
+    "logistic_probit": (LogisticProbitBasis(0.3, *_RNG.normal(size=(4, 2))),
+                        lambda r: r.normal(size=2)),
+    "custom": (CustomBasis(2, _ramp, 0.0, 1.0), lambda r: float(r.uniform(0.5, 2.0))),
+}
+MEASURES = {
+    "unit": msr.make_uniform_measure(0.0, 1.0, 16),  # Bernoulli-type closed form
+    "uniform": msr.make_uniform_measure(-0.5, 2.0, 24),
+    "gaussian": msr.make_gaussian_measure(0.5, 2.0, 20),
+    "counting": msr.make_counting_measure([-1.0, 0.0, 0.5, 1.0, 2.5]),
+}
+# below, on and inside every support above, plus far outside it
+OUTCOMES = st.one_of(st.sampled_from([-100.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 100.0]),
+                     st.floats(-3.0, 4.0))
+
+
+def _contexts(family, seed, n):
+    rng = np.random.default_rng(seed)
+    return [FAMILIES[family][1](rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("measure", MEASURES)
+@settings(max_examples=15, deadline=None)
+@given(ys=st.lists(OUTCOMES, min_size=1, max_size=150), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_accumulate_matches_loop(family, measure, ys, seed):
+    basis, m = FAMILIES[family][0], MEASURES[measure]
+    xs = _contexts(family, seed, len(ys))
+    start = accumulate(GramState(basis.d, m), basis, xs[0], 0.25)  # batches add to a state
+    loop = start
+    for x, y in zip(xs, ys):
+        loop = accumulate(loop, basis, x, y)
+    batch = accumulate(start, basis, xs, np.array(ys))
+    assert batch.n == loop.n == len(ys) + 1
+    # U and u are sums of non-negative terms, so the bound holds entrywise.
+    np.testing.assert_allclose(batch.U, loop.U, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(batch.u, loop.u, rtol=1e-12, atol=0)
+    assert np.array_equal(batch.U, batch.U.T)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_eval_nodes_rows_equal_single_calls(family, n, k, seed):
+    basis = FAMILIES[family][0]
+    xs = _contexts(family, seed, n)
+    T = np.random.default_rng(seed).uniform(-1.0, 3.0, (n, k))
+    batch = basis.eval_nodes(xs, T)
+    assert batch.shape == (n, basis.d, k)
+    for j in range(n):
+        assert np.array_equal(batch[j], basis.eval_nodes(xs[j], T[j]))
+
+
+def _bounded_ramp(x, ts):
+    """A CDF on [-5, 5] whose declared support [-1, 1] is too narrow."""
+    return (0.5 + 0.1 * np.clip(np.asarray(ts), -5.0, 5.0)).reshape(1, -1)
+
+
+SAMPLERS = {
+    **{name: FAMILIES[name] for name in ("bernoulli", "polynomial", "gaussian_laplace",
+                                         "logistic_probit")},
+    "custom_atoms": (CustomBasis(2, lambda x, ts: np.vstack([(np.asarray(ts) >= 0) * 0.3
+                                                            + (np.asarray(ts) >= 1) * 0.7,
+                                                            (np.asarray(ts) >= 1) * 1.0]),
+                                 0.0, 1.0, atoms=[0.0, 1.0]),
+                     lambda r: None),
+    "custom_narrow": (CustomBasis(1, _bounded_ramp, -1.0, 1.0), lambda r: None),
+}
+# Levels near 0 and 1 make the bisection double its bracket: the Laplace part
+# of the Gaussian-Laplace family leaves more than 1e-300 below its support.
+LEVELS = st.one_of(st.sampled_from([1e-300, 1e-20, 0.01, 0.5, 0.9, 0.99, 1.0 - 1e-16]),
+                   st.floats(1e-6, 1.0 - 1e-6))
+
+
+@pytest.mark.parametrize("family", SAMPLERS)
+@settings(max_examples=15, deadline=None)
+@given(us=st.lists(LEVELS, min_size=1, max_size=60), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_inverse_cdf_matches_scalar_loop(family, us, seed):
+    basis, sampler = SAMPLERS[family]
+    rng = np.random.default_rng(seed)
+    xs = [sampler(rng) for _ in us]
+    theta = rng.dirichlet(np.ones(basis.d))
+    try:
+        loop = np.array([inverse_cdf_sample(theta, basis, x, u) for x, u in zip(xs, us)])
+    except BracketError as exc:  # theta^T Phi can top out just below a level near 1
+        with pytest.raises(BracketError, match=re.escape(str(exc))):
+            inverse_cdf_sample(theta, basis, xs, np.array(us))
+        return
+    batch = inverse_cdf_sample(theta, basis, xs, np.array(us))
+    assert batch.shape == (len(us),)
+    assert np.array_equal(batch, loop)
+    assert isinstance(inverse_cdf_sample(theta, basis, xs[0], us[0]), float)
+
+
+def test_bracket_doubling_is_exercised():
+    basis, sampler = SAMPLERS["gaussian_laplace"]
+    x = sampler(np.random.default_rng(0))
+    lo, hi = basis.support(x)
+    theta = np.full(3, 1.0 / 3.0)
+    assert theta @ basis.eval(x, lo) >= 1e-300  # so u = 1e-300 must widen the bracket
+    assert inverse_cdf_sample(theta, basis, [x, x], np.array([1e-300, 0.5]))[0] < lo
+    narrow = SAMPLERS["custom_narrow"][0]
+    assert inverse_cdf_sample([1.0], narrow, [None], np.array([0.9]))[0] > 1.0
+
+
+def test_batch_with_one_unbracketable_draw_raises_like_the_loop():
+    capped = CustomBasis(1, lambda x, ts: np.clip(ts, 0.0, 0.5).reshape(1, -1), 0.0, 1.0)
+    us = [0.3, 0.9, 0.2]
+    with pytest.raises(BracketError) as scalar:
+        for u in us:
+            inverse_cdf_sample([1.0], capped, None, u)
+    with pytest.raises(BracketError) as batch:
+        inverse_cdf_sample([1.0], capped, [None] * 3, np.array(us))
+    assert str(batch.value) == str(scalar.value)
+    assert "u=0.9" in str(batch.value)
+
+
+def test_batches_reject_bad_levels_and_unmatched_contexts():
+    basis = PolynomialBasis(1)
+    with pytest.raises(ValueError, match="open interval"):
+        inverse_cdf_sample([1.0], basis, [1.0, 1.0], np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="1 contexts for 2 levels"):
+        inverse_cdf_sample([1.0], basis, [1.0], np.array([0.5, 0.6]))
+    with pytest.raises(ValueError, match="1 contexts for 2 outcomes"):
+        accumulate(GramState(1, MEASURES["uniform"]), basis, [1.0], np.array([0.5, 0.6]))
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@given(ys=st.lists(OUTCOMES, min_size=1, max_size=50))
+def test_batched_jump_panel_rows_equal_scalar_panels(measure, ys):
+    m = MEASURES[measure]
+    ts, ws = msr.jump_panel(np.array(ys), m)
+    assert ts.shape == ws.shape and ts.shape[0] == len(ys)
+    tails = msr.tail_mass(np.array(ys), m)
+    for j, y in enumerate(ys):
+        t1, w1 = msr.jump_panel(y, m)
+        keep = ws[j] != 0
+        assert np.array_equal(ts[j][keep], t1) and np.array_equal(ws[j][keep], w1)
+        assert tails[j] == msr.tail_mass(y, m)
+
+
+@pytest.mark.parametrize("family", ["polynomial", "gaussian_laplace", "logistic_probit"])
+@pytest.mark.parametrize("measure", ["uniform", "gaussian", "counting"])
+@settings(max_examples=15, deadline=None)
+@given(ys=st.lists(OUTCOMES, min_size=1, max_size=60), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_crps_equals_mean_of_single_rows(family, measure, ys, seed):
+    basis, m = FAMILIES[family][0], MEASURES[measure]
+    samples = list(zip(_contexts(family, seed, len(ys)), ys))
+    theta = np.random.default_rng(seed).dirichlet(np.ones(basis.d))
+    F = lambda X, T: theta @ basis.eval_nodes(X, T)
+    per_row = [l2_error_crps([s], F, m) for s in samples]
+    assert l2_error_crps(samples, F, m) == pytest.approx(np.mean(per_row), rel=1e-12,
+                                                         abs=1e-15)
