@@ -18,6 +18,9 @@ from scipy.special import ndtr
 from .errors import BracketError
 
 _BISECT_TOL = 1e-10
+# A CDF value within this of a level u counts as reaching it: when sum(theta)
+# rounds below a level near 1, theta^T Phi never reaches the level itself.
+_LEVEL_SLACK = 1e-15
 
 
 def _batch_form(x, ts):
@@ -185,7 +188,8 @@ class GaussianLaplaceBasis(BasisFamily):
 
     @staticmethod
     def _laplace_cdf(z):
-        return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        h = 0.5 * np.exp(-np.abs(z))  # one exp, which cannot overflow
+        return np.where(z < 0, h, 1.0 - h)
 
     def eval_nodes(self, x, ts):
         X, T, single = _batch_form(x, ts)
@@ -335,7 +339,7 @@ def _atom_lookup(theta, basis, X, us):
     if atoms[0] is None:
         return None
     A = np.asarray(atoms, dtype=float)
-    hit = us[:, None] <= theta @ basis.eval_nodes(X, A) + 1e-15
+    hit = us[:, None] <= theta @ basis.eval_nodes(X, A) + _LEVEL_SLACK
     first = np.where(hit.any(axis=1), hit.argmax(axis=1), A.shape[1] - 1)
     return A[np.arange(len(A)), first]
 
@@ -351,7 +355,7 @@ def _bisect(theta, basis, X, us):
     tries = np.zeros(len(us), dtype=int)
     idx = np.arange(len(us))
     while idx.size:
-        idx = idx[(cdf(idx, hi[idx]) < us[idx]) & (tries[idx] < 60)]
+        idx = idx[(cdf(idx, hi[idx]) + _LEVEL_SLACK < us[idx]) & (tries[idx] < 60)]
         hi[idx] += span[idx]
         span[idx] *= 2
         tries[idx] += 1
@@ -363,7 +367,7 @@ def _bisect(theta, basis, X, us):
         span[idx] *= 2
         tries[idx] += 1
     idx = np.arange(len(us))
-    failed = (cdf(idx, hi) < us) | (cdf(idx, lo) >= us)
+    failed = (cdf(idx, hi) + _LEVEL_SLACK < us) | (cdf(idx, lo) >= us)
     if failed.any():
         raise BracketError(f"could not bracket u={us[failed.argmax()]} within search bounds")
     idx = np.flatnonzero(hi - lo > _BISECT_TOL)

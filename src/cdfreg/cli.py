@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -118,10 +119,10 @@ _SCHEMAS = {"synth-bernoulli": _SCALING_SCHEMA, "synth-poly": _SCALING_SCHEMA,
             "bound-check": _COVERAGE_SCHEMA, "real": _REAL_SCHEMA}
 
 # desk-scale defaults; --long switches to the full-size sweeps
-_DESK = {"synth-bernoulli": {"n_grid": [1000, 3000, 10000], "reps": 20},
-         "synth-poly": {"n_grid": [200, 600, 2000], "reps": 20}}
-_LONG = {"synth-bernoulli": {"n_grid": [1000, 10000, 100000, 1000000], "reps": 100},
-         "synth-poly": {"n_grid": [1000, 10000, 100000], "reps": 100}}
+_DESK = {"synth-bernoulli": {"n_grid": [1000, 3000, 10000]},
+         "synth-poly": {"n_grid": [200, 600, 2000]}}
+_LONG = {"synth-bernoulli": {"n_grid": [1000, 10000, 100000, 1000000]},
+         "synth-poly": {"n_grid": [1000, 10000, 100000]}}
 
 
 class _ConfigError(Exception):
@@ -158,6 +159,13 @@ def _write_summary(out_dir, payload, config):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _scaling_summary(config, records):
@@ -210,19 +218,12 @@ def _cmd_scaling(args, config):
 def _cmd_bound_check(args, config):
     report = run_coverage_experiment(config)
     rows = report.pop("rows")
-    with open(os.path.join(args.out, "records.csv"), "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["rep", "error", "bound", "covered"])
-        for r in rows:
-            writer.writerow([r["rep"], repr(float(r["error"])),
-                             repr(float(r["bound"])), int(r["covered"])])
-    with open(os.path.join(args.out, "aggregates.csv"), "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["mode", "delta", "reps", "coverage"])
-        writer.writerow([report["mode"], repr(report["delta"]), report["reps"],
-                         repr(report["coverage"])])
+    _write_csv(os.path.join(args.out, "records.csv"), ["rep", "error", "bound", "covered"],
+               ([r["rep"], repr(float(r["error"])), repr(float(r["bound"])),
+                 int(r["covered"])] for r in rows))
+    _write_csv(os.path.join(args.out, "aggregates.csv"), ["mode", "delta", "reps", "coverage"],
+               [[report["mode"], repr(report["delta"]), report["reps"],
+                 repr(report["coverage"])]])
     _write_summary(args.out, report, config)
     return 0
 
@@ -230,13 +231,9 @@ def _cmd_bound_check(args, config):
 def _cmd_real(args, config):
     report = evaluate_pipeline(config)
     write_report_csv(os.path.join(args.out, "records.csv"), report["rows"])
-    with open(os.path.join(args.out, "aggregates.csv"), "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["method", "mean", "q05", "q50", "q95"])
-        for method, st in sorted(report["summary"].items()):
-            writer.writerow([method, repr(st["mean"]), repr(st["q05"]),
-                             repr(st["q50"]), repr(st["q95"])])
+    _write_csv(os.path.join(args.out, "aggregates.csv"), ["method", "mean", "q05", "q50", "q95"],
+               ([method, repr(st["mean"]), repr(st["q05"]), repr(st["q50"]), repr(st["q95"])]
+                for method, st in sorted(report["summary"].items())))
     summary = {k: v for k, v in report.items() if k != "rows"}
     _write_summary(args.out, summary, config)
     failed = {f["seed"] for f in report["failures"]}

@@ -65,7 +65,7 @@ def _bernoulli_fast_path(basis: BasisFamily, m: msr.QuadMeasure) -> bool:
 
 def _q_matrix(basis, X) -> np.ndarray:
     """(n, d) failure probabilities 1 - p: the two-point CDFs on [0, 1)."""
-    return basis.eval_nodes(X, np.zeros((len(X), 1)))[:, :, 0]
+    return 1.0 - basis._probs_batch(X)
 
 
 def _block_sum(basis: BasisFamily, X, panel, outer: bool) -> np.ndarray:
@@ -88,10 +88,10 @@ def _block_sum(basis: BasisFamily, X, panel, outer: bool) -> np.ndarray:
 
 def _gram_sum(basis: BasisFamily, X, m: msr.QuadMeasure, c=None) -> np.ndarray:
     """sum_j c_j * integral Phi(x_j,t) Phi(x_j,t)^T m(dt); c defaults to ones."""
-    c = np.ones(len(X)) if c is None else np.asarray(c, dtype=float)
     if _bernoulli_fast_path(basis, m):
         Q = _q_matrix(basis, X)
-        return (Q.T * c) @ Q
+        return Q.T @ Q if c is None else (Q.T * np.asarray(c, dtype=float)) @ Q
+    c = np.ones(len(X)) if c is None else np.asarray(c, dtype=float)
 
     def panel(rows):
         ws = c[rows, None] * m.weights

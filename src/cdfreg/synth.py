@@ -8,6 +8,7 @@ coverage sweep drivers that emit plot-ready records.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,14 +22,12 @@ from .errors import CdfRegError
 from .estimators import (delta_nU_default, penalized_estimate, project_simplex,
                          ridge_estimate)
 from .gram import (_BLOCK_ROWS, GramState, accumulate, gram_matrix_of_context,
-                   population_gram_mc, response_vector_of_sample)
+                   population_gram_mc, regularized_gram, response_vector_of_sample)
 
 RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
                   "metric_name", "value"]
 AGGREGATE_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "metric_name",
                      "mean", "q05", "q95"]
-
-_KS_PARAM_POINTS = 256
 
 
 def stream_rng(seed: int, *key) -> np.random.Generator:
@@ -133,18 +132,18 @@ def hard_instance_params(d: int, n: int, c: float, j: int,
     return state.step()
 
 
-_hard_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> np.ndarray:
-    """All n parameter vectors of the hard instance, cached per (d, n, c)."""
-    key = (d, n, float(c))
-    if key not in _hard_cache:
-        state = HardInstanceState(d, n, c)
-        for _ in range(n):
-            state.step()
-        _hard_cache[key] = np.array(state.p_rows)
-    return _hard_cache[key]
+    """All n parameter vectors of the hard instance as a read-only (n, d) array.
+
+    The last four (d, n, c) are cached; one 10^6-row matrix holds 40 MB at d=5.
+    """
+    state = HardInstanceState(d, n, c)
+    for _ in range(n):
+        state.step()
+    P = np.array(state.p_rows)
+    P.setflags(write=False)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +210,22 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
 
 
 # ---------------------------------------------------------------------------
-# Per-rep fits (vectorized fast paths)
+# Per-rep statistics
 # ---------------------------------------------------------------------------
 
-def _hard_instance_rep(d, n, c, theta_star, rng):
-    """One replication of the hard instance: returns (U, u) closed-form statistics."""
-    P = hard_instance_matrix(d, n, c)
-    Q = 1.0 - P
-    probs = P @ theta_star
-    y = (rng.random(n) < probs).astype(float)  # y ~ Bernoulli(theta*^T p_j)
-    U = Q.T @ Q
-    u = Q.T @ (1.0 - y)
-    return U, u
+def _bernoulli_state(P, probs, rng) -> GramState:
+    """Statistics of y_j ~ Bernoulli(probs_j) at the contexts P, on the unit interval."""
+    y = (rng.random(len(P)) < probs).astype(float)
+    d = P.shape[1]
+    return accumulate(GramState(d, msr.make_uniform_measure(0.0, 1.0)),
+                      BernoulliBasis(d), P, y)
 
 
-def _atom_design_rep(P_atoms, atom_probs, theta_star, n, rng, m=None):
+def _atom_design_rep(P_atoms, atom_probs, theta_star, n, rng, m) -> GramState:
     """One replication with contexts drawn from a finite atom set of p-vectors.
 
-    With no measure the uniform-[0,1] closed form is used; otherwise the
-    per-atom Gram and the two per-atom responses (y=0, y=1) come from
-    quadrature against m.
+    U_n and u_n are summed by atom: the per-atom Gram and the two per-atom
+    responses (y=0, y=1) come from quadrature against m.
     """
     k, d = P_atoms.shape
     idx = rng.choice(k, size=n, p=atom_probs)
@@ -238,11 +233,6 @@ def _atom_design_rep(P_atoms, atom_probs, theta_star, n, rng, m=None):
     y = (rng.random(n) < probs).astype(float)
     counts = np.bincount(idx, minlength=k).astype(float)
     ones = np.bincount(idx, weights=y, minlength=k)
-    if m is None:
-        Q = 1.0 - P_atoms
-        U = (Q.T * counts) @ Q
-        u = Q.T @ (counts - ones)
-        return U, u
     basis = BernoulliBasis(d)
     U = np.zeros((d, d))
     u = np.zeros(d)
@@ -252,23 +242,21 @@ def _atom_design_rep(P_atoms, atom_probs, theta_star, n, rng, m=None):
         u += ((counts[a] - ones[a])
               * response_vector_of_sample(basis, P_atoms[a], 0.0, m)
               + ones[a] * response_vector_of_sample(basis, P_atoms[a], 1.0, m))
-    return U, u
+    return GramState(d, m, n, U, u)
 
 
-def bernoulli_ks_sup(theta_hat, theta_star, d: int,
-                     n_params: int = _KS_PARAM_POINTS) -> float:
+def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
     """Sup KS distance over the evaluation family of Bernoulli contexts.
 
     The family mirrors the hard-instance pattern: parameters 1-eps with one
     cyclically perturbed coordinate 1-2*eps, eps ranging over
-    [1/(2 d^2), 1/d^2] on an equally spaced grid.
+    [1/(2 d^2), 1/d^2].
     """
     delta = np.asarray(theta_hat, dtype=float) - np.asarray(theta_star, dtype=float)
-    eps = np.linspace(1.0 / (2.0 * d * d), 1.0 / (d * d), n_params)
-    # q(eps, j) = eps * (1 + e_j); KS on [0,1) is |delta^T q|.
+    # q(eps, j) = eps * (1 + e_j); KS on [0,1) is |delta^T q|, largest at eps = 1/d^2.
     base = float(np.sum(delta))
     per_coord = np.abs(base + delta)          # (d,) for each perturbed coordinate
-    step_sup = float(eps.max() * per_coord.max())
+    step_sup = float((1.0 / (d * d)) * per_coord.max())
     # At t >= 1 both CDFs equal sum(theta); include that gap for improper theta_hat.
     return max(step_sup, abs(base))
 
@@ -301,9 +289,9 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
     rng = stream_rng(seed, 0xD0, d, n, rep)
 
     if kind == "bernoulli_hard":
-        c = float(config["basis"].get("c", 1.0))
-        U, u = _hard_instance_rep(d, n, c, theta_star, rng)
-        Sigma_n = U  # fixed design: contexts are deterministic
+        P = hard_instance_matrix(d, n, float(config["basis"].get("c", 1.0)))
+        state = _bernoulli_state(P, P @ theta_star, rng)
+        Sigma_n = state.U  # fixed design: contexts are deterministic
         ks_fn = lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d)
     elif kind == "polynomial":
         x_lo = float(config["basis"].get("x_lo", 0.5))
@@ -312,8 +300,7 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
         m = msr.make_uniform_measure(0.0, 2.0, int(config["basis"].get("n_nodes", 64)))
         ds = sample_scheme2(basis, lambda r: r.uniform(x_lo, x_hi), theta_star, n,
                             int(rng.integers(2 ** 62)))
-        state = accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes, m)
-        U, u = state.U, state.u
+        state = accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
         Sigma_n = _polynomial_sigma_n(d, n, x_lo, x_hi)
         grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
 
@@ -331,8 +318,8 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
     out = []
     tnorm = float(np.linalg.norm(theta_star))
     for lam in lambdas:
-        A = U + lam * np.eye(d)
-        theta_hat = np.linalg.solve(A, u)
+        A = regularized_gram(state, lam)
+        theta_hat = ridge_estimate(state, lam)
         diff = theta_hat - theta_star
         vals = {}
         if "l2" in metrics:
@@ -346,7 +333,7 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
         if "eps_lambda" in metrics:
             vals["eps_lambda"] = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
         if "mu_min_U" in metrics:
-            vals["mu_min_U"] = bounds.min_eigenvalue(0.5 * (U + U.T))
+            vals["mu_min_U"] = bounds.min_eigenvalue(state.U)
         out.append((lam, vals))
     return out
 
@@ -361,6 +348,14 @@ def _theta_star(config, d):
     return theta / theta.sum()
 
 
+def _map_tasks(fn, tasks, threads: int) -> list:
+    """fn over tasks, in task order; on a thread pool when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def run_scaling_experiment(config) -> tuple[list, list]:
     """Run the replicated sweep; returns (records, aggregate_rows)."""
     exp_id = config.get("experiment_id", "scaling")
@@ -368,33 +363,24 @@ def run_scaling_experiment(config) -> tuple[list, list]:
     reps = int(config["reps"])
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    threads = int(config.get("threads", 1))
     scheme = "Fixed" if config["basis"]["kind"] == "bernoulli_hard" else "Random"
     if "n_grid" in config:
         points = [(int(config["basis"]["d"]), int(n)) for n in config["n_grid"]]
     else:
         points = [(int(d), int(config["n"])) for d in config["d_grid"]]
 
-    tasks = [(pi, rep) for pi in range(len(points)) for rep in range(reps)]
+    tasks = [(d, n, rep) for d, n in points for rep in range(reps)]
 
     def run_task(task):
-        pi, rep = task
-        d, n = points[pi]
+        d, n, rep = task
         try:
-            return (pi, rep, _scaling_rep_metrics(config, d, n, rep, seed), None)
+            return _scaling_rep_metrics(config, d, n, rep, seed), None
         except (CdfRegError, LinAlgError, ValueError) as exc:  # failure row; sweep continues
-            return (pi, rep, None, f"{type(exc).__name__}: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
+            return None, f"{type(exc).__name__}: {exc}"
 
     records = []
-    for pi, rep, payload, err in results:
-        d, n = points[pi]
+    results = _map_tasks(run_task, tasks, int(config.get("threads", 1)))
+    for (d, n, rep), (payload, err) in zip(tasks, results):
         if err is not None:
             records.append(ExperimentRecord(exp_id, scheme, d, n, float("nan"),
                                             rep, seed, "failure", float("nan"), err))
@@ -432,71 +418,53 @@ def _coverage_rep(config, rep, seed):
     rng = stream_rng(seed, 0xC0, rep)
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
+    if mode == "mismatch" and kind != "bernoulli_hard":
+        raise ValueError("mismatch mode uses the bernoulli_hard design")
 
     if kind == "bernoulli_hard":
-        U, u = _hard_instance_rep(d, n, float(spec.get("c", 1.0)), theta_star, rng)
-        Sigma_n = U
+        P = hard_instance_matrix(d, n, float(spec.get("c", 1.0)))
+        probs = P @ theta_star
+        if mode == "mismatch":
+            # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
+            q, p_e = float(config["q"]), float(spec["p_e"])
+            probs = (1.0 - q) * probs + q * p_e
+            # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs
+            Q = 1.0 - P
+            E_n_norm = float(np.linalg.norm(Q.T @ (q * ((1.0 - p_e) - Q @ theta_star))))
+        state = _bernoulli_state(P, probs, rng)
+        Sigma_n = state.U
     elif kind == "bernoulli_atoms":
         P_atoms = np.asarray(spec["atoms"], dtype=float)
         probs = np.asarray(spec["probs"], dtype=float)
-        m = msr.measure_from_spec(spec["measure"]) if "measure" in spec else None
-        U, u = _atom_design_rep(P_atoms, probs, theta_star, n, rng, m)
-        if m is None:
-            Q = 1.0 - P_atoms
-            Sigma_n = n * (Q.T * probs) @ Q
-        else:
-            basis = BernoulliBasis(d)
-            Sigma_n = n * sum(pk * gram_matrix_of_context(basis, pa, m)
-                              for pa, pk in zip(P_atoms, probs))
+        m = (msr.measure_from_spec(spec["measure"]) if "measure" in spec
+             else msr.make_uniform_measure(0.0, 1.0))
+        state = _atom_design_rep(P_atoms, probs, theta_star, n, rng, m)
+        Sigma_n = population_gram_mc(BernoulliBasis(d), (P_atoms, probs), m, n).Sigma
     else:
         raise ValueError(f"unknown coverage basis kind {kind!r}")
 
-    if mode == "self":
-        A = U + lam * np.eye(d)
-        theta_hat = np.linalg.solve(A, u)
-        err = bounds.weighted_norm(theta_hat - theta_star, A)
-        bound = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
-    elif mode == "sigma":
-        A = U + lam * np.eye(d)
-        theta_hat = np.linalg.solve(A, u)
-        err = bounds.weighted_norm(theta_hat - theta_star, Sigma_n)
-        bound = math.sqrt(2.0) * bounds.epsilon_lambda(n, d, delta, lam, tnorm)
-    elif mode == "penalized":
-        state = GramState(d, msr.make_uniform_measure(0.0, 1.0, 8), n, U, u)
+    if mode == "penalized":
         delta_nU = delta_nU_default(n, d, delta)
         theta_check = penalized_estimate(state, 0.0, delta_nU)
         err = float(np.linalg.norm(theta_check - theta_star))
-        mu = bounds.min_eigenvalue(0.5 * (Sigma_n + Sigma_n.T))
+        mu = bounds.min_eigenvalue(Sigma_n)
         bound = bounds.penalized_bound(n, d, delta, mu, tnorm)
         # objective dominance diagnostic vs the ridge init of the solver
         ridge = ridge_estimate(state, 1e-8)
-        obj = lambda th: (np.linalg.norm(U @ th - u) + delta_nU * np.linalg.norm(th))
+        obj = lambda th: (np.linalg.norm(state.U @ th - state.u) + delta_nU * np.linalg.norm(th))
         dominated = obj(theta_check) <= obj(ridge) + 1e-7
         return err, bound, {"dominated": float(dominated)}
-    elif mode == "mismatch":
-        q = float(config["q"])
-        p_e = np.asarray(spec["p_e"], dtype=float)
-        if kind != "bernoulli_hard":
-            raise ValueError("mismatch mode uses the bernoulli_hard design")
-        P = hard_instance_matrix(d, n, float(spec.get("c", 1.0)))
-        Q = 1.0 - P
-        q_e = 1.0 - float(p_e)
-        mix_probs = (1.0 - q) * (P @ theta_star) + q * float(p_e)
-        y = (rng.random(n) < mix_probs).astype(float)
-        U = Q.T @ Q
-        u = Q.T @ (1.0 - y)
-        # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs
-        coeff = q * (q_e - Q @ theta_star)
-        E_n = Q.T @ coeff
-        A = U + lam * np.eye(d)
-        theta_hat = np.linalg.solve(A, u)
-        err = bounds.weighted_norm(theta_hat - theta_star, A)
-        eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
-        bound = bounds.mismatch_bound(eps, float(np.linalg.norm(E_n)), lam)
-        return err, bound, {"E_n_norm": float(np.linalg.norm(E_n))}
-    else:
+    if mode not in ("self", "sigma", "mismatch"):
         raise ValueError(f"unknown coverage mode {mode!r}")
-    return err, bound, {}
+    # self, sigma and mismatch share the ridge fit; they differ in weight and bound.
+    diff = ridge_estimate(state, lam) - theta_star
+    eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
+    if mode == "sigma":
+        return bounds.weighted_norm(diff, Sigma_n), math.sqrt(2.0) * eps, {}
+    err = bounds.weighted_norm(diff, regularized_gram(state, lam))
+    if mode == "self":
+        return err, eps, {}
+    return err, bounds.mismatch_bound(eps, E_n_norm, lam), {"E_n_norm": E_n_norm}
 
 
 def run_coverage_experiment(config) -> dict:
@@ -508,20 +476,11 @@ def run_coverage_experiment(config) -> dict:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     seed = int(config.get("seed", 0))
-    threads = int(config.get("threads", 1))
-
-    def run_task(rep):
-        return (rep, _coverage_rep(config, rep, seed))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, range(reps)))
-    else:
-        results = [run_task(r) for r in range(reps)]
-    results.sort(key=lambda r: r[0])
+    results = _map_tasks(lambda rep: _coverage_rep(config, rep, seed), range(reps),
+                         int(config.get("threads", 1)))
 
     rows, covered, extras = [], 0, {}
-    for rep, (err, bound, extra) in results:
+    for rep, (err, bound, extra) in enumerate(results):
         ok = err <= bound
         covered += int(ok)
         rows.append({"rep": rep, "error": err, "bound": bound, "covered": ok,

@@ -10,7 +10,8 @@ from scipy.optimize import minimize
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis, PolynomialBasis
-from cdfreg.bounds import fit_loglog_slope, ks_distance, ks_grid, weighted_norm
+from cdfreg.bounds import (epsilon_lambda, fit_loglog_slope, ks_distance, ks_grid,
+                           weighted_norm)
 from cdfreg.cli import main
 from cdfreg.estimators import (SigmaSequence, hilbert_estimate,
                                project_simplex, project_simplex_weighted,
@@ -231,3 +232,18 @@ def test_real_pipeline_beats_ecdf_baseline():
     out = evaluate_pipeline(cfg)
     assert out["failures"] == []
     assert out["summary"]["ridge_projected"]["mean"] < out["summary"]["ecdf"]["mean"]
+
+
+@pytest.mark.parametrize("basis", [
+    {"kind": "bernoulli_hard"},
+    {"kind": "bernoulli_atoms", "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
+     "probs": [0.5, 0.5], "measure": {"kind": "counting", "points": [0.0, 1.0]}},
+])
+def test_sigma_normalized_bound_coverage(basis):
+    """The Sigma_n-norm error stays under sqrt(2) eps_lambda in at least 1 - delta of reps."""
+    cfg = {"mode": "sigma", "d": 3, "n": 2000, "delta": 0.1, "lambda": 0.01,
+           "reps": 50, "seed": 3, "theta_star": [0.5, 0.3, 0.2], "basis": basis}
+    report = run_coverage_experiment(cfg)
+    eps = epsilon_lambda(2000, 3, 0.1, 0.01, float(np.linalg.norm([0.5, 0.3, 0.2])))
+    assert all(row["bound"] == np.sqrt(2.0) * eps for row in report["rows"])
+    assert report["coverage"] >= 1.0 - 0.1

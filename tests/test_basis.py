@@ -137,3 +137,31 @@ def test_spec_round_trip():
                                   np.zeros(2))):
         b2 = basis_from_spec(b.to_spec())
         assert b2.kind == b.kind and b2.d == b.d
+
+
+_GL2 = GaussianLaplaceBasis(0.5, [1.0, -1.0], [0.0, 0.5], [0.5, 1.0], [0.0, 0.0],
+                            [1.0, 2.0], [1.0, 0.5])
+
+
+def test_inverse_cdf_brackets_level_within_rounding_of_one():
+    theta = np.array([0.5, 0.5 - 2.0 ** -52])  # sums to 1 - 2^-52
+    x = np.array([0.2, -0.1])
+    u = 1.0 - 1e-16  # rounds to 1 - 2^-53, above every value of theta^T Phi
+    assert theta @ _GL2.eval(x, 1e6) < u
+    t = inverse_cdf_sample(theta, _GL2, x, u)
+    assert np.isfinite(t)
+    assert theta @ _GL2.eval(x, t) >= u - 1e-15
+    ts = inverse_cdf_sample(theta, _GL2, [x, x], np.array([0.5, u]))
+    assert ts[1] == t and ts[0] == inverse_cdf_sample(theta, _GL2, x, 0.5)
+
+
+def test_laplace_cdf_far_tails_do_not_overflow():
+    with np.errstate(over="raise"):
+        vals = _GL2.eval_nodes(np.array([0.2, -0.1]), np.array([-1e3, 1e3]))
+    assert np.array_equal(vals, [[0.0, 1.0], [0.0, 1.0]])
+
+
+def test_laplace_cdf_matches_two_sided_formula():
+    z = np.linspace(-700.0, 700.0, 4001)
+    two_sided = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+    assert np.array_equal(GaussianLaplaceBasis._laplace_cdf(z), two_sided)

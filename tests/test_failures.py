@@ -8,6 +8,7 @@ import pytest
 
 from cdfreg import realdata, synth
 from cdfreg.cli import main
+from cdfreg.errors import ConvergenceError
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "cdfreg" / "data"
 
@@ -84,3 +85,16 @@ def test_cli_keeps_partial_failures_as_rows(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_failures"] == 2
     assert all(f["error"] == "ValueError: rep 1 is degenerate" for f in summary["failures"])
+
+
+def test_ridge_convergence_error_is_a_typed_failure(monkeypatch):
+    def no_convergence(state, lam):
+        raise ConvergenceError("ridge solve residual 1e-3 too large")
+
+    monkeypatch.setattr(synth, "ridge_estimate", no_convergence)
+    records, _ = synth.run_scaling_experiment(SCALING)
+    assert {r.metric_name for r in records} == {"failure"}
+    assert all(r.error.startswith("ConvergenceError: ridge solve") for r in records)
+    with pytest.raises(ConvergenceError):
+        synth.run_coverage_experiment({"mode": "self", "d": 2, "n": 50, "delta": 0.1,
+                                       "reps": 2, "basis": {"kind": "bernoulli_hard"}})
