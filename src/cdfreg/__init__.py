@@ -27,6 +27,5 @@ from .measure import (QuadMeasure, integrate, integrate_with_jump, jump_panel,
                       make_counting_measure, make_gaussian_measure,
                       make_uniform_measure, measure_from_spec, tail_mass)
 from .synth import (Dataset, ExperimentRecord, hard_instance_matrix,
-                    hard_instance_params, run_coverage_experiment,
-                    run_scaling_experiment, sample_mismatched, sample_scheme1,
-                    sample_scheme2)
+                    run_coverage_experiment, run_scaling_experiment,
+                    sample_mismatched, sample_scheme1, sample_scheme2)

@@ -167,17 +167,3 @@ def population_gram_mc(basis: BasisFamily, context_sampler, m: msr.QuadMeasure,
     Sigma = n * 0.5 * (Sigma_step + Sigma_step.T)
     return PopulationGram(Sigma=Sigma, n=n, d=basis.d, mc_samples=mc)
 
-
-def state_to_flat_dict(state: GramState) -> dict:
-    """Flat serializable dump for experiment checkpointing."""
-    return {"d": state.d, "n": state.n,
-            "U": state.U.ravel().tolist(), "u": state.u.tolist(),
-            "measure": state.measure.to_json()}
-
-
-def state_from_flat_dict(payload: dict) -> GramState:
-    d = int(payload["d"])
-    return GramState(d=d, measure=msr.measure_from_json(payload["measure"]),
-                     n=int(payload["n"]),
-                     U=np.asarray(payload["U"], dtype=float).reshape(d, d),
-                     u=np.asarray(payload["u"], dtype=float))

@@ -9,7 +9,6 @@ probability measures: weights are non-negative and sum to one.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,10 +46,6 @@ class QuadMeasure:
             raise ValueError("measure nodes must be strictly increasing")
         if nd.size and (nd[0] < self.support_lo - 1e-12 or nd[-1] > self.support_hi + 1e-12):
             raise ValueError("nodes must lie inside the support")
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params,
-                           "n_nodes": int(self.params.get("n_nodes", len(self.nodes)))})
 
 
 def make_uniform_measure(a: float, b: float, n_nodes: int = DEFAULT_NODES) -> QuadMeasure:
@@ -90,11 +85,6 @@ def make_counting_measure(points) -> QuadMeasure:
     weights = np.full(pts.size, 1.0 / pts.size)
     return QuadMeasure(COUNTING, pts, weights, float(pts[0]), float(pts[-1]),
                        {"points": [float(p) for p in pts]})
-
-
-def measure_from_json(text: str) -> QuadMeasure:
-    spec = json.loads(text) if isinstance(text, str) else text
-    return measure_from_spec(spec)
 
 
 def measure_from_spec(spec: dict) -> QuadMeasure:

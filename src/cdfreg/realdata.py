@@ -65,6 +65,9 @@ def load_csv(path, outcome: str, features=None, delimiter=",") -> TabularDataset
         features = [c for c in rows[0].keys() if c != outcome]
     if outcome not in rows[0]:
         raise ValueError(f"outcome column {outcome!r} not found")
+    missing = [c for c in features if c not in rows[0]]
+    if missing:
+        raise ValueError(f"feature columns {missing} not found")
 
     kept, dropped = [], 0
     for row in rows:
@@ -77,6 +80,8 @@ def load_csv(path, outcome: str, features=None, delimiter=",") -> TabularDataset
             dropped += 1
             continue
         kept.append(vals)
+    if not kept:
+        raise ValueError(f"no complete numeric row in {path}")
     arr = np.asarray(kept, dtype=float)
     X = np.column_stack([standardize(arr[:, i]) for i in range(len(features))])
     return TabularDataset(X, arr[:, -1], list(features), outcome, dropped)

@@ -45,10 +45,6 @@ class Dataset:
     basis_spec: dict = field(default_factory=dict)
     E_n: np.ndarray | None = None
 
-    @property
-    def pairs(self):
-        return list(zip(self.contexts, self.outcomes))
-
 
 @dataclass
 class ExperimentRecord:
@@ -73,75 +69,28 @@ class ExperimentRecord:
 # Bernoulli hard instance
 # ---------------------------------------------------------------------------
 
-class HardInstanceState:
-    """Running state for the adversarial Bernoulli parameter construction.
-
-    Steps j <= d perturb coordinate j at scale c/(2 d^3); later steps cycle
-    through the coordinates at scale c/(2 d^2), which pins the parameters to
-    the evaluation family [1 - c/d^2, 1 - c/(2 d^2)] and makes mu_min(U_n)
-    grow linearly in n.  The running matrices R_j stay available for
-    validity checks (mu_min(R_j) > 0 once all coordinates were perturbed).
-    """
-
-    def __init__(self, d: int, n: int, c: float = 1.0):
-        if d < 2:
-            raise ValueError("hard instance needs d >= 2")
-        self.d, self.n, self.c = d, n, float(c)
-        self.j = 0
-        self.sum_outer = np.zeros((d, d))      # sum of q_k q_k^T for k <= j
-        self.prev_outer = np.zeros((d, d))     # q_j q_j^T of the last step
-        self.p_rows = []
-
-    def mu_min_R(self) -> float:
-        """mu_min of R_j = q_j q_j^T + (1/n) sum_{k<j} q_k q_k^T at the current step."""
-        R = self.prev_outer + (self.sum_outer - self.prev_outer) / self.n
-        return float(np.linalg.eigvalsh(R)[0])
-
-    def step(self) -> np.ndarray:
-        self.j += 1
-        j, d, c = self.j, self.d, self.c
-        if j <= d:
-            eps = c / (2.0 * d ** 3)
-            p = np.full(d, 1.0 - eps)
-            p[j - 1] -= eps
-        else:
-            eps = c / (2.0 * d ** 2)
-            p = np.full(d, 1.0 - eps)
-            idx = j % d
-            if idx == 0:
-                idx = d  # cyclic rule: j mod d = 0 addresses coordinate d
-            p[idx - 1] -= eps
-        if np.any(p < 0) or np.any(p > 1):
-            raise ValueError(f"hard-instance p out of [0,1] at step {j}; reduce c")
-        q = 1.0 - p
-        self.prev_outer = np.outer(q, q)
-        self.sum_outer += self.prev_outer
-        self.p_rows.append(p)
-        return p
-
-
-def hard_instance_params(d: int, n: int, c: float, j: int,
-                         state: HardInstanceState | None = None) -> np.ndarray:
-    """Parameter vector p_j of the hard instance; steps a fresh state up to j."""
-    if state is None:
-        state = HardInstanceState(d, n, c)
-        for _ in range(j - 1):
-            state.step()
-    if state.j != j - 1:
-        raise ValueError(f"state is at step {state.j}, cannot produce step {j}")
-    return state.step()
-
-
 @functools.lru_cache(maxsize=4)
 def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> np.ndarray:
     """All n parameter vectors of the hard instance as a read-only (n, d) array.
 
-    The last four (d, n, c) are cached; one 10^6-row matrix holds 40 MB at d=5.
+    Row j (1-based) is 1 - eps with one coordinate lowered by a further eps.
+    Rows j <= d lower coordinate j at eps = c/(2 d^3); later rows cycle through
+    the coordinates at eps = c/(2 d^2), which pins the parameters to the
+    evaluation family [1 - c/d^2, 1 - c/(2 d^2)] and makes mu_min(U_n) grow
+    linearly in n.  The last four (d, n, c) are cached; one 10^6-row matrix
+    holds 40 MB at d=5.
     """
-    state = HardInstanceState(d, n, c)
-    for _ in range(n):
-        state.step()
-    P = np.array(state.p_rows)
+    if d < 2:
+        raise ValueError("hard instance needs d >= 2")
+
+    def rows(eps):  # row i lowers coordinate i
+        return 1.0 - eps - eps * np.eye(d)
+
+    P = rows(c / (2.0 * d ** 2))[np.arange(n) % d]
+    P[:d] = rows(c / (2.0 * d ** 3))[:n]
+    # Later rows permute one pattern, so the first 2d rows hold every value.
+    if np.any(P[:2 * d] < 0) or np.any(P[:2 * d] > 1):
+        raise ValueError("hard-instance p out of [0,1]; reduce c")
     P.setflags(write=False)
     return P
 

@@ -131,6 +131,24 @@ def test_real_happy_path(tmp_path):
     assert "ridge_projected" in summary["summary"]
 
 
+@pytest.mark.parametrize("csv_text,features", [
+    ("x1,y\n" + "".join(f"{i}.0,{i % 3}.5\n" for i in range(7)), ["x2"]),
+    ("x1,y\n" + "a,b\n" * 7, None),
+], ids=["missing_feature", "no_numeric_row"])
+def test_real_unusable_csv_exits_2(tmp_path, capsys, csv_text, features):
+    p = tmp_path / "t.csv"
+    p.write_text(csv_text)
+    payload = {"csv_path": str(p), "outcome": "y",
+               "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0},
+               "basis": {"kind": "gaussian_laplace", "w": 0.0},
+               "lambdas": [1.0], "seeds": [0]}
+    if features is not None:
+        payload["features"] = features
+    code, _ = run(tmp_path, "real", payload)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["real", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])

@@ -5,8 +5,7 @@ from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis, CustomBasis, PolynomialBasis
 from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context,
                          population_gram_mc, regularized_gram,
-                         response_vector_of_sample, state_from_flat_dict,
-                         state_to_flat_dict)
+                         response_vector_of_sample)
 
 UNIT = msr.make_uniform_measure(0.0, 1.0, 64)
 
@@ -134,13 +133,6 @@ def test_population_gram_mc_sampler():
                             mc_per_step=500, seed=9)
     assert pg.mc_samples == 500
     assert np.allclose(pg.Sigma, pg.Sigma.T)
-
-
-def test_state_flat_round_trip():
-    b = BernoulliBasis(2)
-    s = accumulate(GramState(2, UNIT), b, [0.5, 0.75], 0.0)
-    s2 = state_from_flat_dict(state_to_flat_dict(s))
-    assert s2.n == s.n and np.allclose(s2.U, s.U) and np.allclose(s2.u, s.u)
 
 
 def test_merge():

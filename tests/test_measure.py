@@ -130,7 +130,7 @@ def test_spec_round_trip():
     for m in (msr.make_uniform_measure(0.0, 2.0, 16),
               msr.make_gaussian_measure(1.5, 4.0, 32),
               msr.make_counting_measure([0.0, 1.0])):
-        m2 = msr.measure_from_json(m.to_json())
+        m2 = msr.measure_from_spec({"kind": m.kind, **m.params})
         assert np.allclose(m.nodes, m2.nodes)
         assert np.allclose(m.weights, m2.weights)
 

@@ -35,6 +35,20 @@ def test_load_csv_drops_bad_rows(tmp_path):
         load_csv(p, "missing_col")
 
 
+def test_load_csv_rejects_missing_features(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x1,y\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ValueError, match="x2"):
+        load_csv(p, "y", features=["x1", "x2"])
+
+
+def test_load_csv_rejects_no_complete_row(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x1,y\n1.0,\nabc,2.0\n3.0,nan\n")
+    with pytest.raises(ValueError, match="no complete numeric row"):
+        load_csv(p, "y")
+
+
 def test_three_way_split():
     a, b, c = three_way_split(6, 0)
     assert (len(a), len(b), len(c)) == (2, 3, 1)

@@ -3,16 +3,27 @@ import pytest
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis, PolynomialBasis
-from cdfreg.synth import (HardInstanceState, hard_instance_matrix,
-                          hard_instance_params, run_coverage_experiment,
+from cdfreg.synth import (hard_instance_matrix, run_coverage_experiment,
                           run_scaling_experiment, sample_mismatched,
                           sample_scheme1, sample_scheme2, stream_rng)
 
 
+def _hard_instance_loop(d, n, c):
+    """Reference: the row-by-row construction the closed form replaces."""
+    rows = []
+    for j in range(1, n + 1):
+        eps = c / (2.0 * d ** 3) if j <= d else c / (2.0 * d ** 2)
+        p = np.full(d, 1.0 - eps)
+        p[(j - 1) % d] -= eps
+        rows.append(p)
+    return np.array(rows)
+
+
 def test_hard_instance_first_steps_d2():
     # d=2, c=1: early scale 1/(2 d^3) = 1/16
-    assert np.allclose(hard_instance_params(2, 10, 1.0, 1), [0.875, 0.9375])
-    assert np.allclose(hard_instance_params(2, 10, 1.0, 2), [0.9375, 0.875])
+    P = hard_instance_matrix(2, 10)
+    assert np.allclose(P[0], [0.875, 0.9375])
+    assert np.allclose(P[1], [0.9375, 0.875])
 
 
 def test_hard_instance_late_steps_cycle():
@@ -32,26 +43,38 @@ def test_hard_instance_validity():
         assert np.linalg.matrix_rank(Q) == d
 
 
-def test_hard_instance_mu_min_R_positive_after_d_steps():
-    st = HardInstanceState(3, 100, 1.0)
-    for _ in range(3):
-        st.step()
-    assert st.mu_min_R() > 0.0
+@pytest.mark.parametrize("d,n,c", [(2, 7, 1.0), (3, 10, 0.5), (5, 23, 1.0), (8, 5, 2.0)])
+def test_hard_instance_matches_reference_loop(d, n, c):
+    P = hard_instance_matrix(d, n, c)
+    assert P.shape == (n, d)
+    assert np.array_equal(P, _hard_instance_loop(d, n, c))
+
+
+@pytest.mark.parametrize("d,n,m", [(3, 20, 11), (3, 20, 2), (5, 12, 5), (4, 9, 1)])
+def test_hard_instance_prefix_independent_of_n(d, n, m):
+    assert np.array_equal(hard_instance_matrix(d, n)[:m], hard_instance_matrix(d, m))
+
+
+def test_hard_instance_read_only():
+    P = hard_instance_matrix(3, 8)
     with pytest.raises(ValueError):
-        HardInstanceState(1, 10)
+        P[0, 0] = 0.5
+
+
+def test_hard_instance_rejects_d_below_2():
+    with pytest.raises(ValueError):
+        hard_instance_matrix(1, 10)
 
 
 def test_hard_instance_rejects_large_c():
-    st = HardInstanceState(2, 10, c=20.0)
     with pytest.raises(ValueError):
-        st.step()
-
-
-def test_hard_instance_state_step_mismatch():
-    st = HardInstanceState(2, 10)
-    st.step()
+        hard_instance_matrix(2, 10, c=20.0)
+    with pytest.raises(ValueError):  # negative c pushes p above 1
+        hard_instance_matrix(2, 3, c=-1.0)
+    # c=5, d=2 is out of range only at the later scale, so only from row d+1 on.
+    assert hard_instance_matrix(2, 2, c=5.0).shape == (2, 2)
     with pytest.raises(ValueError):
-        hard_instance_params(2, 10, 1.0, 5, state=st)
+        hard_instance_matrix(2, 3, c=5.0)
 
 
 def test_stream_rng_keyed_and_reproducible():
