@@ -108,19 +108,17 @@ def delta_nU_default(n: int, d: int, delta: float) -> float:
     return d * math.sqrt(8.0 * n * math.log(d / delta))
 
 
-def _penalized_objective(theta, A, b, delta_nU):
-    return np.linalg.norm(A @ theta - b) + delta_nU * np.linalg.norm(theta)
+def penalized_estimate(state: GramState, lam: float, delta_nU: float) -> np.ndarray:
+    """Minimize ||U_n(lambda) theta - u_n|| + delta_nU ||theta|| exactly.
 
-
-def penalized_estimate(state: GramState, lam: float, delta_nU: float,
-                       max_iter: int = 5000, tol: float = 1e-8) -> np.ndarray:
-    """Minimize ||U_n(lambda) theta - u_n|| + delta_nU ||theta|| by subgradient descent."""
+    With A = U_n + lambda I = V diag(s) V^T and c = V^T u_n, the minimizer is
+    theta(mu) = (A^2 + mu I)^-1 A u_n = V s w, w = c / (s^2 + mu), at the mu >= 0
+    where ||s w|| = delta_nU ||w||. That ratio increases with mu, so mu is bisected.
+    """
     if delta_nU <= 0:
         raise ValueError("delta_nU must be positive")
     A = regularized_gram(state, lam)
     b = state.u
-    f = lambda th: _penalized_objective(th, A, b, delta_nU)
-
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros(state.d)
@@ -129,42 +127,27 @@ def penalized_estimate(state: GramState, lam: float, delta_nU: float,
     if np.linalg.norm(A.T @ b) <= delta_nU * b_norm * (1 + 1e-12):
         return np.zeros(state.d)
 
-    theta = ridge_estimate(state, max(lam, 1e-8))
-    best = theta.copy()
-    f_best = f(theta)
-    f0 = f(theta)
-    window_best = f_best
-    since_improve = 0
-    for _ in range(max_iter):
-        r = A @ theta - b
-        rn = np.linalg.norm(r)
-        tn = np.linalg.norm(theta)
-        g = (A.T @ r / rn if rn > 0 else np.zeros_like(theta))
-        if tn > 0:
-            g = g + delta_nU * theta / tn
-        gn2 = float(g @ g)
-        if gn2 == 0.0:
-            break
-        # Polyak step towards a refreshed best-so-far target level.
-        target = f_best - 1e-3 * f0
-        gamma = max(f(theta) - target, 0.0) / gn2
-        theta = theta - gamma * g
-        f_cur = f(theta)
-        if f_cur < f_best:
-            f_best = f_cur
-            best = theta.copy()
-        if window_best - f_best > tol:
-            window_best = f_best
-            since_improve = 0
+    s, V = np.linalg.eigh(A)
+    c = V.T @ b
+    s2 = s * s
+
+    def below(mu):
+        w = c / (s2 + mu)
+        return np.linalg.norm(s * w) < delta_nU * np.linalg.norm(w)
+
+    lo, hi = 0.0, s2[-1]
+    while below(hi):
+        hi *= 2.0
+    # A nonsingular with A theta = u_n already optimal: the residual vanishes.
+    if s[0] > 0 and not below(0.0):
+        hi = 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
         else:
-            since_improve += 1
-            if since_improve >= 50:
-                break
-    else:
-        raise ConvergenceError("penalized solver hit max_iter", best=best, objective=f_best)
-    if f(np.zeros(state.d)) < f_best:
-        best = np.zeros(state.d)
-    return best
+            hi = mid
+    return V @ (s * c / (s2 + hi))
 
 
 def hilbert_estimate(U_coeffs, u_coeffs, sigma: SigmaSequence) -> np.ndarray:

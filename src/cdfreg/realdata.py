@@ -107,42 +107,35 @@ def fit_ols_univariate(xs, ys) -> UnivariateFit:
     return UnivariateFit("OLS", float(coef), float(intercept), float(np.mean(resid ** 2)))
 
 
-def _lad_objective(xs, ys, a, b):
-    return float(np.sum(np.abs(ys - a * xs - b)))
+def fit_lad_univariate(xs, ys) -> UnivariateFit:
+    """Least absolute residual line, exact: some optimal line passes through two points.
 
-
-def fit_lad_univariate(xs, ys, max_iter: int = 200, tol: float = 1e-10) -> UnivariateFit:
-    """Least absolute residual line via IRLS with a coordinate-descent polish."""
+    The best line through an anchor point k has the weighted median of the
+    slopes (y_i - y_k) / (x_i - x_k), weighted by |x_i - x_k|. Starting at
+    the point nearest the OLS line, the anchor moves to the other point on
+    that line until the L1 objective stops falling.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if np.ptp(xs) == 0:
         raise ValueError("LAD needs at least two distinct x values")
     a, b = np.polyfit(xs, ys, 1)
-    X = np.column_stack([xs, np.ones_like(xs)])
-    prev = _lad_objective(xs, ys, a, b)
-    for _ in range(max_iter):
-        w = 1.0 / np.maximum(np.abs(ys - a * xs - b), 1e-8)
-        WX = X * w[:, None]
-        sol = np.linalg.solve(X.T @ WX, WX.T @ ys)
-        a, b = float(sol[0]), float(sol[1])
-        cur = _lad_objective(xs, ys, a, b)
-        if prev - cur < tol * (1.0 + cur):
+    k = int(np.argmin(np.abs(ys - a * xs - b)))
+    best = math.inf
+    while True:
+        dx = xs - xs[k]
+        others = np.flatnonzero(dx)
+        slopes = (ys[others] - ys[k]) / dx[others]
+        order = np.argsort(slopes)
+        cum = np.cumsum(np.abs(dx[others])[order])
+        j = order[np.searchsorted(cum, 0.5 * cum[-1])]
+        slope = float(slopes[j])
+        icpt = float(ys[k] - slope * xs[k])
+        obj = float(np.sum(np.abs(ys - slope * xs - icpt)))
+        if obj >= best:
             break
-        prev = cur
-    # Coordinate polish: IRLS can stall short of the piecewise-linear optimum.
-    step = max(np.std(ys), 1.0) * 1e-2
-    obj = _lad_objective(xs, ys, a, b)
-    while step > 1e-12:
-        improved = False
-        for da, db in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            cand = _lad_objective(xs, ys, a + da, b + db)
-            if cand < obj - 1e-15:
-                a, b, obj = a + da, b + db, cand
-                improved = True
-        if not improved:
-            step *= 0.5
-    resid = ys - (a * xs + b)
-    return UnivariateFit("LAD", a, b, float(np.mean(np.abs(resid))))
+        best, a, b, k = obj, slope, icpt, int(others[j])
+    return UnivariateFit("LAD", a, b, best / len(xs))
 
 
 def fit_glm_univariate(xs, ys, link: str, max_iter: int = 100,

@@ -29,6 +29,9 @@ RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
 AGGREGATE_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "metric_name",
                      "mean", "q05", "q95"]
 
+# Outcome measure of the Bernoulli designs, built once and only ever read.
+_UNIT_INTERVAL = msr.make_uniform_measure(0.0, 1.0)
+
 
 def stream_rng(seed: int, *key) -> np.random.Generator:
     """Counter-based generator with a per-stream key; independent of thread order."""
@@ -166,8 +169,7 @@ def _bernoulli_state(P, probs, rng) -> GramState:
     """Statistics of y_j ~ Bernoulli(probs_j) at the contexts P, on the unit interval."""
     y = (rng.random(len(P)) < probs).astype(float)
     d = P.shape[1]
-    return accumulate(GramState(d, msr.make_uniform_measure(0.0, 1.0)),
-                      BernoulliBasis(d), P, y)
+    return accumulate(GramState(d, _UNIT_INTERVAL), BernoulliBasis(d), P, y)
 
 
 def _atom_design_rep(P_atoms, atom_probs, theta_star, n, rng, m) -> GramState:
@@ -386,7 +388,7 @@ def _coverage_rep(config, rep, seed):
         P_atoms = np.asarray(spec["atoms"], dtype=float)
         probs = np.asarray(spec["probs"], dtype=float)
         m = (msr.measure_from_spec(spec["measure"]) if "measure" in spec
-             else msr.make_uniform_measure(0.0, 1.0))
+             else _UNIT_INTERVAL)
         state = _atom_design_rep(P_atoms, probs, theta_star, n, rng, m)
         Sigma_n = population_gram_mc(BernoulliBasis(d), (P_atoms, probs), m, n).Sigma
     else:
@@ -398,7 +400,7 @@ def _coverage_rep(config, rep, seed):
         err = float(np.linalg.norm(theta_check - theta_star))
         mu = bounds.min_eigenvalue(Sigma_n)
         bound = bounds.penalized_bound(n, d, delta, mu, tnorm)
-        # objective dominance diagnostic vs the ridge init of the solver
+        # objective dominance diagnostic against the near-unregularized ridge fit
         ridge = ridge_estimate(state, 1e-8)
         obj = lambda th: (np.linalg.norm(state.U @ th - state.u) + delta_nU * np.linalg.norm(th))
         dominated = obj(theta_check) <= obj(ridge) + 1e-7

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis
@@ -90,6 +92,15 @@ def test_project_simplex_cases():
     assert out.min() >= 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
+def test_project_simplex_lands_on_simplex_and_is_idempotent(v):
+    out = project_simplex(v)
+    assert out.min() >= 0.0
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(project_simplex(out), out, rtol=0.0, atol=1e-12)
+
+
 def test_project_simplex_weighted():
     rng = np.random.default_rng(1)
     v = rng.normal(size=4)
@@ -130,7 +141,7 @@ def test_penalized_small_delta_limit():
                          for _ in range(20)], 2)
     lam = 0.5
     target = ridge_estimate(s, lam)
-    got = penalized_estimate(s, lam, 1e-10, max_iter=20000)
+    got = penalized_estimate(s, lam, 1e-10)
     assert np.allclose(got, target, atol=1e-5)
 
 
@@ -148,6 +159,28 @@ def test_penalized_objective_dominance():
         ridge = ridge_estimate(s, max(lam, 1e-8))
         assert f(theta) <= f(ridge) + 1e-7
         assert f(theta) <= f(np.zeros(3)) + 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_penalized_is_exact_minimizer(d):
+    """A Nelder-Mead polish from the returned point finds nothing lower,
+    including for rank-deficient U at lambda = 0."""
+    rng = np.random.default_rng(40 + d)
+    for trial in range(20):
+        singular = d > 1 and trial % 3 == 0
+        rank = int(rng.integers(1, d)) if singular else d
+        B = rng.normal(size=(d, rank))
+        U = B @ B.T
+        lam = 0.0 if singular or trial % 3 == 1 else float(rng.uniform(0.0, 1.0))
+        s = GramState(d, UNIT, 1, U, rng.normal(size=d))
+        A = U + lam * np.eye(d)
+        # Around the level above which zero is optimal.
+        delta = float(rng.uniform(0.02, 1.2)) * np.linalg.norm(A @ s.u) / np.linalg.norm(s.u)
+        f = lambda th: np.linalg.norm(A @ th - s.u) + delta * np.linalg.norm(th)
+        theta = penalized_estimate(s, lam, delta)
+        polish = minimize(f, theta, method="Nelder-Mead",
+                          options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000})
+        assert f(theta) <= polish.fun * (1 + 1e-12), (trial, f(theta), polish.fun)
 
 
 def test_hilbert_scalar():

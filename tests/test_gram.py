@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis, CustomBasis, PolynomialBasis
@@ -142,3 +143,29 @@ def test_merge():
     merged = s1.merge(s2)
     assert merged.n == 2
     assert np.allclose(merged.U, s1.U + s2.U)
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("basis, context", [
+    (BernoulliBasis(3), lambda r, n: r.uniform(0.0, 1.0, (n, 3))),    # closed form
+    (PolynomialBasis(3), lambda r, n: r.uniform(0.5, 2.0, n)),        # quadrature
+], ids=["bernoulli", "polynomial"])
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_merge_associative_and_matches_one_batch(basis, context, sizes, seed):
+    rng = np.random.default_rng(seed)
+    X = context(rng, sum(sizes))
+    y = rng.uniform(-0.2, 1.2, sum(sizes))
+    cuts = np.cumsum(sizes)[:-1]
+    a, b, c = (accumulate(GramState(basis.d, UNIT), basis, Xk, yk)
+               for Xk, yk in zip(np.split(X, cuts), np.split(y, cuts)))
+    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
+    whole = accumulate(GramState(basis.d, UNIT), basis, X, y)
+    for s in (left, right):
+        assert s.n == whole.n == sum(sizes)
+        assert _close(s.U, whole.U) and _close(s.u, whole.u)
+    assert _close(left.U, right.U) and _close(left.u, right.u)

@@ -100,6 +100,28 @@ def test_lad_exact_line_and_robustness():
                                                      - lad.intercept)), abs=1e-8)
 
 
+def test_lad_matches_brute_force_over_point_pairs():
+    """Some optimal L1 line passes through two data points; x is rounded so
+    that ties occur."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(3, 31))
+        xs = np.round(rng.normal(size=n), 1)
+        if np.ptp(xs) == 0:
+            continue
+        ys = rng.normal() * xs + rng.standard_t(2, size=n)
+        i, j = np.nonzero(xs[:, None] != xs[None, :])
+        slopes = (ys[j] - ys[i]) / (xs[j] - xs[i])
+        icpts = ys[i] - slopes * xs[i]
+        best = np.abs(ys - slopes[:, None] * xs - icpts[:, None]).sum(axis=1).min()
+        if best == 0.0:
+            continue  # a perfect fit leaves no relative tolerance
+        fit = fit_lad_univariate(xs, ys)
+        obj = np.sum(np.abs(ys - fit.coef * xs - fit.intercept))
+        assert obj <= best * (1 + 1e-12), (n, obj, best)
+        assert fit.scale == pytest.approx(obj / n, rel=1e-12)
+
+
 @pytest.mark.parametrize("link", ["Logistic", "Probit"])
 def test_glm_intercept_only(link):
     # zero slope data: intercept solves mean(g(b)) = base rate
