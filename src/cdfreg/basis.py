@@ -13,7 +13,6 @@ single-context call is the n=1 case of the batch code.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import BracketError
 
@@ -21,6 +20,66 @@ _BISECT_TOL = 1e-10
 # A CDF value within this of a level u counts as reaching it: when sum(theta)
 # rounds below a level near 1, theta^T Phi never reaches the level itself.
 _LEVEL_SLACK = 1e-15
+
+# W. J. Cody, "Rational Chebyshev approximations for the error function", Math.
+# Comp. 23 (1969), via SPECFUN's CALERF: erf(z) = z A(z^2)/B(z^2) for |z| <= 0.46875,
+# erfc(z) = exp(-z^2) C(z)/D(z) for z <= 4, else exp(-z^2) (1/sqrt(pi) - s P(s)/Q(s)) / z
+# with s = 1/z^2. Rows: numerator, then denominator, leading coefficient first.
+_ERF_AB = np.array([[1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+                     3.77485237685302021e02, 3.20937758913846947e03],
+                    [1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+                     1.28261652607737228e03, 2.84423683343917062e03]])
+_ERFC_CD = np.array([[2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+                      6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+                      1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03],
+                     [1.0, 1.57449261107098347e01, 1.17693950891312499e02,
+                      5.37181101862009858e02, 1.62138957456669019e03, 3.29079923573345963e03,
+                      4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03]])
+_ERFC_PQ = np.array([[1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+                      1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4],
+                     [1.0, 2.56852019228982242e00, 1.87295284992346725e00,
+                      5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3]])
+_SQRT1_2, _RSQRT_PI = 0.70710678118654752440, 0.56418958354775628695
+# ndtr rounds to 1.0 from z = x/sqrt(2) >= _Z_ONE on. From z <= -_Z_ZERO (Cody's
+# XBIG) on it is subnormal, below 1.2e-308, and 0.0 is returned. Both skip the sums.
+_Z_ONE, _Z_ZERO = 5.9, 26.543
+
+
+def _horner(coeffs, s):
+    """Numerator over denominator of the two coefficient rows at s, by Horner steps."""
+    num, den = coeffs[0, 0] * s, coeffs[1, 0] * s
+    for a, b in coeffs[:, 1:-1].T:
+        num += a
+        num *= s
+        den += b
+        den *= s
+    num += coeffs[0, -1]
+    den += coeffs[1, -1]
+    num /= den
+    return num
+
+
+def ndtr(a):
+    """Standard normal CDF 0.5 erfc(-a / sqrt(2)), elementwise, from Cody's erf/erfc.
+
+    NaN gives NaN, -inf 0 and +inf 1, and no floating-point warning is raised.
+    """
+    z = np.asarray(a, dtype=float).reshape(-1) * _SQRT1_2
+    out = np.maximum(np.sign(z), 0.0)  # already right past _Z_ONE and -_Z_ZERO; NaN for NaN
+    y = np.abs(z)
+    i = np.flatnonzero(y <= 0.46875)
+    out[i] = 0.5 + 0.5 * z[i] * _horner(_ERF_AB, z[i] ** 2)
+    mid = np.flatnonzero((y > 0.46875) & (y <= 4.0))
+    far = np.flatnonzero((y > 4.0) & (z < _Z_ONE) & (z > -_Z_ZERO))
+    for i, erfcx in ((mid, lambda y: _horner(_ERFC_CD, y)),  # erfc(y) exp(y^2)
+                     (far, lambda y: (_RSQRT_PI - _horner(_ERFC_PQ, 1 / (y * y)) / (y * y)) / y)):
+        yi = y[i]
+        h = erfcx(yi)
+        h *= np.exp(-yi * yi)
+        h *= 0.5
+        np.subtract(1.0, h, out=h, where=z[i] > 0)
+        out[i] = h
+    return out.reshape(np.shape(a)) if np.ndim(a) else float(out[0])
 
 
 def _batch_form(x, ts):
@@ -237,7 +296,9 @@ class LogisticProbitBasis(_TwoPointBasis):
         X = np.asarray(X, dtype=float)
         if X.shape[1:] != (self.d,):
             raise ValueError(f"context must be a ({self.d},) vector")
-        logit = 1.0 / (1.0 + np.exp(-(self.beta_l1 * X + self.beta_l0)))
+        eta = self.beta_l1 * X + self.beta_l0
+        e = np.exp(-np.abs(eta))  # one exp, which cannot overflow
+        logit = np.where(eta >= 0, 1.0, e) / (1.0 + e)
         probit = ndtr(self.beta_p1 * X + self.beta_p0)
         return self.w * logit + (1.0 - self.w) * probit
 

@@ -5,10 +5,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # noqa: F401
+import operator
 import os
 import sys
 
-import jsonschema
+# Loaded now rather than inside main: locale (above) for argparse, numpy.ma for np.quantile.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 from numpy.linalg import LinAlgError
 
 from . import __version__
@@ -117,6 +121,7 @@ _REAL_SCHEMA = {
 
 _SCHEMAS = {"synth-bernoulli": _SCALING_SCHEMA, "synth-poly": _SCALING_SCHEMA,
             "bound-check": _COVERAGE_SCHEMA, "real": _REAL_SCHEMA}
+_SCALING_KIND = {"synth-bernoulli": "bernoulli_hard", "synth-poly": "polynomial"}
 
 # desk-scale defaults; --long switches to the full-size sweeps
 _DESK = {"synth-bernoulli": {"n_grid": [1000, 3000, 10000]},
@@ -129,9 +134,42 @@ class _ConfigError(Exception):
     pass
 
 
+# JSON Schema's types: a boolean is not a number, and 2.0 is an integer.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+_BOUNDS = {"minimum": operator.lt, "exclusiveMinimum": operator.le,
+           "maximum": operator.gt, "exclusiveMaximum": operator.ge}
+
+
+def _check(value, schema, path=""):
+    """Raise _ConfigError at the first field that breaks the JSON Schema keywords used above."""
+    def fail(message):
+        raise _ConfigError(f"config field {path or '<root>'}: {message}")
+
+    kind = schema.get("type")
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])) and not (
+            kind == "integer" and isinstance(value, float) and value.is_integer()):
+        fail(f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    for key, breaks in _BOUNDS.items():
+        if key in schema and breaks(value, schema[key]):
+            fail(f"{value!r} breaks {key} {schema[key]!r}")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        fail(f"{value!r} has fewer than {schema['minItems']} items")
+    for j, item in enumerate(value if "items" in schema else ()):
+        _check(item, schema["items"], f"{path}.{j}" if path else str(j))
+    props = schema.get("properties", {})
+    missing = [key for key in schema.get("required", ()) if key not in value]
+    if missing:
+        fail(f"missing required {missing}")
+    if schema.get("additionalProperties") is False and set(value) - set(props):
+        fail(f"unknown properties {sorted(set(value) - set(props))}")
+    for key, sub in props.items():
+        if key in value:
+            _check(value[key], sub, f"{path}.{key}" if path else key)
+
+
 def _load_config(args):
-    if args.config is None:
-        raise _ConfigError("--config is required")
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -139,15 +177,10 @@ def _load_config(args):
         raise _ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise _ConfigError(f"config is not valid JSON: {exc}")
-    try:
-        jsonschema.validate(config, _SCHEMAS[args.command])
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise _ConfigError(f"config field {path}: {exc.message}")
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.threads is not None:
-        config["threads"] = args.threads
+    _check(config, _SCHEMAS[args.command])
+    for key in ("seed", "threads"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     return config
 
 
@@ -274,13 +307,10 @@ def main(argv=None):
     try:
         config = _load_config(args)
         os.makedirs(args.out, exist_ok=True)
-        if args.command in ("synth-bernoulli", "synth-poly"):
-            if args.command == "synth-bernoulli":
-                if config["basis"]["kind"] != "bernoulli_hard":
-                    raise _ConfigError("synth-bernoulli requires basis.kind "
-                                       "'bernoulli_hard'")
-            elif config["basis"]["kind"] != "polynomial":
-                raise _ConfigError("synth-poly requires basis.kind 'polynomial'")
+        if args.command in _SCALING_KIND:
+            if config["basis"]["kind"] != _SCALING_KIND[args.command]:
+                raise _ConfigError(f"{args.command} requires basis.kind "
+                                   f"{_SCALING_KIND[args.command]!r}")
             return _cmd_scaling(args, config)
         if args.command == "bound-check":
             return _cmd_bound_check(args, config)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from numpy.linalg import LinAlgError
 
 from .basis import BasisFamily
 from .errors import ConvergenceError, SingularGram
@@ -39,11 +39,13 @@ class SigmaSequence:
 
 def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cholesky solve with one diagonal-jitter retry for borderline matrices."""
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        return cho_solve(cho_factor(A), b)
+        L = np.linalg.cholesky(A)
     except LinAlgError:
-        jitter = 1e-12 * np.trace(A) / A.shape[0]
-        return cho_solve(cho_factor(A + jitter * np.eye(A.shape[0])), b)
+        L = np.linalg.cholesky(A + 1e-12 * np.trace(A) / A.shape[0] * np.eye(A.shape[0]))
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def ridge_estimate(state: GramState, lam: float) -> np.ndarray:
@@ -71,6 +73,7 @@ def project_simplex(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot project non-finite vector")
+    v = v - v.max()  # same projection; the 1 of the simplex is not lost to rounding
     s = np.sort(v)[::-1]
     css = np.cumsum(s) - 1.0
     idx = np.arange(1, v.size + 1)
@@ -179,10 +182,6 @@ class EmpiricalCdf:
             raise ValueError("ECDF requires a non-empty sample")
         self.sorted = np.sort(samples)
         self.n = samples.size
-
-    @property
-    def jump_points(self) -> np.ndarray:
-        return np.unique(self.sorted)
 
     def __call__(self, t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))

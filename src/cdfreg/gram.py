@@ -86,10 +86,10 @@ def _block_sum(basis: BasisFamily, X, panel, outer: bool) -> np.ndarray:
     return total
 
 
-def _gram_sum(basis: BasisFamily, X, m: msr.QuadMeasure, c=None) -> np.ndarray:
-    """sum_j c_j * integral Phi(x_j,t) Phi(x_j,t)^T m(dt); c defaults to ones."""
+def _gram_sum(basis: BasisFamily, X, m: msr.QuadMeasure, c=None, Q=None) -> np.ndarray:
+    """sum_j c_j * integral Phi(x_j,t) Phi(x_j,t)^T m(dt); c defaults to ones, Q to _q_matrix."""
     if _bernoulli_fast_path(basis, m):
-        Q = _q_matrix(basis, X)
+        Q = _q_matrix(basis, X) if Q is None else Q
         return Q.T @ Q if c is None else (Q.T * np.asarray(c, dtype=float)) @ Q
     c = np.ones(len(X)) if c is None else np.asarray(c, dtype=float)
 
@@ -100,12 +100,13 @@ def _gram_sum(basis: BasisFamily, X, m: msr.QuadMeasure, c=None) -> np.ndarray:
     return _block_sum(basis, X, panel, outer=True)
 
 
-def _response_sum(basis: BasisFamily, X, ys: np.ndarray, m: msr.QuadMeasure) -> np.ndarray:
-    """sum_j integral 1{y_j<=t} Phi(x_j,t) m(dt), split at each jump."""
+def _response_sum(basis: BasisFamily, X, ys: np.ndarray, m: msr.QuadMeasure, Q=None):
+    """sum_j integral 1{y_j<=t} Phi(x_j,t) m(dt), split at each jump; Q as in _gram_sum."""
     if not np.all(np.isfinite(ys)):
         raise ValueError("outcome y must be finite")
     if _bernoulli_fast_path(basis, m):
-        return _q_matrix(basis, X).T @ np.clip(1.0 - ys, 0.0, 1.0)
+        Q = _q_matrix(basis, X) if Q is None else Q
+        return Q.T @ np.clip(1.0 - ys, 0.0, 1.0)
     return _block_sum(basis, X, lambda rows: msr.jump_panel(ys[rows], m), outer=False)
 
 
@@ -134,9 +135,10 @@ def accumulate(state: GramState, basis: BasisFamily, x, y,
     ys = ys.reshape(-1)
     if len(X) != ys.size:
         raise ValueError(f"{len(X)} contexts for {ys.size} outcomes")
-    U = state.U + _gram_sum(basis, X, m)
+    Q = _q_matrix(basis, X) if _bernoulli_fast_path(basis, m) else None
+    U = state.U + _gram_sum(basis, X, m, Q=Q)
     U = 0.5 * (U + U.T)  # quadrature round-off symmetry guard
-    u = state.u + _response_sum(basis, X, ys, m)
+    u = state.u + _response_sum(basis, X, ys, m, Q=Q)
     return GramState(state.d, m, state.n + ys.size, U, u)
 
 

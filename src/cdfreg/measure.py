@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+
+from .basis import ndtr
 
 UNIFORM = "uniform_interval"
 GAUSSIAN = "gaussian"
@@ -194,7 +195,7 @@ def tail_mass(y, m: QuadMeasure):
         mass = np.clip((b - np.clip(ys, a, b)) / (b - a), 0.0, 1.0)
     elif m.kind == GAUSSIAN:
         c, var = m.params["c"], m.params["var"]
-        mass = 0.5 * erfc((ys - c) / math.sqrt(2.0 * var))
+        mass = ndtr((c - ys) / math.sqrt(var))
     else:
         raise ValueError(f"unknown measure kind {m.kind!r}")
     return float(mass) if ys.ndim == 0 else mass

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.special import ndtr
 
 from . import measure as msr
-from .basis import GaussianLaplaceBasis, LogisticProbitBasis
+from .basis import GaussianLaplaceBasis, LogisticProbitBasis, ndtr
 from .bounds import l2_error_crps
 from .errors import CdfRegError
 from .estimators import ecdf, fit_mle_simplex, project_simplex, ridge_estimate

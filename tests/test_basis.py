@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdfreg.basis import (BernoulliBasis, GaussianLaplaceBasis,
                           LogisticProbitBasis, PolynomialBasis,
@@ -165,3 +166,34 @@ def test_laplace_cdf_matches_two_sided_formula():
     z = np.linspace(-700.0, 700.0, 4001)
     two_sided = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
     assert np.array_equal(GaussianLaplaceBasis._laplace_cdf(z), two_sided)
+
+
+def _family_at(name, rng, scale):
+    """A random basis of one family and a context of magnitude about scale."""
+    if name == "bernoulli":
+        return BernoulliBasis(3), np.clip(rng.normal(0.5, scale, 3), 0.0, 1.0)
+    if name == "polynomial":
+        return PolynomialBasis(4), float(scale ** rng.uniform(-1.0, 1.0))
+    x = rng.normal(0.0, scale, 3)
+    if name == "gaussian_laplace":
+        return GaussianLaplaceBasis(rng.random(), rng.normal(size=3), rng.normal(size=3),
+                                    rng.normal(size=3), rng.normal(size=3),
+                                    10.0 ** rng.uniform(-3, 3, 3),
+                                    10.0 ** rng.uniform(-3, 3, 3)), x
+    return LogisticProbitBasis(rng.random(), rng.normal(size=3), rng.normal(size=3),
+                               rng.normal(size=3), rng.normal(size=3)), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["bernoulli", "polynomial", "gaussian_laplace",
+                             "logistic_probit"]),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1e3, 1e6]),
+       extra=st.lists(st.floats(-1e9, 1e9), max_size=8))
+def test_every_family_is_a_cdf_in_t_at_extreme_contexts(name, seed, scale, extra):
+    """Monotone in t (to within rounding) and inside [0, 1], for any context size."""
+    basis, x = _family_at(name, np.random.default_rng(seed), scale)
+    lo, hi = basis.support(x)
+    ts = np.sort(np.concatenate([np.linspace(lo, hi, 257), extra, [-np.inf, np.inf]]))
+    vals = basis.eval_nodes(x, ts)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals, axis=1) >= -1e-15)

@@ -248,3 +248,10 @@ def test_mle_degenerate_likelihood():
     b = BernoulliBasis(2)
     with pytest.raises(ValueError):
         fit_mle_simplex([([0.0, 0.0], 1.0)], b)
+
+
+def test_project_simplex_keeps_the_unit_mass_of_huge_inputs():
+    # Summing 1e17 and -1 loses the 1 of the simplex unless v is shifted first.
+    assert np.array_equal(project_simplex([1e17, 0.0]), [1.0, 0.0])
+    assert np.array_equal(project_simplex([1e16, 1e16]), [0.5, 0.5])
+    assert np.array_equal(project_simplex([-1e300, 1e300, 0.0]), [0.0, 1.0, 0.0])

@@ -169,3 +169,24 @@ def test_merge_associative_and_matches_one_batch(basis, context, sizes, seed):
         assert s.n == whole.n == sum(sizes)
         assert _close(s.U, whole.U) and _close(s.u, whole.u)
     assert _close(left.U, right.U) and _close(left.u, right.u)
+
+
+class _CountingBernoulli(BernoulliBasis):
+    def __init__(self, d):
+        super().__init__(d)
+        self.calls = 0
+
+    def _probs_batch(self, X):
+        self.calls += 1
+        return super()._probs_batch(X)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_two_point_accumulate_builds_q_once(n):
+    basis = _CountingBernoulli(3)
+    X = np.random.default_rng(n).random((n, 3))
+    ys = (np.arange(n) % 2).astype(float)
+    state = accumulate(GramState(3, UNIT), basis, X, ys)
+    assert basis.calls == 1
+    Q = 1.0 - X
+    assert np.allclose(state.U, Q.T @ Q, rtol=1e-14) and np.allclose(state.u, Q.T @ (1.0 - ys))

@@ -1,0 +1,65 @@
+"""numpy and the standard library are the only imports of the CLI path.
+
+Each check runs in a fresh interpreter, so the modules the test session has
+already loaded (scipy, jsonschema, hypothesis) do not hide an import.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# One tiny config per subcommand; the real one reads the bundled smoke CSV.
+TINY_CONFIGS = {
+    "synth-poly": {"basis": {"kind": "polynomial", "d": 3}, "n_grid": [20, 40],
+                   "lambdas": [0.01], "reps": 1},
+    "synth-bernoulli": {"basis": {"kind": "bernoulli_hard", "d": 3},
+                        "n_grid": [50, 100], "lambdas": [0.01], "reps": 2},
+    "bound-check": {"mode": "penalized", "d": 3, "n": 50, "delta": 0.1, "reps": 3,
+                    "theta_star": [0.5, 0.3, 0.2],
+                    "basis": {"kind": "bernoulli_atoms",
+                              "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
+                              "probs": [0.5, 0.5],
+                              "measure": {"kind": "counting", "points": [0.0, 1.0]}}},
+    "real": {"csv_path": str(SRC / "cdfreg" / "data" / "smoke_12.csv"), "outcome": "y",
+             "basis": {"kind": "gaussian_laplace", "w": 0.5},
+             "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 16},
+             "lambdas": [0.1], "seeds": [0]},
+}
+
+_MAIN_IMPORTS = """
+import json, os, sys
+import cdfreg.cli as cli
+out_dir, configs = sys.argv[1], json.loads(sys.argv[2])
+added = {}
+for command, config in configs.items():
+    path = os.path.join(out_dir, command + ".json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    before = set(sys.modules)
+    code = cli.main([command, "--config", path, "--out", os.path.join(out_dir, command),
+                     "--threads", "1"])
+    added[command] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps(added))
+"""
+
+
+def _run(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_neither_scipy_nor_jsonschema():
+    loaded = _run("import json, sys; import cdfreg.cli; "
+                  "print(json.dumps(sorted(sys.modules)))")
+    assert [m for m in loaded if m.split(".")[0] in ("scipy", "jsonschema")] == []
+
+
+def test_main_imports_no_module(tmp_path):
+    added = _run(_MAIN_IMPORTS, str(tmp_path), json.dumps(TINY_CONFIGS))
+    assert added == {command: [0, []] for command in TINY_CONFIGS}
