@@ -433,9 +433,11 @@ def _bisect(theta, basis, X, us):
         raise BracketError(f"could not bracket u={us[failed.argmax()]} within search bounds")
     idx = np.flatnonzero(hi - lo > _BISECT_TOL)
     while idx.size:
-        mid = 0.5 * (lo[idx] + hi[idx])
+        l, h = lo[idx], hi[idx]
+        mid = 0.5 * (l + h)
         up = cdf(idx, mid) >= us[idx]
         hi[idx[up]] = mid[up]
         lo[idx[~up]] = mid[~up]
-        idx = idx[hi[idx] - lo[idx] > _BISECT_TOL]
+        # Stop at the tolerance, or where floats are too coarse for mid to split the bracket.
+        idx = idx[(hi[idx] - lo[idx] > _BISECT_TOL) & (l < mid) & (mid < h)]
     return hi

@@ -134,9 +134,9 @@ def penalized_estimate(state: GramState, lam: float, delta_nU: float) -> np.ndar
     c = V.T @ b
     s2 = s * s
 
-    def below(mu):
+    def below(mu):  # ||s w|| < delta_nU ||w||, compared in squares
         w = c / (s2 + mu)
-        return np.linalg.norm(s * w) < delta_nU * np.linalg.norm(w)
+        return (s2 * w) @ w < delta_nU ** 2 * (w @ w)
 
     lo, hi = 0.0, s2[-1]
     while below(hi):

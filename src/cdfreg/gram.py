@@ -68,11 +68,11 @@ def _q_matrix(basis, X) -> np.ndarray:
     return 1.0 - basis._probs_batch(X)
 
 
-def _block_sum(basis: BasisFamily, X, panel, outer: bool) -> np.ndarray:
-    """Sum over rows j of sum_k ws[j,k] Phi(x_j, ts[j,k]) (times its transpose if outer).
+def _block_sum(basis: BasisFamily, X, panel, outer: bool, c=None) -> np.ndarray:
+    """Sum over rows j of c_j sum_k ws[j,k] Phi(x_j, ts[j,k]) (times its transpose if outer).
 
     ``panel(rows)`` gives the (ts, ws) arrays of a slice of rows, so no
-    temporary grows beyond one block.
+    temporary grows beyond one block; c defaults to ones.
     """
     d = basis.d
     total = np.zeros((d, d) if outer else d)
@@ -81,7 +81,7 @@ def _block_sum(basis: BasisFamily, X, panel, outer: bool) -> np.ndarray:
         ts, ws = panel(rows)
         # (b, d, K) -> (d, b*K): one matrix product sums over rows and nodes.
         A = basis.eval_nodes(X[rows], ts).transpose(1, 0, 2).reshape(d, -1)
-        w = ws.reshape(-1)
+        w = (ws if c is None else c[rows, None] * ws).reshape(-1)
         total += (A * w) @ A.T if outer else A @ w
     return total
 
@@ -91,23 +91,19 @@ def _gram_sum(basis: BasisFamily, X, m: msr.QuadMeasure, c=None, Q=None) -> np.n
     if _bernoulli_fast_path(basis, m):
         Q = _q_matrix(basis, X) if Q is None else Q
         return Q.T @ Q if c is None else (Q.T * np.asarray(c, dtype=float)) @ Q
-    c = np.ones(len(X)) if c is None else np.asarray(c, dtype=float)
-
-    def panel(rows):
-        ws = c[rows, None] * m.weights
-        return np.broadcast_to(m.nodes, ws.shape), ws
-
-    return _block_sum(basis, X, panel, outer=True)
+    T, W = (np.broadcast_to(a, (len(X), a.size)) for a in (m.nodes, m.weights))  # no copies
+    return _block_sum(basis, X, lambda rows: (T[rows], W[rows]), outer=True,
+                      c=None if c is None else np.asarray(c, dtype=float))
 
 
-def _response_sum(basis: BasisFamily, X, ys: np.ndarray, m: msr.QuadMeasure, Q=None):
-    """sum_j integral 1{y_j<=t} Phi(x_j,t) m(dt), split at each jump; Q as in _gram_sum."""
+def _response_sum(basis: BasisFamily, X, ys: np.ndarray, m: msr.QuadMeasure, Q=None, c=None):
+    """sum_j c_j * integral 1{y_j<=t} Phi(x_j,t) m(dt), split at each jump; c, Q as in _gram_sum."""
     if not np.all(np.isfinite(ys)):
         raise ValueError("outcome y must be finite")
     if _bernoulli_fast_path(basis, m):
         Q = _q_matrix(basis, X) if Q is None else Q
-        return Q.T @ np.clip(1.0 - ys, 0.0, 1.0)
-    return _block_sum(basis, X, lambda rows: msr.jump_panel(ys[rows], m), outer=False)
+        return (Q.T if c is None else Q.T * c) @ np.clip(1.0 - ys, 0.0, 1.0)
+    return _block_sum(basis, X, lambda rows: msr.jump_panel(ys[rows], m), outer=False, c=c)
 
 
 def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndarray:
@@ -121,11 +117,11 @@ def response_vector_of_sample(basis: BasisFamily, x, y: float, m: msr.QuadMeasur
 
 
 def accumulate(state: GramState, basis: BasisFamily, x, y,
-               m: msr.QuadMeasure | None = None) -> GramState:
+               m: msr.QuadMeasure | None = None, w=None) -> GramState:
     """Return a new state with the samples (x, y) added.
 
     A scalar y adds one sample with context x; a 1-D y of n outcomes adds
-    n samples whose contexts are the n entries of x.
+    n samples whose contexts are the n entries of x, sample j counted w[j] times.
     """
     m = state.measure if m is None else m
     if basis.d != state.d:
@@ -133,13 +129,14 @@ def accumulate(state: GramState, basis: BasisFamily, x, y,
     ys = np.asarray(y, dtype=float)
     X = [x] if ys.ndim == 0 else x
     ys = ys.reshape(-1)
-    if len(X) != ys.size:
+    w = None if w is None else np.asarray(w).reshape(-1)
+    if len(X) != ys.size or (w is not None and w.size != ys.size):
         raise ValueError(f"{len(X)} contexts for {ys.size} outcomes")
     Q = _q_matrix(basis, X) if _bernoulli_fast_path(basis, m) else None
-    U = state.U + _gram_sum(basis, X, m, Q=Q)
+    U = state.U + _gram_sum(basis, X, m, c=w, Q=Q)
     U = 0.5 * (U + U.T)  # quadrature round-off symmetry guard
-    u = state.u + _response_sum(basis, X, ys, m, Q=Q)
-    return GramState(state.d, m, state.n + ys.size, U, u)
+    u = state.u + _response_sum(basis, X, ys, m, Q=Q, c=w)
+    return GramState(state.d, m, state.n + (ys.size if w is None else w.sum().item()), U, u)
 
 
 def regularized_gram(state: GramState, lam: float) -> np.ndarray:

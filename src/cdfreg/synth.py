@@ -80,8 +80,8 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> np.ndarray:
     Rows j <= d lower coordinate j at eps = c/(2 d^3); later rows cycle through
     the coordinates at eps = c/(2 d^2), which pins the parameters to the
     evaluation family [1 - c/d^2, 1 - c/(2 d^2)] and makes mu_min(U_n) grow
-    linearly in n.  The last four (d, n, c) are cached; one 10^6-row matrix
-    holds 40 MB at d=5.
+    linearly in n.  Row j > 2d repeats row j - d, so the experiments build
+    only the min(n, 2d) distinct rows (_hard_design); the last four are cached.
     """
     if d < 2:
         raise ValueError("hard instance needs d >= 2")
@@ -165,11 +165,21 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
 # Per-rep statistics
 # ---------------------------------------------------------------------------
 
-def _bernoulli_state(P, probs, rng) -> GramState:
-    """Statistics of y_j ~ Bernoulli(probs_j) at the contexts P, on the unit interval."""
-    y = (rng.random(len(P)) < probs).astype(float)
-    d = P.shape[1]
-    return accumulate(GramState(d, _UNIT_INTERVAL), BernoulliBasis(d), P, y)
+def _hard_design(d: int, n: int, c: float):
+    """Distinct rows R of the n-row hard instance and idx, with R[idx] its rows bit for bit."""
+    R = hard_instance_matrix(d, min(n, 2 * d), c)
+    cycle = np.tile(np.arange(d, 2 * d), n // d)  # row j >= d is row d + j mod d
+    return R, np.concatenate([np.arange(min(n, d)), cycle[:max(n - d, 0)]])
+
+
+def _bernoulli_state(R, idx, probs, rng) -> GramState:
+    """Statistics of y_j ~ Bernoulli(probs[idx_j]) at R[idx], summed over the distinct rows R."""
+    y = rng.random(idx.size) < probs[idx]
+    k, d = R.shape
+    ones = np.bincount(idx[y], minlength=k)
+    w = np.concatenate([np.bincount(idx, minlength=k) - ones, ones])
+    return accumulate(GramState(d, _UNIT_INTERVAL), BernoulliBasis(d), np.vstack([R, R]),
+                      np.repeat([0.0, 1.0], k), w=w)
 
 
 def _atom_design_rep(P_atoms, atom_probs, theta_star, n, rng, m) -> GramState:
@@ -240,8 +250,8 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
     rng = stream_rng(seed, 0xD0, d, n, rep)
 
     if kind == "bernoulli_hard":
-        P = hard_instance_matrix(d, n, float(config["basis"].get("c", 1.0)))
-        state = _bernoulli_state(P, P @ theta_star, rng)
+        R, idx = _hard_design(d, n, float(config["basis"].get("c", 1.0)))
+        state = _bernoulli_state(R, idx, R @ theta_star, rng)
         Sigma_n = state.U  # fixed design: contexts are deterministic
         ks_fn = lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d)
     elif kind == "polynomial":
@@ -373,16 +383,17 @@ def _coverage_rep(config, rep, seed):
         raise ValueError("mismatch mode uses the bernoulli_hard design")
 
     if kind == "bernoulli_hard":
-        P = hard_instance_matrix(d, n, float(spec.get("c", 1.0)))
-        probs = P @ theta_star
+        R, idx = _hard_design(d, n, float(spec.get("c", 1.0)))
+        probs = R @ theta_star
         if mode == "mismatch":
             # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
             q, p_e = float(config["q"]), float(spec["p_e"])
             probs = (1.0 - q) * probs + q * p_e
-            # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs
-            Q = 1.0 - P
-            E_n_norm = float(np.linalg.norm(Q.T @ (q * ((1.0 - p_e) - Q @ theta_star))))
-        state = _bernoulli_state(P, probs, rng)
+            # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs, by distinct row
+            Q = 1.0 - R
+            r = np.bincount(idx, minlength=len(R)) * q * ((1.0 - p_e) - Q @ theta_star)
+            E_n_norm = float(np.linalg.norm(Q.T @ r))
+        state = _bernoulli_state(R, idx, probs, rng)
         Sigma_n = state.U
     elif kind == "bernoulli_atoms":
         P_atoms = np.asarray(spec["atoms"], dtype=float)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdfreg.basis import (BernoulliBasis, GaussianLaplaceBasis,
-                          LogisticProbitBasis, PolynomialBasis,
+from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, BernoulliBasis, CustomBasis,
+                          GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
                           basis_from_spec, inverse_cdf_sample,
                           mixture_cdf_eval, polynomial_exponent)
 from cdfreg.errors import BracketError
@@ -197,3 +197,30 @@ def test_every_family_is_a_cdf_in_t_at_extreme_contexts(name, seed, scale, extra
     vals = basis.eval_nodes(x, ts)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.diff(vals, axis=1) >= -1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["bernoulli", "polynomial", "gaussian_laplace",
+                             "logistic_probit", "custom"]),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1e3, 1e6]),
+       us=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   min_size=1, max_size=8))
+def test_inverse_cdf_sample_round_trips(name, seed, scale, us):
+    """y = F^-1(u) reaches u, and F stays below u just before y."""
+    rng = np.random.default_rng(seed)
+    if name == "custom":  # a context-scaled ramp and the identity ramp on [0, 1]
+        basis = CustomBasis(2, lambda x, ts: np.vstack([np.clip(ts * x, 0.0, 1.0),
+                                                        np.clip(ts, 0.0, 1.0)]), 0.0, 1.0)
+        x = float(rng.uniform(0.5, 2.0))
+    else:
+        basis, x = _family_at(name, rng, scale)
+    theta = rng.dirichlet(np.ones(basis.d))
+    ys = inverse_cdf_sample(theta, basis, [x] * len(us), np.array(us))
+    F = lambda t: float(theta @ basis.eval(x, t))
+    atoms = basis.atoms(x)
+    for u, y in zip(us, ys):
+        assert F(y) >= u - _LEVEL_SLACK
+        if atoms is None:  # one float step down where floats are coarser than the tolerance
+            assert F(min(y - 2 * _BISECT_TOL, np.nextafter(y, -np.inf))) <= u
+        else:
+            assert y in atoms and F(np.nextafter(y, -np.inf)) < u

@@ -190,3 +190,28 @@ def test_two_point_accumulate_builds_q_once(n):
     assert basis.calls == 1
     Q = 1.0 - X
     assert np.allclose(state.U, Q.T @ Q, rtol=1e-14) and np.allclose(state.u, Q.T @ (1.0 - ys))
+
+
+@pytest.mark.parametrize("basis, context, m", [
+    (BernoulliBasis(3), lambda r, n: r.uniform(0.0, 1.0, (n, 3)), UNIT),  # closed form
+    (PolynomialBasis(3), lambda r, n: r.uniform(0.5, 2.0, n), UNIT),      # quadrature
+    (BernoulliBasis(2), lambda r, n: r.uniform(0.0, 1.0, (n, 2)),         # quadrature
+     msr.make_uniform_measure(-0.5, 2.0, 24)),
+], ids=["bernoulli", "polynomial", "bernoulli-quadrature"])
+@settings(max_examples=25, deadline=None)
+@given(w=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weighted_accumulate_equals_repeated_rows(basis, context, m, w, seed):
+    rng = np.random.default_rng(seed)
+    X = context(rng, len(w))
+    y = rng.uniform(-0.2, 1.2, len(w))
+    start = accumulate(GramState(basis.d, m), basis, X[:1], y[:1])  # weights add to a state
+    weighted = accumulate(start, basis, X, y, w=np.array(w))
+    rows = np.repeat(np.arange(len(w)), w)
+    repeated = accumulate(start, basis, X[rows], y[rows])
+    assert weighted.n == repeated.n == 1 + sum(w)
+    assert _close(weighted.U, repeated.U) and _close(weighted.u, repeated.u)
+    # rows of weight 0 add nothing at all
+    zero = accumulate(start, basis, X, y, w=np.zeros(len(w), dtype=int))
+    assert zero.n == start.n
+    assert np.array_equal(zero.U, start.U) and np.array_equal(zero.u, start.u)

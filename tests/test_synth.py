@@ -3,9 +3,10 @@ import pytest
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis, PolynomialBasis
-from cdfreg.synth import (hard_instance_matrix, run_coverage_experiment,
-                          run_scaling_experiment, sample_mismatched,
-                          sample_scheme1, sample_scheme2, stream_rng)
+from cdfreg.gram import GramState, accumulate
+from cdfreg.synth import (_bernoulli_state, _hard_design, hard_instance_matrix,
+                          run_coverage_experiment, run_scaling_experiment,
+                          sample_mismatched, sample_scheme1, sample_scheme2, stream_rng)
 
 
 def _hard_instance_loop(d, n, c):
@@ -75,6 +76,42 @@ def test_hard_instance_rejects_large_c():
     assert hard_instance_matrix(2, 2, c=5.0).shape == (2, 2)
     with pytest.raises(ValueError):
         hard_instance_matrix(2, 3, c=5.0)
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+# n < d, n = d, d < n < 2d, n > 2d not a multiple of d, and n = 1e5
+_HARD_SIZES = [(5, 3), (5, 5), (5, 7), (3, 11), (5, 100_000), (3, 100_000)]
+
+
+@pytest.mark.parametrize("d,n", _HARD_SIZES)
+@pytest.mark.parametrize("c", [1.0, 3.3])
+def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c):
+    theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
+    P = hard_instance_matrix(d, n, c)
+    R, idx = _hard_design(d, n, c)
+    assert len(R) == min(n, 2 * d) and np.array_equal(R[idx], P)
+    state = _bernoulli_state(R, idx, R @ theta, stream_rng(7, d, n))
+    # Reference: the draws and statistics on the full (n, d) matrix.
+    y = (stream_rng(7, d, n).random(n) < P @ theta).astype(float)
+    ref = accumulate(GramState(d, state.measure), BernoulliBasis(d), P, y)
+    assert state.n == ref.n == n
+    assert _close(state.U, ref.U) and _close(state.u, ref.u)
+
+
+@pytest.mark.parametrize("d,n", _HARD_SIZES)
+@pytest.mark.parametrize("c", [1.0, 3.3])
+def test_mismatch_E_n_from_distinct_rows_matches_full_matrix(d, n, c):
+    q, p_e = 0.2, 0.4
+    report = run_coverage_experiment({
+        "mode": "mismatch", "d": d, "n": n, "delta": 0.1, "reps": 1, "q": q,
+        "basis": {"kind": "bernoulli_hard", "c": c, "p_e": p_e}})
+    theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
+    Q = 1.0 - hard_instance_matrix(d, n, c)
+    ref = np.linalg.norm(Q.T @ (q * ((1.0 - p_e) - Q @ theta)))
+    assert report["rows"][0]["E_n_norm"] == pytest.approx(ref, rel=1e-12)
 
 
 def test_stream_rng_keyed_and_reproducible():
