@@ -23,7 +23,7 @@ from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, ecdf,
 from .gram import (GramState, PopulationGram, accumulate,
                    gram_matrix_of_context, population_gram_mc,
                    regularized_gram, response_vector_of_sample)
-from .measure import (QuadMeasure, integrate, integrate_with_jump, jump_panel,
+from .measure import (QuadMeasure, integrate, jump_panel,
                       make_counting_measure, make_gaussian_measure,
                       make_uniform_measure, measure_from_spec, tail_mass)
 from .synth import (Dataset, ExperimentRecord, hard_instance_matrix,

@@ -126,8 +126,11 @@ class BasisFamily:
         """Atom locations for purely discrete families, else None."""
         return None
 
-    def pmf_vector(self, x, y: float):
-        """Per-coordinate probability mass at outcome y (discrete families only)."""
+    def pmf_vector(self, x, y):
+        """Per-coordinate probability mass at outcome y (discrete families only).
+
+        A 1-D y of n outcomes takes the n contexts in x and gives an (n, d) array.
+        """
         raise NotImplementedError(f"{self.kind} basis has no discrete PMF")
 
     def to_spec(self) -> dict:
@@ -140,9 +143,6 @@ class _TwoPointBasis(BasisFamily):
     def _probs_batch(self, X) -> np.ndarray:
         """(n, d) success probabilities p of the n contexts in X."""
         raise NotImplementedError
-
-    def success_probs(self, x) -> np.ndarray:
-        return self._probs_batch([x])[0]
 
     def eval_nodes(self, x, ts):
         X, T, single = _batch_form(x, ts)
@@ -158,12 +158,11 @@ class _TwoPointBasis(BasisFamily):
         return np.array([0.0, 1.0])
 
     def pmf_vector(self, x, y):
-        p = self.success_probs(x)
-        if y == 0:
-            return 1.0 - p
-        if y == 1:
-            return p
-        return np.zeros(self.d)
+        ys = np.asarray(y, dtype=float)
+        p = self._probs_batch([x] if ys.ndim == 0 else x)
+        Y = ys.reshape(-1, 1)
+        rho = np.where(Y == 1, p, np.where(Y == 0, 1.0 - p, 0.0))
+        return rho[0] if ys.ndim == 0 else rho
 
 
 class BernoulliBasis(_TwoPointBasis):

@@ -120,24 +120,21 @@ def ks_grid(support_lo: float, support_hi: float, jump_points=(),
                                      [support_lo, support_hi]]))
 
 
-def l2_error_crps(samples, F_hat, m: msr.QuadMeasure) -> float:
-    """Mean over samples of the squared L2(S, m) distance between 1{y<=.} and F_hat(x, .).
+def l2_error_crps(ys, F, m: msr.QuadMeasure) -> float:
+    """Mean over outcomes y_j of the squared L2(m) distance between 1{y_j<=.} and F_j.
 
-    All samples are scored at once: F_hat(X, T) receives the n contexts and
-    an (n, K) node array whose row j belongs to context j, and returns the
-    (n, K) values.  Uses the identity (1{y<=t} - F)^2 = 1{y<=t} - 2 1{y<=t} F
-    + F^2 with the jump term integrated on split panels.
+    F is the (n, K) array of predicted CDF values at the measure's nodes,
+    row j for outcome j; the score is the mean over j of
+    sum_k w_k (1{y_j<=t_k} - F[j, k])^2, expanded as 1{y<=t} - 2 1{y<=t} F + F^2.
     """
-    samples = list(samples)
-    if not samples:
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    F = np.asarray(F, dtype=float)
+    if ys.size == 0:
         raise ValueError("samples must be non-empty")
-    X = [x for x, _ in samples]
-    ys = np.array([y for _, y in samples], dtype=float)
-    nodes = np.broadcast_to(m.nodes, (len(ys), m.nodes.size))
-    fsq = np.asarray(F_hat(X, nodes), dtype=float) ** 2 @ m.weights
-    ts, ws = msr.jump_panel(ys, m)
-    cross = np.sum(ws * np.asarray(F_hat(X, ts), dtype=float), axis=1)
-    return float(np.mean(msr.tail_mass(ys, m) - 2.0 * cross + fsq))
+    if F.shape != (ys.size, m.nodes.size):
+        raise ValueError(f"F has shape {F.shape}, need {(ys.size, m.nodes.size)}")
+    cross = np.sum(msr.jump_panel(ys, m)[1] * F, axis=1)
+    return float(np.mean(msr.tail_mass(ys, m) - 2.0 * cross + F ** 2 @ m.weights))
 
 
 def fit_loglog_slope(points):

@@ -199,7 +199,8 @@ def fit_mle_simplex(samples, basis: BasisFamily, max_iter: int = 2000,
 
     rho_j are the per-coordinate PMF values of the discrete outcome basis.
     """
-    rho = np.array([basis.pmf_vector(x, y) for x, y in samples])
+    ys = np.array([y for _, y in samples], dtype=float)
+    rho = basis.pmf_vector([x for x, _ in samples], ys)
     if np.any(rho.max(axis=1) <= 0):
         raise ValueError("degenerate likelihood: some sample has zero mass under every basis")
     d = basis.d

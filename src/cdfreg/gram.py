@@ -68,52 +68,45 @@ def _q_matrix(basis, X) -> np.ndarray:
     return 1.0 - basis._probs_batch(X)
 
 
-def _block_sum(basis: BasisFamily, X, panel, outer: bool, c=None) -> np.ndarray:
-    """Sum over rows j of c_j sum_k ws[j,k] Phi(x_j, ts[j,k]) (times its transpose if outer).
+def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None, gram: bool = True):
+    """sum_j c_j integral Phi Phi^T m(dt) and sum_j c_j integral 1{y_j<=t} Phi m(dt).
 
-    ``panel(rows)`` gives the (ts, ws) arrays of a slice of rows, so no
-    temporary grows beyond one block; c defaults to ones.
+    Both integrals are sums over the measure's nodes, so one evaluation of
+    Phi per block of _BLOCK_ROWS rows serves both, and no temporary grows
+    beyond one block.  c defaults to ones.  A caller that needs one sum
+    passes ys=None or gram=False, and ignores the other return value.
     """
-    d = basis.d
-    total = np.zeros((d, d) if outer else d)
+    if ys is not None and not np.all(np.isfinite(ys)):
+        raise ValueError("outcome y must be finite")
+    c = None if c is None else np.asarray(c, dtype=float)
+    if _bernoulli_fast_path(basis, m):
+        Q = _q_matrix(basis, X)
+        Qc = Q.T if c is None else Q.T * c
+        return Qc @ Q, None if ys is None else Qc @ np.clip(1.0 - ys, 0.0, 1.0)
+    d, K = basis.d, m.nodes.size
+    U, u = np.zeros((d, d)), np.zeros(d)
+    T = np.broadcast_to(m.nodes, (len(X), K))  # no copy
     for s in range(0, len(X), _BLOCK_ROWS):
         rows = slice(s, s + _BLOCK_ROWS)
-        ts, ws = panel(rows)
         # (b, d, K) -> (d, b*K): one matrix product sums over rows and nodes.
-        A = basis.eval_nodes(X[rows], ts).transpose(1, 0, 2).reshape(d, -1)
-        w = (ws if c is None else c[rows, None] * ws).reshape(-1)
-        total += (A * w) @ A.T if outer else A @ w
-    return total
-
-
-def _gram_sum(basis: BasisFamily, X, m: msr.QuadMeasure, c=None, Q=None) -> np.ndarray:
-    """sum_j c_j * integral Phi(x_j,t) Phi(x_j,t)^T m(dt); c defaults to ones, Q to _q_matrix."""
-    if _bernoulli_fast_path(basis, m):
-        Q = _q_matrix(basis, X) if Q is None else Q
-        return Q.T @ Q if c is None else (Q.T * np.asarray(c, dtype=float)) @ Q
-    T, W = (np.broadcast_to(a, (len(X), a.size)) for a in (m.nodes, m.weights))  # no copies
-    return _block_sum(basis, X, lambda rows: (T[rows], W[rows]), outer=True,
-                      c=None if c is None else np.asarray(c, dtype=float))
-
-
-def _response_sum(basis: BasisFamily, X, ys: np.ndarray, m: msr.QuadMeasure, Q=None, c=None):
-    """sum_j c_j * integral 1{y_j<=t} Phi(x_j,t) m(dt), split at each jump; c, Q as in _gram_sum."""
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("outcome y must be finite")
-    if _bernoulli_fast_path(basis, m):
-        Q = _q_matrix(basis, X) if Q is None else Q
-        return (Q.T if c is None else Q.T * c) @ np.clip(1.0 - ys, 0.0, 1.0)
-    return _block_sum(basis, X, lambda rows: msr.jump_panel(ys[rows], m), outer=False, c=c)
+        A = basis.eval_nodes(X[rows], T[rows]).transpose(1, 0, 2).reshape(d, -1)
+        if gram:
+            w = m.weights if c is None else c[rows, None] * m.weights
+            U += (A.reshape(d, -1, K) * w).reshape(d, -1) @ A.T
+        if ys is not None:
+            J = msr.jump_panel(ys[rows], m)[1]
+            u += A @ (J if c is None else c[rows, None] * J).reshape(-1)
+    return U, u
 
 
 def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndarray:
     """Integral of Phi(x,t) Phi(x,t)^T against the measure."""
-    return _gram_sum(basis, [x], m)
+    return _sums(basis, [x], None, m)[0]
 
 
 def response_vector_of_sample(basis: BasisFamily, x, y: float, m: msr.QuadMeasure) -> np.ndarray:
-    """Integral of 1{y<=t} Phi(x,t) against the measure, split at the jump."""
-    return _response_sum(basis, [x], np.array([y], dtype=float), m)
+    """Integral of 1{y<=t} Phi(x,t) against the measure."""
+    return _sums(basis, [x], np.array([y], dtype=float), m, gram=False)[1]
 
 
 def accumulate(state: GramState, basis: BasisFamily, x, y,
@@ -132,10 +125,10 @@ def accumulate(state: GramState, basis: BasisFamily, x, y,
     w = None if w is None else np.asarray(w).reshape(-1)
     if len(X) != ys.size or (w is not None and w.size != ys.size):
         raise ValueError(f"{len(X)} contexts for {ys.size} outcomes")
-    Q = _q_matrix(basis, X) if _bernoulli_fast_path(basis, m) else None
-    U = state.U + _gram_sum(basis, X, m, c=w, Q=Q)
+    dU, du = _sums(basis, X, ys, m, c=w)
+    U = state.U + dU
     U = 0.5 * (U + U.T)  # quadrature round-off symmetry guard
-    u = state.u + _response_sum(basis, X, ys, m, Q=Q, c=w)
+    u = state.u + du
     return GramState(state.d, m, state.n + (ys.size if w is None else w.sum().item()), U, u)
 
 
@@ -156,12 +149,12 @@ def population_gram_mc(basis: BasisFamily, context_sampler, m: msr.QuadMeasure,
     """
     if isinstance(context_sampler, tuple) and len(context_sampler) == 2:
         atoms, probs = context_sampler
-        Sigma_step = _gram_sum(basis, atoms, m, probs)
+        Sigma_step = _sums(basis, atoms, None, m, probs)[0]
         mc = 0
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         contexts = [context_sampler(rng) for _ in range(mc_per_step)]
-        Sigma_step = _gram_sum(basis, contexts, m) / mc_per_step
+        Sigma_step = _sums(basis, contexts, None, m)[0] / mc_per_step
         mc = mc_per_step
     Sigma = n * 0.5 * (Sigma_step + Sigma_step.T)
     return PopulationGram(Sigma=Sigma, n=n, d=basis.d, mc_samples=mc)

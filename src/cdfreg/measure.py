@@ -4,6 +4,10 @@ Three kinds are supported: uniform on an interval (Gauss-Legendre),
 Gaussian on the real line (Gauss-Hermite), and counting measures on a
 finite point set (exact atom sums).  All constructed measures are
 probability measures: weights are non-negative and sum to one.
+
+Every integral, including those of the jump 1{y<=t}, is the weighted sum
+over the rule's own nodes: the rule is the measure.  U_n and u_n then
+integrate against the same measure, so E[u_n] = U_n theta* holds exactly.
 """
 
 from __future__ import annotations
@@ -14,17 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ndtr
-
 UNIFORM = "uniform_interval"
 GAUSSIAN = "gaussian"
 COUNTING = "counting"
 
 DEFAULT_NODES = 64
-
-# Gaussian quadrature panels are truncated at this many standard deviations
-# when an integrand has a jump; the discarded tail mass is < 1e-37.
-_GAUSSIAN_TAIL_SD = 13.0
 
 
 @dataclass(frozen=True)
@@ -127,75 +125,26 @@ def _legendre_rule(n_nodes: int):
     return x, w
 
 
-def _legendre_panel(lo, hi, n_nodes: int):
-    """Affine image of the reference rule on [lo, hi]; lo and hi may be (n, 1) columns."""
-    x, w = _legendre_rule(n_nodes)
-    half = 0.5 * (hi - lo)
-    return half * x + 0.5 * (lo + hi), half * w
-
-
 def jump_panel(y, m: QuadMeasure):
-    """Nodes and weights realizing t -> integral of 1{y<=t} g(t) m(dt).
+    """Nodes and weights realizing t -> integral of 1{y<=t} g(t) m(dt): the nodes at or above y.
 
     For a scalar y, returns (ts, ws) such that the integral of
-    1{y<=t} g(t) m(dt) is sum_k ws_k g(ts_k).  The interval is split at y
-    so Gauss quadrature stays spectrally accurate for smooth g.
-
-    For a 1-D array of n outcomes, returns (n, K) arrays whose row j is the
-    panel of y_j.  Every row has the same K nodes: nodes a scalar panel
-    would leave out (y past the support, counting atoms below y) carry zero
-    weight.  The scalar panel is row 0 of the batch without those nodes.
+    1{y<=t} g(t) m(dt) is sum_k ws_k g(ts_k).  For a 1-D array of n
+    outcomes, returns (n, K) arrays whose row j is the panel of y_j: every
+    row has all K nodes, and the nodes below y_j carry zero weight.
     """
     ys = np.asarray(y, dtype=float)
-    Y = ys.reshape(-1, 1)
-    n_nodes = int(m.params.get("n_nodes", max(len(m.nodes), 2)))
-    if m.kind == COUNTING:
-        ts = np.broadcast_to(m.nodes, (Y.shape[0], m.nodes.size))
-        ws = np.where(m.nodes >= Y, m.weights, 0.0)
-    elif m.kind == UNIFORM:
-        a, b = m.params["a"], m.params["b"]
-        ts, ws = _legendre_panel(np.clip(Y, a, b), b, n_nodes)
-        below = Y <= a  # the whole measure, with its own nodes and weights
-        ts = np.where(below, m.nodes, ts)
-        ws = np.where(below, m.weights, ws / (b - a))
-    elif m.kind == GAUSSIAN:
-        c, var = m.params["c"], m.params["var"]
-        sd = math.sqrt(var)
-        hi = c + _GAUSSIAN_TAIL_SD * sd
-        lo = np.minimum(np.maximum(Y, c - _GAUSSIAN_TAIL_SD * sd), hi)
-        ts, ws = _legendre_panel(lo, hi, n_nodes)
-        pdf = np.exp(-0.5 * (ts - c) ** 2 / var) / math.sqrt(2 * math.pi * var)
-        ws = ws * pdf
-    else:
-        raise ValueError(f"unknown measure kind {m.kind!r}")
+    above = m.nodes >= ys[..., None]
     if ys.ndim == 0:
-        keep = ws[0] != 0
-        return ts[0][keep], ws[0][keep]
-    return ts, ws
-
-
-def integrate_with_jump(f, y: float, m: QuadMeasure) -> float:
-    """Integral of 1{y<=t} f(t) m(dt) with the split-at-y rule."""
-    ts, ws = jump_panel(y, m)
-    if ts.size == 0:
-        return 0.0
-    return float(np.dot(ws, _eval_on(f, ts)))
+        return m.nodes[above], m.weights[above]
+    return np.broadcast_to(m.nodes, above.shape), np.where(above, m.weights, 0.0)
 
 
 def tail_mass(y, m: QuadMeasure):
-    """m([y, support_hi]): measure of the region where 1{y<=t} is active.
+    """m([y, inf)): the weight of the nodes at or above y.
 
     A 1-D array of outcomes gives an array of tail masses.
     """
     ys = np.asarray(y, dtype=float)
-    if m.kind == COUNTING:
-        mass = np.where(m.nodes >= ys[..., None], m.weights, 0.0).sum(axis=-1)
-    elif m.kind == UNIFORM:
-        a, b = m.params["a"], m.params["b"]
-        mass = np.clip((b - np.clip(ys, a, b)) / (b - a), 0.0, 1.0)
-    elif m.kind == GAUSSIAN:
-        c, var = m.params["c"], m.params["var"]
-        mass = ndtr((c - ys) / math.sqrt(var))
-    else:
-        raise ValueError(f"unknown measure kind {m.kind!r}")
+    mass = np.where(m.nodes >= ys[..., None], m.weights, 0.0).sum(axis=-1)
     return float(mass) if ys.ndim == 0 else mass

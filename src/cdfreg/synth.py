@@ -165,19 +165,28 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
 # Per-rep statistics
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _hard_index(d: int, n: int) -> np.ndarray:
+    """Read-only row index of the n-row hard instance into its distinct rows."""
+    cycle = np.tile(np.arange(d, 2 * d), n // d)  # row j >= d is row d + j mod d
+    idx = np.concatenate([np.arange(min(n, d)), cycle[:max(n - d, 0)]])
+    idx.setflags(write=False)
+    return idx
+
+
 def _hard_design(d: int, n: int, c: float):
     """Distinct rows R of the n-row hard instance and idx, with R[idx] its rows bit for bit."""
-    R = hard_instance_matrix(d, min(n, 2 * d), c)
-    cycle = np.tile(np.arange(d, 2 * d), n // d)  # row j >= d is row d + j mod d
-    return R, np.concatenate([np.arange(min(n, d)), cycle[:max(n - d, 0)]])
+    return hard_instance_matrix(d, min(n, 2 * d), c), _hard_index(d, n)
 
 
 def _bernoulli_state(R, idx, probs, rng) -> GramState:
     """Statistics of y_j ~ Bernoulli(probs[idx_j]) at R[idx], summed over the distinct rows R."""
     y = rng.random(idx.size) < probs[idx]
     k, d = R.shape
-    ones = np.bincount(idx[y], minlength=k)
-    w = np.concatenate([np.bincount(idx, minlength=k) - ones, ones])
+    # Entry 2i + y counts the draws y at row i: the zeros are column 0, the ones column 1.
+    key = 2 * idx
+    key += y  # in place: one n-row temporary, not two
+    w = np.bincount(key, minlength=2 * k).reshape(k, 2).T.reshape(-1)
     return accumulate(GramState(d, _UNIT_INTERVAL), BernoulliBasis(d), np.vstack([R, R]),
                       np.repeat([0.0, 1.0], k), w=w)
 

@@ -9,7 +9,8 @@ import pytest
 from scipy.optimize import minimize
 
 from cdfreg import measure as msr
-from cdfreg.basis import BernoulliBasis, PolynomialBasis
+from cdfreg.basis import (BernoulliBasis, GaussianLaplaceBasis, PolynomialBasis,
+                          inverse_cdf_sample)
 from cdfreg.bounds import (epsilon_lambda, fit_loglog_slope, ks_distance, ks_grid,
                            weighted_norm)
 from cdfreg.cli import main
@@ -65,6 +66,49 @@ def test_ridge_matches_numeric_minimizer():
                        options={"gtol": 1e-12, "maxiter": 500})
         worst = max(worst, float(np.max(np.abs(res.x - theta_ridge))))
     assert worst < 1e-6
+
+
+def _asymptotic_bias(basis, theta_star, contexts, context_weights, m, levels=16_000):
+    """l2 norm of Sigma_1^{-1} E[u_1] - theta*, with E over y ~ theta*^T Phi(x, .).
+
+    y is drawn at `levels` midpoint levels for every context; `accumulate`
+    weighting each draw by its context's weight over `levels` gives Sigma_1
+    as U and E[u_1] as u.
+    """
+    us = np.tile((np.arange(levels) + 0.5) / levels, len(contexts))
+    X = np.repeat(np.asarray(contexts), levels, axis=0)
+    ys = inverse_cdf_sample(theta_star, basis, X, us)
+    state = accumulate(GramState(basis.d, m), basis, X, ys,
+                       w=np.repeat(context_weights, levels) / levels)
+    return float(np.linalg.norm(np.linalg.solve(state.U, state.u) - theta_star))
+
+
+def test_polynomial_design_is_unbiased():
+    """E[u_1] = Sigma_1 theta* on the desk polynomial design, so ridge has no bias floor.
+
+    U_n and u_n integrate against the same measure.  The residual, 7.7e-5,
+    is the O(1/levels) error of the midpoint levels amplified by
+    mu_min(Sigma_1) = 4.6e-6.  Integrating u_n on Legendre panels split at
+    each y, against U_n on the nodes, gives 0.024.
+    """
+    mx = msr.make_uniform_measure(0.5, 2.0, 64)
+    bias = _asymptotic_bias(PolynomialBasis(4), np.array([0.1, 0.2, 0.3, 0.4]),
+                            mx.nodes, mx.weights, msr.make_uniform_measure(0.0, 2.0, 64))
+    assert bias < 1e-3
+
+
+def test_gaussian_measure_design_is_unbiased():
+    """The same check for a Gaussian-Laplace basis under a Gaussian measure.
+
+    Residual 1.7e-5 (mu_min(Sigma_1) = 4.4e-3); split panels for u_n give 0.040.
+    """
+    basis = GaussianLaplaceBasis(0.5, [1.0, -0.5, 0.3], [0.0, 0.5, -1.0],
+                                 [0.8, -0.2, 0.6], [0.3, -0.4, 0.0],
+                                 [1.0, 0.5, 2.0], [0.7, 1.2, 0.5])
+    mx = msr.make_uniform_measure(-2.0, 2.0, 4)
+    bias = _asymptotic_bias(basis, np.array([0.5, 0.3, 0.2]), np.repeat(mx.nodes[:, None], 3, 1),
+                            mx.weights, msr.make_gaussian_measure(0.0, 9.0, 48))
+    assert bias < 1e-3
 
 
 @pytest.fixture(scope="module")

@@ -174,15 +174,72 @@ def test_batched_jump_panel_rows_equal_scalar_panels(measure, ys):
         assert tails[j] == msr.tail_mass(y, m)
 
 
+def _on_nodes(basis, X, m):
+    """Phi(x_j, t_k) at every context and every node of m, (n, d, K)."""
+    return basis.eval_nodes(X, np.broadcast_to(m.nodes, (len(X), m.nodes.size)))
+
+
 @pytest.mark.parametrize("family", ["polynomial", "gaussian_laplace", "logistic_probit"])
 @pytest.mark.parametrize("measure", ["uniform", "gaussian", "counting"])
 @settings(max_examples=15, deadline=None)
 @given(ys=st.lists(OUTCOMES, min_size=1, max_size=60), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_crps_equals_mean_of_single_rows(family, measure, ys, seed):
     basis, m = FAMILIES[family][0], MEASURES[measure]
-    samples = list(zip(_contexts(family, seed, len(ys)), ys))
     theta = np.random.default_rng(seed).dirichlet(np.ones(basis.d))
-    F = lambda X, T: theta @ basis.eval_nodes(X, T)
-    per_row = [l2_error_crps([s], F, m) for s in samples]
-    assert l2_error_crps(samples, F, m) == pytest.approx(np.mean(per_row), rel=1e-12,
-                                                         abs=1e-15)
+    F = theta @ _on_nodes(basis, _contexts(family, seed, len(ys)), m)
+    per_row = [l2_error_crps(ys[j:j + 1], F[j:j + 1], m) for j in range(len(ys))]
+    assert l2_error_crps(ys, F, m) == pytest.approx(np.mean(per_row), rel=1e-12,
+                                                    abs=1e-15)
+
+
+# Every family and every measure that integrates by quadrature; the two-point
+# closed form on [0, 1] has its own tests in test_gram.py.
+LOOP_CASES = [(f, m) for f in FAMILIES for m in ("uniform", "gaussian", "counting")]
+
+
+@pytest.mark.parametrize("family, measure", LOOP_CASES)
+@settings(max_examples=5, deadline=None)
+@given(ys=st.lists(OUTCOMES, min_size=1, max_size=12),
+       weighted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_accumulate_equals_sum_over_rows_and_nodes(family, measure, ys, weighted, seed):
+    basis, m = FAMILIES[family][0], MEASURES[measure]
+    xs = _contexts(family, seed, len(ys))
+    w = np.random.default_rng(seed).uniform(0.0, 3.0, len(ys)) if weighted else None
+    state = accumulate(GramState(basis.d, m), basis, xs, np.array(ys), w=w)
+    U, u = np.zeros((basis.d, basis.d)), np.zeros(basis.d)
+    for x, y, c in zip(xs, ys, np.ones(len(ys)) if w is None else w):
+        for t, wk in zip(m.nodes, m.weights):
+            phi = basis.eval(x, t)
+            U += c * wk * np.outer(phi, phi)
+            if y <= t:
+                u += c * wk * phi
+    # every term is non-negative, so the bound holds entrywise
+    np.testing.assert_allclose(state.U, U, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state.u, u, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family, measure", LOOP_CASES)
+@settings(max_examples=5, deadline=None)
+@given(ys=st.lists(OUTCOMES, min_size=1, max_size=12), seed=st.integers(0, 2 ** 32 - 1))
+def test_crps_equals_sum_over_rows_and_nodes(family, measure, ys, seed):
+    basis, m = FAMILIES[family][0], MEASURES[measure]
+    xs = _contexts(family, seed, len(ys))
+    theta = np.random.default_rng(seed).dirichlet(np.ones(basis.d))
+    total = 0.0
+    for x, y in zip(xs, ys):
+        for t, wk in zip(m.nodes, m.weights):
+            total += wk * (float(y <= t) - theta @ basis.eval(x, t)) ** 2
+    got = l2_error_crps(ys, theta @ _on_nodes(basis, xs, m), m)
+    assert got == pytest.approx(total / len(ys), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "logistic_probit"])
+@given(ys=st.lists(st.sampled_from([0.0, 1.0, 0.5, -1.0]), min_size=1, max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_pmf_rows_equal_single_calls(family, ys, seed):
+    basis = FAMILIES[family][0]
+    xs = _contexts(family, seed, len(ys))
+    batch = basis.pmf_vector(xs, np.array(ys))
+    assert batch.shape == (len(ys), basis.d)
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        assert np.array_equal(batch[j], basis.pmf_vector(x, y))

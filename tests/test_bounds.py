@@ -117,37 +117,41 @@ def test_ks_distance_probes_left_limits():
                                                                       abs=1e-9)
 
 
+def _flat(value, n=1):
+    """A predictor of the constant CDF value at every node of UNIT."""
+    return np.full((n, UNIT.nodes.size), value)
+
+
 def test_l2_error_crps_perfect_step_fit():
-    # quadrature of the discontinuous F^2 term limits the achievable accuracy
-    samples = [(None, 0.3)]
-    F = lambda x, t: (np.asarray(t) >= 0.3).astype(float)
-    assert abs(l2_error_crps(samples, F, UNIT)) < 0.02
+    # On the measure's nodes the step at y is the indicator itself.
+    F = (UNIT.nodes >= 0.3).astype(float)[None, :]
+    assert l2_error_crps([0.3], F, UNIT) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_l2_error_crps_flat_zero_predictor():
-    zero = lambda x, t: np.zeros_like(np.asarray(t, dtype=float))
-    # y = 0: indicator is 1 on [0,1], error integrates to 1
-    assert l2_error_crps([(None, 0.0)], zero, UNIT) == pytest.approx(1.0, abs=1e-10)
-    # y = 1: indicator is 0 a.e. on [0,1)
-    assert l2_error_crps([(None, 1.0)], zero, UNIT) == pytest.approx(0.0, abs=1e-10)
-    # y = 0.25: tail has length 0.75
-    assert l2_error_crps([(None, 0.25)], zero, UNIT) == pytest.approx(0.75,
-                                                                      abs=1e-10)
+    # y = 0: the indicator is 1 at every node
+    assert l2_error_crps([0.0], _flat(0.0), UNIT) == pytest.approx(1.0, abs=1e-14)
+    # y = 1: no node of [0, 1] lies at or above 1
+    assert l2_error_crps([1.0], _flat(0.0), UNIT) == pytest.approx(0.0, abs=1e-15)
+    # y = 0.25: the weight of the nodes at or above 0.25, within one node of 0.75
+    got = l2_error_crps([0.25], _flat(0.0), UNIT)
+    assert got == pytest.approx(UNIT.weights[UNIT.nodes >= 0.25].sum(), abs=1e-15)
+    assert abs(got - 0.75) < UNIT.weights.max()
 
 
 def test_l2_error_crps_averages():
-    zero = lambda x, t: np.zeros_like(np.asarray(t, dtype=float))
-    got = l2_error_crps([(None, 0.0), (None, 1.0)], zero, UNIT)
-    assert got == pytest.approx(0.5, abs=1e-10)
+    got = l2_error_crps(np.array([0.0, 1.0]), _flat(0.0, 2), UNIT)
+    assert got == pytest.approx(0.5, abs=1e-14)
     with pytest.raises(ValueError):
-        l2_error_crps([], zero, UNIT)
+        l2_error_crps([], _flat(0.0, 0), UNIT)
+    with pytest.raises(ValueError, match="shape"):
+        l2_error_crps([0.0, 1.0], _flat(0.0), UNIT)
 
 
 def test_l2_error_crps_uniform_predictor():
-    # F(t)=t against y=0: integral of (1-t)^2 = 1/3
-    F = lambda x, t: np.asarray(t, dtype=float)
-    assert l2_error_crps([(None, 0.0)], F, UNIT) == pytest.approx(1.0 / 3.0,
-                                                                  abs=1e-8)
+    # F(t)=t against y=0: Gauss-Legendre integrates (1-t)^2 exactly, 1/3
+    F = UNIT.nodes[None, :]
+    assert l2_error_crps([0.0], F, UNIT) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 def test_fit_loglog_slope():

@@ -100,23 +100,30 @@ def test_integrate_linearity():
 
 def test_jump_panel_uniform_split():
     m = msr.make_uniform_measure(0.0, 1.0, 32)
-    # integral of 1{0.3<=t} * t dt over [0,1] = (1 - 0.09)/2
-    got = msr.integrate_with_jump(lambda t: t, 0.3, m)
-    assert got == pytest.approx((1.0 - 0.09) / 2.0, abs=1e-12)
+    ts, ws = msr.jump_panel(0.3, m)
+    keep = m.nodes >= 0.3
+    assert np.array_equal(ts, m.nodes[keep]) and np.array_equal(ws, m.weights[keep])
+    # integral of 1{0.3<=t} * t dt over [0,1] = (1 - 0.09)/2, to within one node
+    assert abs(ws @ ts - (1.0 - 0.09) / 2.0) < m.weights.max()
 
 
 def test_jump_panel_outside_support():
     m = msr.make_uniform_measure(0.0, 1.0, 32)
-    assert msr.integrate_with_jump(lambda t: t, -1.0, m) == pytest.approx(0.5)
-    assert msr.integrate_with_jump(lambda t: t, 2.0, m) == 0.0
+    ts, ws = msr.jump_panel(-1.0, m)
+    assert np.array_equal(ts, m.nodes) and np.array_equal(ws, m.weights)
+    ts, ws = msr.jump_panel(2.0, m)
+    assert ts.size == ws.size == 0
+    ts, ws = msr.jump_panel(np.array([-1.0, 2.0]), m)
+    assert np.array_equal(ws, [m.weights, np.zeros(32)]) and np.array_equal(ts[1], m.nodes)
 
 
 def test_jump_panel_gaussian_tail_mass():
     m = msr.make_gaussian_measure(0.0, 1.0, 64)
-    got = msr.integrate_with_jump(lambda t: np.ones_like(t), 0.0, m)
-    assert got == pytest.approx(0.5, abs=1e-10)
-    assert msr.tail_mass(1.0, m) == pytest.approx(0.5 * math.erfc(1.0 / math.sqrt(2)),
-                                                  abs=1e-14)
+    _, ws = msr.jump_panel(0.0, m)
+    assert ws.sum() == pytest.approx(0.5, abs=1e-14)  # Gauss-Hermite nodes are symmetric
+    got = msr.tail_mass(1.0, m)
+    assert got == pytest.approx(m.weights[m.nodes >= 1.0].sum(), abs=1e-15)
+    assert abs(got - 0.5 * math.erfc(1.0 / math.sqrt(2))) < m.weights.max()
 
 
 def test_jump_panel_counting():
