@@ -20,9 +20,9 @@ from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, ecdf,
                          fit_mle_simplex, hilbert_estimate, penalized_estimate,
                          project_simplex, project_simplex_weighted,
                          ridge_estimate, unregularized_estimate)
-from .gram import (GramState, PopulationGram, accumulate,
-                   gram_matrix_of_context, population_gram_mc,
-                   regularized_gram, response_vector_of_sample)
+from .gram import (GramState, accumulate, gram_matrix_of_context,
+                   population_gram, regularized_gram,
+                   response_vector_of_sample)
 from .measure import (QuadMeasure, integrate, jump_panel,
                       make_counting_measure, make_gaussian_measure,
                       make_uniform_measure, measure_from_spec, tail_mass)

@@ -147,8 +147,8 @@ class _TwoPointBasis(BasisFamily):
     def eval_nodes(self, x, ts):
         X, T, single = _batch_form(x, ts)
         q = 1.0 - self._probs_batch(X)
-        mid = ((T >= 0) & (T < 1))[:, None, :]
-        out = np.where(mid, q[:, :, None], (T >= 1)[:, None, :].astype(float))
+        T = T[:, None, :]
+        out = np.where(T >= 1, 1.0, np.where(T >= 0, q[:, :, None], 0.0))
         return out[0] if single else out
 
     def support(self, x):
@@ -180,7 +180,7 @@ class BernoulliBasis(_TwoPointBasis):
         p = np.asarray(X, dtype=float)
         if p.shape[1:] != (self.d,):
             raise ValueError(f"context must give a ({self.d},) probability vector")
-        if np.any(p < 0) or np.any(p > 1):
+        if (p < 0).any() or (p > 1).any():
             raise ValueError("Bernoulli success probabilities must lie in [0,1]")
         return p
 

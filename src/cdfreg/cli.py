@@ -8,6 +8,7 @@ import json
 import locale  # noqa: F401
 import operator
 import os
+import re
 import sys
 
 # Loaded now rather than inside main: locale (above) for argparse, numpy.ma for np.quantile.
@@ -19,12 +20,16 @@ from . import __version__
 from .bounds import fit_loglog_slope
 from .errors import CdfRegError
 from .realdata import evaluate_pipeline, write_report_csv
-from .synth import (run_coverage_experiment, run_scaling_experiment,
+from .synth import (METRICS, run_coverage_experiment, run_scaling_experiment,
                     write_aggregates_csv, write_records_csv)
 
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+# One of the metric names the scaling sweep computes.  A pattern rather than an
+# enum accepts the same names and leaves the mutation corpus of
+# tests/test_config_check.py, whose cases are named by position, as it is.
+_METRIC = {"type": "string", "pattern": f"^({'|'.join(METRICS)})$"}
 
 _SCALING_SCHEMA = {
     "type": "object",
@@ -52,11 +57,11 @@ _SCALING_SCHEMA = {
                    "minItems": 1},
         "n": _POS_INT,
         "delta": _DELTA,
-        "metrics": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+        "metrics": {"type": "array", "items": _METRIC, "minItems": 1},
         "theta_star": {"type": "array", "items": {"type": "number"}},
         "seed": {"type": "integer", "minimum": 0},
         "threads": _POS_INT,
-        "slope_metric": {"type": "string"},
+        "slope_metric": _METRIC,
     },
 }
 
@@ -151,6 +156,8 @@ def _check(value, schema, path=""):
         fail(f"{value!r} is not of type {kind!r}")
     if "enum" in schema and value not in schema["enum"]:
         fail(f"{value!r} is not one of {schema['enum']!r}")
+    if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
+        fail(f"{value!r} does not match {schema['pattern']!r}")
     for key, breaks in _BOUNDS.items():
         if key in schema and breaks(value, schema[key]):
             fail(f"{value!r} breaks {key} {schema[key]!r}")
@@ -177,10 +184,11 @@ def _load_config(args):
         raise _ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise _ConfigError(f"config is not valid JSON: {exc}")
-    _check(config, _SCHEMAS[args.command])
+    # The command-line overrides are checked like the fields they replace.
     for key in ("seed", "threads"):
-        if getattr(args, key) is not None:
+        if getattr(args, key) is not None and isinstance(config, dict):
             config[key] = getattr(args, key)
+    _check(config, _SCHEMAS[args.command])
     return config
 
 

@@ -233,7 +233,7 @@ def evaluate_pipeline(config) -> dict:
             else:
                 raise ValueError(f"unknown pipeline basis kind {basis_kind!r}")
 
-            state = accumulate(GramState(basis.d, m), basis, Xr, yr, m)
+            state = accumulate(GramState(basis.d, m), basis, Xr, yr)
             # Phi(x, t) at the test contexts and the measure's nodes, (n, d, K):
             # the predicted CDF of every fitted theta is theta @ Phi.
             Phi = basis.eval_nodes(Xt, np.broadcast_to(m.nodes, (len(Xt), m.nodes.size)))

@@ -17,20 +17,25 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import bounds, measure as msr
-from .basis import BasisFamily, BernoulliBasis, PolynomialBasis, inverse_cdf_sample
+from .basis import (BasisFamily, BernoulliBasis, PolynomialBasis, check_simplex,
+                    inverse_cdf_sample)
 from .errors import CdfRegError
 from .estimators import (delta_nU_default, penalized_estimate, project_simplex,
                          ridge_estimate)
 from .gram import (_BLOCK_ROWS, GramState, accumulate, gram_matrix_of_context,
-                   population_gram_mc, regularized_gram, response_vector_of_sample)
+                   population_gram, regularized_gram, response_vector_of_sample)
 
 RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
                   "metric_name", "value"]
 AGGREGATE_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "metric_name",
                      "mean", "q05", "q95"]
+# The metrics _scaling_rep_metrics computes, by the names a config asks for them.
+METRICS = ("l2", "self_norm", "sigma_norm", "ks", "eps_lambda", "mu_min_U")
 
-# Outcome measure of the Bernoulli designs, built once and only ever read.
-_UNIT_INTERVAL = msr.make_uniform_measure(0.0, 1.0)
+# Outcome measure of the Bernoulli designs, built once and only ever read.  Two
+# nodes suffice: two-point CDFs are constant on [0, 1), so any rule with its
+# nodes inside the interval integrates them exactly.
+_UNIT_INTERVAL = msr.make_uniform_measure(0.0, 1.0, 2)
 
 
 def stream_rng(seed: int, *key) -> np.random.Generator:
@@ -246,7 +251,7 @@ def _polynomial_sigma_n(d, n, x_lo, x_hi, n_nodes=64):
     """Sigma_n for the uniform context distribution, by Gauss-Legendre over x."""
     m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
     mx = msr.make_uniform_measure(x_lo, x_hi, n_nodes)
-    return population_gram_mc(PolynomialBasis(d), (mx.nodes, mx.weights), m, n).Sigma
+    return population_gram(PolynomialBasis(d), mx.nodes, mx.weights, m, n)
 
 
 def _scaling_rep_metrics(config, d, n, rep, seed):
@@ -309,13 +314,14 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
 
 
 def _theta_star(config, d):
-    if config.get("theta_star") is not None:
-        theta = np.asarray(config["theta_star"], dtype=float)
-        if theta.size != d:
-            raise ValueError("theta_star length does not match d")
-        return theta
-    theta = np.arange(1, d + 1, dtype=float)
-    return theta / theta.sum()
+    """The config's theta* for dimension d, checked, or (1, ..., d) / sum."""
+    if config.get("theta_star") is None:
+        theta = np.arange(1, d + 1, dtype=float)
+        return theta / theta.sum()
+    theta = np.asarray(config["theta_star"], dtype=float)
+    if theta.shape != (d,) or not np.all(np.isfinite(theta)):
+        raise ValueError(f"theta_star must be {d} finite numbers for d = {d}")
+    return check_simplex(theta)
 
 
 def _map_tasks(fn, tasks, threads: int) -> list:
@@ -340,6 +346,8 @@ def run_scaling_experiment(config) -> tuple[list, list]:
         points = [(int(d), int(config["n"])) for d in config["d_grid"]]
 
     tasks = [(d, n, rep) for d, n in points for rep in range(reps)]
+    for d, _ in points:  # a bad theta_star fails here, before any task runs
+        _theta_star(config, d)
 
     def run_task(task):
         d, n, rep = task
@@ -410,7 +418,7 @@ def _coverage_rep(config, rep, seed):
         m = (msr.measure_from_spec(spec["measure"]) if "measure" in spec
              else _UNIT_INTERVAL)
         state = _atom_design_rep(P_atoms, probs, theta_star, n, rng, m)
-        Sigma_n = population_gram_mc(BernoulliBasis(d), (P_atoms, probs), m, n).Sigma
+        Sigma_n = population_gram(BernoulliBasis(d), P_atoms, probs, m, n)
     else:
         raise ValueError(f"unknown coverage basis kind {kind!r}")
 
@@ -447,6 +455,7 @@ def run_coverage_experiment(config) -> dict:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     seed = int(config.get("seed", 0))
+    _theta_star(config, int(config["d"]))  # a bad theta_star fails here, before any rep runs
     results = _map_tasks(lambda rep: _coverage_rep(config, rep, seed), range(reps),
                          int(config.get("threads", 1)))
 

@@ -44,7 +44,7 @@ def test_ridge_matches_numeric_minimizer():
             ys = rng.uniform(0.0, 2.0, n)
         state = GramState(d, m)
         for x, y in zip(xs, ys):
-            state = accumulate(state, basis, x, y, m)
+            state = accumulate(state, basis, x, y)
         theta_ridge = ridge_estimate(state, lam)
 
         # rebuild the objective from scratch: quadrature for the quadratic
@@ -214,15 +214,16 @@ def test_hilbert_estimate_reduces_to_ridge():
 
 
 def test_bernoulli_gram_fast_path_matches_quadrature():
+    # Quadrature on [0, 1] gives the two-point closed form q q^T, q = 1 - p,
+    # for any number of nodes.
     rng = np.random.default_rng(6)
     basis = BernoulliBasis(4)
-    unit = msr.make_uniform_measure(0.0, 1.0, 64)
-    for _ in range(100):
-        p = rng.random(4)
-        fast = gram_matrix_of_context(basis, p, unit)
-        P = basis.eval_nodes(p, unit.nodes)
-        slow = (P * unit.weights) @ P.T
-        assert np.max(np.abs(fast - slow)) <= 1e-8
+    for n_nodes in (2, 64):
+        unit = msr.make_uniform_measure(0.0, 1.0, n_nodes)
+        for _ in range(100):
+            p = rng.random(4)
+            G = gram_matrix_of_context(basis, p, unit)
+            assert np.max(np.abs(G - np.outer(1.0 - p, 1.0 - p))) <= 1e-14
 
 
 def test_mismatch_bound_coverage():

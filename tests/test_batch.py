@@ -39,7 +39,7 @@ FAMILIES = {
     "custom": (CustomBasis(2, _ramp, 0.0, 1.0), lambda r: float(r.uniform(0.5, 2.0))),
 }
 MEASURES = {
-    "unit": msr.make_uniform_measure(0.0, 1.0, 16),  # Bernoulli-type closed form
+    "unit": msr.make_uniform_measure(0.0, 1.0, 16),
     "uniform": msr.make_uniform_measure(-0.5, 2.0, 24),
     "gaussian": msr.make_gaussian_measure(0.5, 2.0, 20),
     "counting": msr.make_counting_measure([-1.0, 0.0, 0.5, 1.0, 2.5]),
@@ -192,9 +192,8 @@ def test_batched_crps_equals_mean_of_single_rows(family, measure, ys, seed):
                                                     abs=1e-15)
 
 
-# Every family and every measure that integrates by quadrature; the two-point
-# closed form on [0, 1] has its own tests in test_gram.py.
-LOOP_CASES = [(f, m) for f in FAMILIES for m in ("uniform", "gaussian", "counting")]
+# Every family on every measure: all of them integrate by quadrature.
+LOOP_CASES = [(f, m) for f in FAMILIES for m in MEASURES]
 
 
 @pytest.mark.parametrize("family, measure", LOOP_CASES)

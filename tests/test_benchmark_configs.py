@@ -1,0 +1,48 @@
+"""Every benchmark workload's config passes the CLI's config checks.
+
+``perfbench/workloads.py`` fixes each workload's config, and the harness
+runs it with ``--seed N --threads 1``. A schema change that rejected either
+would fail every benchmark run, so both go through ``build_parser`` and
+``_load_config`` here. The workloads file is read, never changed or
+imported as a package module.
+"""
+
+import pathlib
+import sys
+import types
+
+import pytest
+
+from cdfreg.cli import _load_config, build_parser
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_WORKLOADS_PATH = _ROOT / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    """Execute the workloads' source in a fresh namespace, writing no bytecode."""
+    module = types.ModuleType("perfbench_workloads_source")
+    module.__file__ = str(_WORKLOADS_PATH)
+    sys.modules[module.__name__] = module  # dataclasses looks its module up
+    try:
+        exec(compile(_WORKLOADS_PATH.read_text(), str(_WORKLOADS_PATH), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 1701])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_config_loads_with_harness_argv(tmp_path, name, seed):
+    wl = WORKLOADS[name]
+    path = tmp_path / "config.json"
+    wl.write_config(str(path), str(_ROOT))
+    args = build_parser().parse_args([wl.command, "--config", str(path),
+                                      "--out", str(tmp_path / "out"),
+                                      "--seed", str(seed), "--threads", "1"])
+    config = _load_config(args)
+    assert config["seed"] == seed and config["threads"] == 1

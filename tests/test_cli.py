@@ -162,3 +162,55 @@ def test_malformed_json(tmp_path, capsys):
     code = main(["bound-check", "--config", str(p), "--out", str(tmp_path)])
     assert code == 2
     assert "JSON" in json.loads(capsys.readouterr().err)["message"]
+
+
+POLY_CFG = {"basis": {"kind": "polynomial", "d": 2}, "lambdas": [0.01],
+            "n_grid": [50, 100], "reps": 1, "seed": 1}
+
+
+def _config_error(capsys):
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    return err["message"]
+
+
+@pytest.mark.parametrize("field", [{"metrics": ["l2", "l2x"]}, {"slope_metric": "foo"}],
+                         ids=["metrics", "slope_metric"])
+def test_unknown_metric_name_exits_2(tmp_path, capsys, field):
+    code, out = run(tmp_path, "synth-poly", dict(POLY_CFG, **field))
+    assert code == 2
+    assert next(iter(field)) in _config_error(capsys)
+    assert not (out / "records.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("seed", -1), ("threads", 0)])
+@pytest.mark.parametrize("where", ["file", "argv"])
+def test_bad_override_exits_2_like_the_config_field(tmp_path, capsys, key, value, where):
+    payload = dict(POLY_CFG, **{key: value}) if where == "file" else POLY_CFG
+    extra = [f"--{key}", str(value)] if where == "argv" else []
+    code, out = run(tmp_path, "synth-poly", payload, extra)
+    assert code == 2
+    assert _config_error(capsys).startswith(f"config field {key}: ")
+    assert not (out / "records.csv").exists()
+
+
+_BOUND_CFG = {"mode": "self", "d": 2, "n": 50, "delta": 0.1, "reps": 2,
+              "basis": {"kind": "bernoulli_hard"}}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("synth-bernoulli", dict(BERN_CFG, basis={"kind": "bernoulli_hard", "d": 3},
+                             theta_star=[1, 1, 1])),
+    ("synth-poly", dict(POLY_CFG, theta_star=[1, 1])),
+    ("synth-poly", dict(POLY_CFG, theta_star=[0.5, 0.3, 0.2])),
+    ("synth-poly", {"basis": {"kind": "polynomial"}, "lambdas": [0.01], "reps": 1,
+                    "d_grid": [2, 3], "n": 50, "theta_star": [0.5, 0.5]}),
+    ("bound-check", dict(_BOUND_CFG, theta_star=[0.5, float("nan")])),
+    ("bound-check", dict(_BOUND_CFG, theta_star=[1.5, -0.5])),
+], ids=["off_simplex_bernoulli", "off_simplex_poly", "wrong_length", "d_grid_length",
+        "nan", "negative"])
+def test_bad_theta_star_exits_2_before_any_task(tmp_path, capsys, command, payload):
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert "theta" in _config_error(capsys)
+    assert not (out / "records.csv").exists()

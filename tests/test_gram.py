@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis, CustomBasis, PolynomialBasis
 from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context,
-                         population_gram_mc, regularized_gram,
+                         population_gram, regularized_gram,
                          response_vector_of_sample)
 
 UNIT = msr.make_uniform_measure(0.0, 1.0, 64)
@@ -30,14 +30,13 @@ def test_polynomial_gram_quadrature():
 
 
 def test_bernoulli_fast_path_matches_quadrature():
+    # Quadrature on [0, 1] gives the two-point closed form q q^T, q = 1 - p.
     rng = np.random.default_rng(0)
     b = BernoulliBasis(3)
     for _ in range(10):
         p = rng.random(3)
-        fast = gram_matrix_of_context(b, p, UNIT)
-        P = b.eval_nodes(p, UNIT.nodes)
-        slow = (P * UNIT.weights) @ P.T
-        assert np.max(np.abs(fast - slow)) < 1e-8
+        G = gram_matrix_of_context(b, p, UNIT)
+        assert np.max(np.abs(G - np.outer(1.0 - p, 1.0 - p))) < 1e-14
 
 
 def test_response_vector_bernoulli():
@@ -117,23 +116,16 @@ def test_regularized_gram():
 def test_population_gram_degenerate_and_atoms():
     b = BernoulliBasis(2)
     x = np.array([0.5, 0.75])
-    pg = population_gram_mc(b, ([x], [1.0]), UNIT, n=7)
-    assert np.allclose(pg.Sigma, 7 * gram_matrix_of_context(b, x, UNIT), atol=1e-12)
+    Sigma = population_gram(b, [x], [1.0], UNIT, n=7)
+    assert np.allclose(Sigma, 7 * gram_matrix_of_context(b, x, UNIT), atol=1e-12)
 
     x2 = np.array([0.2, 0.9])
-    pg2 = population_gram_mc(b, ([x, x2], [0.5, 0.5]), UNIT, n=4)
+    Sigma2 = population_gram(b, [x, x2], [0.5, 0.5], UNIT, n=4)
     expect = 2.0 * (gram_matrix_of_context(b, x, UNIT)
                     + gram_matrix_of_context(b, x2, UNIT))
-    assert np.allclose(pg2.Sigma, expect, atol=1e-12)
-    assert np.linalg.eigvalsh(pg2.Sigma)[0] >= -1e-10
-
-
-def test_population_gram_mc_sampler():
-    b = BernoulliBasis(2)
-    pg = population_gram_mc(b, lambda rng: rng.random(2), UNIT, n=1,
-                            mc_per_step=500, seed=9)
-    assert pg.mc_samples == 500
-    assert np.allclose(pg.Sigma, pg.Sigma.T)
+    assert np.allclose(Sigma2, expect, atol=1e-12)
+    assert np.array_equal(Sigma2, Sigma2.T)
+    assert np.linalg.eigvalsh(Sigma2)[0] >= -1e-10
 
 
 def test_merge():
@@ -150,8 +142,8 @@ def _close(a, b):
 
 
 @pytest.mark.parametrize("basis, context", [
-    (BernoulliBasis(3), lambda r, n: r.uniform(0.0, 1.0, (n, 3))),    # closed form
-    (PolynomialBasis(3), lambda r, n: r.uniform(0.5, 2.0, n)),        # quadrature
+    (BernoulliBasis(3), lambda r, n: r.uniform(0.0, 1.0, (n, 3))),
+    (PolynomialBasis(3), lambda r, n: r.uniform(0.5, 2.0, n)),
 ], ids=["bernoulli", "polynomial"])
 @settings(max_examples=25, deadline=None)
 @given(sizes=st.lists(st.integers(1, 40), min_size=3, max_size=3),
@@ -193,9 +185,9 @@ def test_two_point_accumulate_builds_q_once(n):
 
 
 @pytest.mark.parametrize("basis, context, m", [
-    (BernoulliBasis(3), lambda r, n: r.uniform(0.0, 1.0, (n, 3)), UNIT),  # closed form
-    (PolynomialBasis(3), lambda r, n: r.uniform(0.5, 2.0, n), UNIT),      # quadrature
-    (BernoulliBasis(2), lambda r, n: r.uniform(0.0, 1.0, (n, 2)),         # quadrature
+    (BernoulliBasis(3), lambda r, n: r.uniform(0.0, 1.0, (n, 3)), UNIT),
+    (PolynomialBasis(3), lambda r, n: r.uniform(0.5, 2.0, n), UNIT),
+    (BernoulliBasis(2), lambda r, n: r.uniform(0.0, 1.0, (n, 2)),
      msr.make_uniform_measure(-0.5, 2.0, 24)),
 ], ids=["bernoulli", "polynomial", "bernoulli-quadrature"])
 @settings(max_examples=25, deadline=None)
@@ -215,3 +207,28 @@ def test_weighted_accumulate_equals_repeated_rows(basis, context, m, w, seed):
     zero = accumulate(start, basis, X, y, w=np.zeros(len(w), dtype=int))
     assert zero.n == start.n
     assert np.array_equal(zero.U, start.U) and np.array_equal(zero.u, start.u)
+
+
+@st.composite
+def _two_point_samples(draw):
+    """Bernoulli contexts P (n, d), outcomes y in {0, 1} and integer weights w."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 20))
+    P = draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    w = draw(st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n))
+    return np.reshape(P, (n, d)), np.array(y), np.array(w)
+
+
+@pytest.mark.parametrize("K", [2, 8, 64])
+@settings(max_examples=50, deadline=None)
+@given(sample=_two_point_samples())
+def test_two_point_statistics_do_not_depend_on_the_rule(K, sample):
+    # Two-point CDFs are 1 - p on [0, 1) and 1 from t = 1 on, so every rule
+    # with its nodes inside (0, 1) gives U_n = Q^T diag(w) Q, u_n = Q^T (w (1 - y)).
+    P, y, w = sample
+    Q = 1.0 - P
+    state = accumulate(GramState(P.shape[1], msr.make_uniform_measure(0.0, 1.0, K)),
+                       BernoulliBasis(P.shape[1]), P, y, w=w)
+    assert state.n == w.sum()
+    for got, ref in ((state.U, (Q.T * w) @ Q), (state.u, Q.T @ (w * (1.0 - y)))):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1e-300)
