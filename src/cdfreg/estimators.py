@@ -117,40 +117,45 @@ def penalized_estimate(state: GramState, lam: float, delta_nU: float) -> np.ndar
     With A = U_n + lambda I = V diag(s) V^T and c = V^T u_n, the minimizer is
     theta(mu) = (A^2 + mu I)^-1 A u_n = V s w, w = c / (s^2 + mu), at the mu >= 0
     where ||s w|| = delta_nU ||w||. That ratio increases with mu, so mu is bisected.
+    A state whose U is an (r, d, d) stack and u an (r, d) stack gives the r
+    minimizers as an (r, d) array, each row bisected on its own; one state is r = 1.
     """
     if delta_nU <= 0:
         raise ValueError("delta_nU must be positive")
-    A = regularized_gram(state, lam)
-    b = state.u
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros(state.d)
-    # Zero is optimal iff the residual-term subgradient at 0 fits in the
-    # delta_nU ball: ||A^T b|| / ||b|| <= delta_nU.
-    if np.linalg.norm(A.T @ b) <= delta_nU * b_norm * (1 + 1e-12):
-        return np.zeros(state.d)
-
-    s, V = np.linalg.eigh(A)
-    c = V.T @ b
+    A = regularized_gram(state, lam).reshape(-1, state.d, state.d)
+    b = state.u.reshape(-1, state.d)
+    theta = np.zeros_like(b)
+    # Zero is optimal iff u_n = 0 or the residual-term subgradient at 0 fits in
+    # the delta_nU ball: ||A^T b|| / ||b|| <= delta_nU.
+    live = (np.linalg.norm(np.einsum("rji,rj->ri", A, b), axis=1)
+            > delta_nU * np.linalg.norm(b, axis=1) * (1 + 1e-12))
+    s, V = np.linalg.eigh(A[live])
+    c = np.einsum("rji,rj->ri", V, b[live])
     s2 = s * s
 
-    def below(mu):  # ||s w|| < delta_nU ||w||, compared in squares
-        w = c / (s2 + mu)
-        return (s2 * w) @ w < delta_nU ** 2 * (w @ w)
+    def below(mu, rows):  # ||s w|| < delta_nU ||w|| on the given rows, compared in squares
+        w = c[rows] / (s2[rows] + mu[:, None])
+        return np.einsum("ri,ri->r", s2[rows] * w, w) < delta_nU ** 2 * np.einsum("ri,ri->r", w, w)
 
-    lo, hi = 0.0, s2[-1]
-    while below(hi):
-        hi *= 2.0
+    lo, hi = np.zeros(len(s)), s2[:, -1].copy()
+    grow = np.ones(len(s), dtype=bool)
+    while grow.any():
+        grow[grow] = below(hi[grow], grow)
+        hi[grow] *= 2.0
     # A nonsingular with A theta = u_n already optimal: the residual vanishes.
-    if s[0] > 0 and not below(0.0):
-        hi = 0.0
-    while lo < 0.5 * (lo + hi) < hi:
+    exact = s[:, 0] > 0
+    exact[exact] = ~below(np.zeros(exact.sum()), exact)
+    hi[exact] = 0.0
+    while True:
         mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return V @ (s * c / (s2 + hi))
+        rows = np.flatnonzero((lo < mid) & (mid < hi))
+        if not rows.size:
+            break
+        go = below(mid[rows], rows)
+        lo[rows[go]] = mid[rows[go]]
+        hi[rows[~go]] = mid[rows[~go]]
+    theta[live] = np.einsum("rij,rj->ri", V, s * c / (s2 + hi[:, None]))
+    return theta.reshape(state.u.shape)
 
 
 def hilbert_estimate(U_coeffs, u_coeffs, sigma: SigmaSequence) -> np.ndarray:

@@ -196,30 +196,6 @@ def _bernoulli_state(R, idx, probs, rng) -> GramState:
                       np.repeat([0.0, 1.0], k), w=w)
 
 
-def _atom_design_rep(P_atoms, atom_probs, theta_star, n, rng, m) -> GramState:
-    """One replication with contexts drawn from a finite atom set of p-vectors.
-
-    U_n and u_n are summed by atom: the per-atom Gram and the two per-atom
-    responses (y=0, y=1) come from quadrature against m.
-    """
-    k, d = P_atoms.shape
-    idx = rng.choice(k, size=n, p=atom_probs)
-    probs = (P_atoms @ theta_star)[idx]
-    y = (rng.random(n) < probs).astype(float)
-    counts = np.bincount(idx, minlength=k).astype(float)
-    ones = np.bincount(idx, weights=y, minlength=k)
-    basis = BernoulliBasis(d)
-    U = np.zeros((d, d))
-    u = np.zeros(d)
-    for a in range(k):
-        G = gram_matrix_of_context(basis, P_atoms[a], m)
-        U += counts[a] * G
-        u += ((counts[a] - ones[a])
-              * response_vector_of_sample(basis, P_atoms[a], 0.0, m)
-              + ones[a] * response_vector_of_sample(basis, P_atoms[a], 1.0, m))
-    return GramState(d, m, n, U, u)
-
-
 def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
     """Sup KS distance over the evaluation family of Bernoulli contexts.
 
@@ -385,91 +361,139 @@ def run_scaling_experiment(config) -> tuple[list, list]:
 # Coverage experiment driver
 # ---------------------------------------------------------------------------
 
-def _coverage_rep(config, rep, seed):
-    mode = config.get("mode", "self")
-    d = int(config["d"])
-    n = int(config["n"])
-    delta = float(config["delta"])
-    lam = float(config.get("lambda", 0.001))
-    theta_star = _theta_star(config, d)
-    tnorm = float(np.linalg.norm(theta_star))
-    rng = stream_rng(seed, 0xC0, rep)
+def _atom_design(spec, d, n, theta_star):
+    """draw(rng) of one rep's statistics on a finite atom set of p-vectors, and Sigma_n.
+
+    Each atom's Gram and its two responses (y=0, y=1) are integrated against
+    the measure once; a rep draws atoms and outcomes and sums them by atom.
+    """
+    try:
+        P_atoms = np.asarray(spec.get("atoms"), dtype=float)
+    except ValueError:  # ragged rows
+        P_atoms = np.empty(0)
+    if P_atoms.shape[1:] != (d,) or not np.all((P_atoms >= 0) & (P_atoms <= 1)):
+        raise ValueError(f"basis.atoms must be a (k, {d}) array of probabilities in [0, 1]")
+    k = len(P_atoms)
+    probs = np.asarray(spec.get("probs"), dtype=float)
+    if probs.shape != (k,):
+        raise ValueError(f"basis.probs must have {k} entries, one per atom")
+    try:
+        check_simplex(probs)
+    except ValueError as exc:
+        raise ValueError(f"basis.probs: {exc}") from None
+    m = msr.measure_from_spec(spec["measure"]) if "measure" in spec else _UNIT_INTERVAL
+    basis = BernoulliBasis(d)
+    G = [gram_matrix_of_context(basis, p, m) for p in P_atoms]
+    r0 = [response_vector_of_sample(basis, p, 0.0, m) for p in P_atoms]
+    r1 = [response_vector_of_sample(basis, p, 1.0, m) for p in P_atoms]
+    success = P_atoms @ theta_star  # P(y = 1) at each atom
+
+    def draw(rng) -> GramState:
+        idx = rng.choice(k, size=n, p=probs)
+        y = (rng.random(n) < success[idx]).astype(float)
+        counts = np.bincount(idx, minlength=k).astype(float)
+        ones = np.bincount(idx, weights=y, minlength=k)
+        U, u = np.zeros((d, d)), np.zeros(d)
+        for a in range(k):
+            U += counts[a] * G[a]
+            u += (counts[a] - ones[a]) * r0[a] + ones[a] * r1[a]
+        return GramState(d, m, n, U, u)
+
+    return draw, population_gram(basis, P_atoms, probs, m, n)
+
+
+def _coverage_design(config, mode, d, n, theta_star):
+    """(draw, Sigma_n, extra), what every rep shares: draw(rng) gives one rep's GramState.
+
+    Sigma_n is None for the fixed hard design, whose Sigma_n is each rep's own
+    U_n; extra holds its E_n_norm in mismatch mode.
+    """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
     if mode == "mismatch" and kind != "bernoulli_hard":
         raise ValueError("mismatch mode uses the bernoulli_hard design")
-
-    if kind == "bernoulli_hard":
-        R, idx = _hard_design(d, n, float(spec.get("c", 1.0)))
-        probs = R @ theta_star
-        if mode == "mismatch":
-            # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
-            q, p_e = float(config["q"]), float(spec["p_e"])
-            probs = (1.0 - q) * probs + q * p_e
-            # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs, by distinct row
-            Q = 1.0 - R
-            r = np.bincount(idx, minlength=len(R)) * q * ((1.0 - p_e) - Q @ theta_star)
-            E_n_norm = float(np.linalg.norm(Q.T @ r))
-        state = _bernoulli_state(R, idx, probs, rng)
-        Sigma_n = state.U
-    elif kind == "bernoulli_atoms":
-        P_atoms = np.asarray(spec["atoms"], dtype=float)
-        probs = np.asarray(spec["probs"], dtype=float)
-        m = (msr.measure_from_spec(spec["measure"]) if "measure" in spec
-             else _UNIT_INTERVAL)
-        state = _atom_design_rep(P_atoms, probs, theta_star, n, rng, m)
-        Sigma_n = population_gram(BernoulliBasis(d), P_atoms, probs, m, n)
-    else:
+    if kind == "bernoulli_atoms":
+        return (*_atom_design(spec, d, n, theta_star), {})
+    if kind != "bernoulli_hard":
         raise ValueError(f"unknown coverage basis kind {kind!r}")
+    R, idx = _hard_design(d, n, float(spec.get("c", 1.0)))
+    probs = R @ theta_star
+    extra = {}
+    if mode == "mismatch":
+        # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
+        q, p_e = float(config["q"]), float(spec["p_e"])
+        probs = (1.0 - q) * probs + q * p_e
+        # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs, by distinct row
+        Q = 1.0 - R
+        r = np.bincount(idx, minlength=len(R)) * q * ((1.0 - p_e) - Q @ theta_star)
+        extra["E_n_norm"] = float(np.linalg.norm(Q.T @ r))
+    return (lambda rng: _bernoulli_state(R, idx, probs, rng)), None, extra
 
+
+def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
+    """(error, bound, extra) of each rep; the penalized estimates are one stacked solve."""
+    d, n = int(config["d"]), int(config["n"])
+    delta = float(config["delta"])
+    lam = float(config.get("lambda", 0.001))
+    tnorm = float(np.linalg.norm(theta_star))
     if mode == "penalized":
         delta_nU = delta_nU_default(n, d, delta)
-        theta_check = penalized_estimate(state, 0.0, delta_nU)
-        err = float(np.linalg.norm(theta_check - theta_star))
-        mu = bounds.min_eigenvalue(Sigma_n)
-        bound = bounds.penalized_bound(n, d, delta, mu, tnorm)
-        # objective dominance diagnostic against the near-unregularized ridge fit
-        ridge = ridge_estimate(state, 1e-8)
-        obj = lambda th: (np.linalg.norm(state.U @ th - state.u) + delta_nU * np.linalg.norm(th))
-        dominated = obj(theta_check) <= obj(ridge) + 1e-7
-        return err, bound, {"dominated": float(dominated)}
-    if mode not in ("self", "sigma", "mismatch"):
-        raise ValueError(f"unknown coverage mode {mode!r}")
+        stack = GramState(d, states[0].measure, n, np.stack([s.U for s in states]),
+                          np.stack([s.u for s in states]))
+        thetas = penalized_estimate(stack, 0.0, delta_nU)
+        pen_bound = lambda S: bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(S), tnorm)
+        bound = None if Sigma_n is None else pen_bound(Sigma_n)
+        out = []
+        for state, theta_check in zip(states, thetas):
+            # objective dominance diagnostic against the near-unregularized ridge fit
+            ridge = ridge_estimate(state, 1e-8)
+            obj = lambda th: np.linalg.norm(state.U @ th - state.u) + delta_nU * np.linalg.norm(th)
+            dominated = obj(theta_check) <= obj(ridge) + 1e-7
+            out.append((float(np.linalg.norm(theta_check - theta_star)),
+                        pen_bound(state.U) if bound is None else bound,
+                        {"dominated": float(dominated)}))
+        return out
     # self, sigma and mismatch share the ridge fit; they differ in weight and bound.
-    diff = ridge_estimate(state, lam) - theta_star
     eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
-    if mode == "sigma":
-        return bounds.weighted_norm(diff, Sigma_n), math.sqrt(2.0) * eps, {}
-    err = bounds.weighted_norm(diff, regularized_gram(state, lam))
-    if mode == "self":
-        return err, eps, {}
-    return err, bounds.mismatch_bound(eps, E_n_norm, lam), {"E_n_norm": E_n_norm}
+    bound = (bounds.mismatch_bound(eps, extra["E_n_norm"], lam) if mode == "mismatch"
+             else math.sqrt(2.0) * eps if mode == "sigma" else eps)
+    out = []
+    for state in states:
+        diff = ridge_estimate(state, lam) - theta_star
+        W = ((state.U if Sigma_n is None else Sigma_n) if mode == "sigma"
+             else regularized_gram(state, lam))
+        out.append((bounds.weighted_norm(diff, W), bound, extra))
+    return out
 
 
 def run_coverage_experiment(config) -> dict:
-    """Empirical coverage of a stated bound across replications."""
+    """Empirical coverage of a stated bound across replications.
+
+    The design is built once; each rep draws its statistics from its own
+    Philox stream, and the estimates are solved after every rep is drawn.
+    """
     delta = float(config["delta"])
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
     reps = int(config["reps"])
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    mode = config.get("mode", "self")
+    if mode not in ("self", "sigma", "penalized", "mismatch"):
+        raise ValueError(f"unknown coverage mode {mode!r}")
     seed = int(config.get("seed", 0))
-    _theta_star(config, int(config["d"]))  # a bad theta_star fails here, before any rep runs
-    results = _map_tasks(lambda rep: _coverage_rep(config, rep, seed), range(reps),
-                         int(config.get("threads", 1)))
-
-    rows, covered, extras = [], 0, {}
-    for rep, (err, bound, extra) in enumerate(results):
-        ok = err <= bound
-        covered += int(ok)
-        rows.append({"rep": rep, "error": err, "bound": bound, "covered": ok,
-                     **extra})
-        for k, v in extra.items():
-            extras.setdefault(k, []).append(v)
-    report = {"mode": config.get("mode", "self"), "delta": delta, "reps": reps,
-              "coverage": covered / reps, "rows": rows}
-    for k, vs in extras.items():
+    d, n = int(config["d"]), int(config["n"])
+    theta_star = _theta_star(config, d)  # a bad theta_star fails here, before any rep runs
+    draw, Sigma_n, extra = _coverage_design(config, mode, d, n, theta_star)
+    states = _map_tasks(lambda rep: draw(stream_rng(seed, 0xC0, rep)), range(reps),
+                        int(config.get("threads", 1)))
+    results = _coverage_results(config, mode, states, Sigma_n, extra, theta_star)
+    rows = [{"rep": rep, "error": err, "bound": bound, "covered": err <= bound, **extra}
+            for rep, (err, bound, extra) in enumerate(results)]
+    report = {"mode": mode, "delta": delta, "reps": reps,
+              "coverage": sum(row["covered"] for row in rows) / reps, "rows": rows}
+    for k in results[0][2]:
+        vs = [row[k] for row in rows]
         report[f"{k}_mean"] = float(np.mean(vs))
         report[f"{k}_max"] = float(np.max(vs))
     return report

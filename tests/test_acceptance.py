@@ -237,34 +237,41 @@ def test_mismatch_bound_coverage():
 
 
 def test_cli_records_are_thread_deterministic(tmp_path):
-    configs = {
-        "synth-bernoulli": {"basis": {"kind": "bernoulli_hard", "d": 3},
-                            "lambdas": [0.001], "n_grid": [200, 500],
-                            "reps": 4, "metrics": ["l2"], "seed": 9},
-        "synth-poly": {"basis": {"kind": "polynomial", "d": 2},
-                       "lambdas": [0.01], "n_grid": [50, 100], "reps": 4,
-                       "metrics": ["l2"], "seed": 9},
-        "bound-check": {"mode": "self", "d": 2, "n": 300, "delta": 0.1,
-                        "lambda": 0.01, "reps": 8, "seed": 9,
-                        "basis": {"kind": "bernoulli_hard"},
-                        "theta_star": [0.5, 0.5]},
-        "real": {"csv_path": str(DATA / "smoke_12.csv"), "outcome": "y",
-                 "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0,
-                             "n_nodes": 32},
-                 "basis": {"kind": "gaussian_laplace", "w": 0.0},
-                 "lambdas": [1.0], "seeds": [0, 1]},
-    }
-    for command, payload in configs.items():
-        cfg = tmp_path / f"{command}.json"
+    configs = [
+        ("synth-bernoulli", {"basis": {"kind": "bernoulli_hard", "d": 3},
+                             "lambdas": [0.001], "n_grid": [200, 500],
+                             "reps": 4, "metrics": ["l2"], "seed": 9}),
+        ("synth-poly", {"basis": {"kind": "polynomial", "d": 2},
+                        "lambdas": [0.01], "n_grid": [50, 100], "reps": 4,
+                        "metrics": ["l2"], "seed": 9}),
+        ("bound-check", {"mode": "self", "d": 2, "n": 300, "delta": 0.1,
+                         "lambda": 0.01, "reps": 8, "seed": 9,
+                         "basis": {"kind": "bernoulli_hard"},
+                         "theta_star": [0.5, 0.5]}),
+        # The stacked penalized solve runs after every rep's statistics are drawn.
+        ("bound-check", {"mode": "penalized", "d": 3, "n": 200, "delta": 0.1,
+                         "reps": 20, "seed": 9, "theta_star": [0.5, 0.3, 0.2],
+                         "basis": {"kind": "bernoulli_atoms",
+                                   "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
+                                   "probs": [0.5, 0.5],
+                                   "measure": {"kind": "counting", "points": [0.0, 1.0]}}}),
+        ("real", {"csv_path": str(DATA / "smoke_12.csv"), "outcome": "y",
+                  "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0,
+                              "n_nodes": 32},
+                  "basis": {"kind": "gaussian_laplace", "w": 0.0},
+                  "lambdas": [1.0], "seeds": [0, 1]}),
+    ]
+    for i, (command, payload) in enumerate(configs):
+        cfg = tmp_path / f"{i}-{command}.json"
         cfg.write_text(json.dumps(payload))
         blobs = []
         for threads in (1, 8):
-            out = tmp_path / f"{command}-t{threads}"
+            out = tmp_path / f"{i}-{command}-t{threads}"
             code = main([command, "--config", str(cfg), "--out", str(out),
                          "--threads", str(threads)])
             assert code == 0
             blobs.append((out / "records.csv").read_bytes())
-        assert blobs[0] == blobs[1], command
+        assert blobs[0] == blobs[1], (i, command)
 
 
 def test_real_pipeline_beats_ecdf_baseline():

@@ -214,3 +214,23 @@ def test_bad_theta_star_exits_2_before_any_task(tmp_path, capsys, command, paylo
     assert code == 2
     assert "theta" in _config_error(capsys)
     assert not (out / "records.csv").exists()
+
+
+_ATOMS = {"kind": "bernoulli_atoms", "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
+          "probs": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("field, basis", [
+    ("basis.atoms", dict(_ATOMS, atoms=[[0.2, 0.5], [0.7, 0.3]])),
+    ("basis.atoms", dict(_ATOMS, atoms=[[0.2, 0.5, 0.8], [0.7, 0.3]])),
+    ("basis.atoms", dict(_ATOMS, atoms=[[0.2, 0.5, 1.8], [0.7, 0.3, 0.6]])),
+    ("basis.atoms", dict(_ATOMS, atoms=[0.2, 0.5, 0.8])),
+    ("basis.probs", dict(_ATOMS, probs=[0.7, 0.5])),
+    ("basis.probs", dict(_ATOMS, probs=[1.0])),
+], ids=["short_rows", "ragged", "above_one", "flat", "off_simplex", "wrong_count"])
+def test_bad_atom_design_exits_2_naming_the_field(tmp_path, capsys, field, basis):
+    payload = {"mode": "penalized", "d": 3, "n": 50, "delta": 0.1, "reps": 2, "basis": basis}
+    code, out = run(tmp_path, "bound-check", payload)
+    assert code == 2
+    assert field in _config_error(capsys)
+    assert not (out / "records.csv").exists()

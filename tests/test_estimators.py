@@ -183,6 +183,37 @@ def test_penalized_is_exact_minimizer(d):
         assert f(theta) <= polish.fun * (1 + 1e-12), (trial, f(theta), polish.fun)
 
 
+_ROW_KINDS = ("ordinary", "zero_u", "zero_optimal", "rank_deficient")
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 5), kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=8),
+       lam=st.one_of(st.just(0.0), st.floats(0.01, 0.2)), delta=st.floats(1.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_penalized_stack_equals_per_state_calls(d, kinds, lam, delta, seed):
+    """Each row of a stacked solve is the solve of its own state, for rows whose
+    minimizer is zero (u = 0, or ||A u|| <= delta ||u||) and for rank-deficient U."""
+    rng = np.random.default_rng(seed)
+    Us, us = [], []
+    for kind in kinds:
+        rank = int(rng.integers(1, d)) if kind == "rank_deficient" else d
+        B = rng.normal(size=(d, rank))
+        U, u = B @ B.T, rng.normal(size=d)
+        # ||U u|| / ||u|| at a chosen multiple of delta; lam <= 0.2 <= delta / 5 moves it
+        # by at most lam, so zero is optimal for "zero_optimal" rows and no other.
+        ratio = 0.25 if kind == "zero_optimal" else float(rng.uniform(1.5, 20.0))
+        U *= ratio * delta * np.linalg.norm(u) / np.linalg.norm(U @ u)
+        Us.append(U)
+        us.append(np.zeros(d) if kind == "zero_u" else u)
+    stacked = penalized_estimate(GramState(d, UNIT, 1, np.stack(Us), np.stack(us)), lam, delta)
+    assert stacked.shape == (len(kinds), d)
+    for kind, U, u, row in zip(kinds, Us, us, stacked):
+        single = penalized_estimate(GramState(d, UNIT, 1, U, u), lam, delta)
+        assert single.shape == (d,)
+        assert np.linalg.norm(row - single) <= 1e-14 * np.linalg.norm(single)
+        assert (not np.any(single)) == (kind in ("zero_u", "zero_optimal"))
+
+
 def test_hilbert_scalar():
     out = hilbert_estimate(np.array([[1.0]]), np.array([1.0]),
                            SigmaSequence(np.array([1.0])))

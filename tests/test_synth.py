@@ -260,3 +260,31 @@ def test_run_coverage_rejects_unknown_mode():
            "basis": {"kind": "bernoulli_hard"}}
     with pytest.raises(ValueError):
         run_coverage_experiment(cfg)
+
+
+def test_coverage_builds_the_atom_design_once(monkeypatch):
+    """Each atom's Gram and responses, Sigma_n and the measure are built once per
+    run, not once per rep; the penalized estimates are one stacked solve."""
+    from cdfreg import synth
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("gram_matrix_of_context", "response_vector_of_sample", "population_gram",
+                 "penalized_estimate"):
+        counted(synth, name)
+    counted(msr, "measure_from_spec")
+    report = run_coverage_experiment({
+        "mode": "penalized", "d": 3, "n": 500, "delta": 0.1, "reps": 50, "seed": 0,
+        "theta_star": [0.5, 0.3, 0.2],
+        "basis": {"kind": "bernoulli_atoms", "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
+                  "probs": [0.5, 0.5], "measure": {"kind": "counting", "points": [0.0, 1.0]}}})
+    assert len(report["rows"]) == 50
+    assert calls == {"gram_matrix_of_context": 2, "response_vector_of_sample": 4,
+                     "population_gram": 1, "measure_from_spec": 1, "penalized_estimate": 1}
