@@ -28,4 +28,5 @@ from .measure import (QuadMeasure, integrate, jump_panel,
                       make_uniform_measure, measure_from_spec, tail_mass)
 from .synth import (Dataset, ExperimentRecord, hard_instance_matrix,
                     run_coverage_experiment, run_scaling_experiment,
-                    sample_mismatched, sample_scheme1, sample_scheme2)
+                    sample_mismatched, sample_scheme1, sample_scheme2,
+                    uniform_contexts)

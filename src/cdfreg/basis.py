@@ -119,11 +119,18 @@ class BasisFamily:
         raise NotImplementedError
 
     def support(self, x):
-        """Natural (lo, hi) bracket containing all outcome mass for context x."""
+        """Natural (lo, hi) bracket containing all outcome mass.
+
+        For one context x, two floats.  For a batch X of n contexts, each
+        bound is an (n,) array, or a float that holds for every context.
+        """
         raise NotImplementedError
 
     def atoms(self, x):
-        """Atom locations for purely discrete families, else None."""
+        """Atom locations of a purely discrete family, else None.
+
+        One (K,) array, for one context or for every context of a batch.
+        """
         return None
 
     def pmf_vector(self, x, y):
@@ -204,14 +211,18 @@ class PolynomialBasis(BasisFamily):
         if np.any(X <= 0):
             raise ValueError("polynomial basis requires a positive context")
         top = 1.0 / X
-        inside = (T >= 0) & (T <= top)
-        base = np.where(inside, X * T, 0.0)[:, None, :]
-        out = np.where(inside[:, None, :], np.power(base, self.exponents[:, None]),
-                       (T > top)[:, None, :].astype(float))
+        # 0 below the support and 1 above it; np.power runs only on the lanes inside
+        # [0, 1/x].  glibc's pow takes a slow special-case path for a zero base (about
+        # 4x a positive one), so a base padded with zeros outside the support would
+        # send about half of every Gram panel down it.
+        out = np.repeat((T > top)[:, None, :].astype(float), self.d, axis=1)
+        np.power((X * T)[:, None, :], self.exponents[:, None], out=out,
+                 where=((T >= 0) & (T <= top))[:, None, :])
         return out[0] if single else out
 
     def support(self, x):
-        return (0.0, 1.0 / float(x))
+        top = 1.0 / np.asarray(x, dtype=float)
+        return (0.0, float(top)) if top.ndim == 0 else (0.0, top.reshape(-1))
 
     def to_spec(self):
         return {"kind": self.kind, "d": self.d}
@@ -236,14 +247,6 @@ class GaussianLaplaceBasis(BasisFamily):
             raise ValueError("scales sigma2 and b must be positive")
         self.d = self.beta_n1.size
 
-    def _locations(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"context must be a ({self.d},) vector")
-        mu_n = self.beta_n1 * x + self.beta_n0
-        mu_l = self.beta_l1 * x + self.beta_l0
-        return mu_n, mu_l
-
     @staticmethod
     def _laplace_cdf(z):
         h = 0.5 * np.exp(-np.abs(z))  # one exp, which cannot overflow
@@ -263,11 +266,15 @@ class GaussianLaplaceBasis(BasisFamily):
         return out[0] if single else out
 
     def support(self, x):
-        mu_n, mu_l = self._locations(x)
+        X = np.asarray(x, dtype=float)
+        if X.shape[-1:] != (self.d,) or X.ndim > 2:
+            raise ValueError(f"context must be a ({self.d},) vector")
+        mu_n = self.beta_n1 * X + self.beta_n0
+        mu_l = self.beta_l1 * X + self.beta_l0
         scale = max(float(np.sqrt(self.sigma2).max()), float(self.b.max()))
-        lo = min(float(mu_n.min()), float(mu_l.min())) - 40.0 * scale
-        hi = max(float(mu_n.max()), float(mu_l.max())) + 40.0 * scale
-        return (lo, hi)
+        lo = np.minimum(mu_n.min(axis=-1), mu_l.min(axis=-1)) - 40.0 * scale
+        hi = np.maximum(mu_n.max(axis=-1), mu_l.max(axis=-1)) + 40.0 * scale
+        return (float(lo), float(hi)) if X.ndim == 1 else (lo, hi)
 
     def to_spec(self):
         return {"kind": self.kind, "w": self.w,
@@ -395,10 +402,10 @@ def inverse_cdf_sample(theta, basis: BasisFamily, x, u):
 
 def _atom_lookup(theta, basis, X, us):
     """Purely discrete family: the first atom whose cumulative mass reaches u."""
-    atoms = [basis.atoms(x) for x in X]
-    if atoms[0] is None:
+    atoms = basis.atoms(X)
+    if atoms is None:
         return None
-    A = np.asarray(atoms, dtype=float)
+    A = np.broadcast_to(np.asarray(atoms, dtype=float), (len(X), len(atoms)))
     hit = us[:, None] <= theta @ basis.eval_nodes(X, A) + _LEVEL_SLACK
     first = np.where(hit.any(axis=1), hit.argmax(axis=1), A.shape[1] - 1)
     return A[np.arange(len(A)), first]
@@ -409,7 +416,7 @@ def _bisect(theta, basis, X, us):
     def cdf(idx, ts):  # theta^T Phi(x_j, t_j) for the draws idx
         return (theta @ basis.eval_nodes(X[idx], ts[:, None]))[:, 0]
 
-    lo, hi = np.array([basis.support(x) for x in X], dtype=float).T
+    lo, hi = (np.array(np.broadcast_to(b, us.shape), dtype=float) for b in basis.support(X))
     # Double outward where the declared support does not yet bracket u.
     span = np.maximum(hi - lo, 1.0)
     tries = np.zeros(len(us), dtype=int)
@@ -430,13 +437,17 @@ def _bisect(theta, basis, X, us):
     failed = (cdf(idx, hi) + _LEVEL_SLACK < us) | (cdf(idx, lo) >= us)
     if failed.any():
         raise BracketError(f"could not bracket u={us[failed.argmax()]} within search bounds")
+    # The open draws' brackets are carried compacted; a draw's hi is written back when it stops.
     idx = np.flatnonzero(hi - lo > _BISECT_TOL)
+    Xo, uo, l, h = X[idx], us[idx], lo[idx], hi[idx]
     while idx.size:
-        l, h = lo[idx], hi[idx]
         mid = 0.5 * (l + h)
-        up = cdf(idx, mid) >= us[idx]
-        hi[idx[up]] = mid[up]
-        lo[idx[~up]] = mid[~up]
+        up = (theta @ basis.eval_nodes(Xo, mid[:, None]))[:, 0] >= uo
+        l_next, h_next = np.where(up, l, mid), np.where(up, mid, h)
         # Stop at the tolerance, or where floats are too coarse for mid to split the bracket.
-        idx = idx[(hi[idx] - lo[idx] > _BISECT_TOL) & (l < mid) & (mid < h)]
+        go = (h_next - l_next > _BISECT_TOL) & (l < mid) & (mid < h)
+        l, h = l_next, h_next
+        if not go.all():
+            hi[idx[~go]] = h[~go]
+            idx, Xo, uo, l, h = idx[go], Xo[go], uo[go], l[go], h[go]
     return hi

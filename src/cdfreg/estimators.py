@@ -37,26 +37,44 @@ class SigmaSequence:
             raise ValueError("all sigma_i must be nonzero")
 
 
-def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve with one diagonal-jitter retry for borderline matrices."""
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ValueError("array must not contain infs or NaNs")
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Cholesky factor of A, or of each matrix of an (r, d, d) stack.
+
+    A matrix that fails gets one diagonal-jitter retry of its own; the
+    other matrices of its stack are factored as they are.
+    """
     try:
-        L = np.linalg.cholesky(A)
+        return np.linalg.cholesky(A)
     except LinAlgError:
-        L = np.linalg.cholesky(A + 1e-12 * np.trace(A) / A.shape[0] * np.eye(A.shape[0]))
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+        if A.ndim > 2:
+            return np.stack([_cholesky(a) for a in A])
+        return np.linalg.cholesky(A + 1e-12 * np.trace(A) / A.shape[0] * np.eye(A.shape[0]))
+
+
+def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cholesky solve of A x = b, or of each system of an (r, d, d), (r, d) stack."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    L = _cholesky(A)
+    y = np.linalg.solve(L, b[..., None])
+    return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
 
 
 def ridge_estimate(state: GramState, lam: float) -> np.ndarray:
-    """Solve (U_n + lambda I) theta = u_n for lambda > 0."""
+    """Solve (U_n + lambda I) theta = u_n for lambda > 0.
+
+    A state whose U is an (r, d, d) stack and u an (r, d) stack gives the r
+    solutions as an (r, d) array; each row is held to its own residual check.
+    """
     if lam <= 0:
         raise ValueError("lambda must be positive; use unregularized_estimate for lambda=0")
     A = regularized_gram(state, lam)
     theta = _spd_solve(A, state.u)
-    resid = np.linalg.norm(A @ theta - state.u)
-    if resid > 1e-10 * (1.0 + np.linalg.norm(state.u)):
-        raise ConvergenceError(f"ridge solve residual {resid:.3e} too large", best=theta)
+    resid = np.linalg.norm((A @ theta[..., None])[..., 0] - state.u, axis=-1)
+    bad = resid > 1e-10 * (1.0 + np.linalg.norm(state.u, axis=-1))
+    if bad.any():
+        raise ConvergenceError(f"ridge solve residual {np.max(resid[bad]):.3e} too large",
+                               best=theta)
     return theta
 
 

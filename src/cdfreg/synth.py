@@ -45,7 +45,7 @@ def stream_rng(seed: int, *key) -> np.random.Generator:
 
 @dataclass
 class Dataset:
-    contexts: list
+    contexts: np.ndarray | list  # n contexts, indexed by the first axis
     outcomes: np.ndarray
     scheme: str
     seed: int
@@ -107,17 +107,34 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> np.ndarray:
 # Scheme samplers
 # ---------------------------------------------------------------------------
 
+def uniform_contexts(lo, hi):
+    """Batch sampler of contexts uniform on the box [lo, hi]; scalar bounds give scalar contexts.
+
+    sampler(rng, n, k) returns the n contexts and an (n, k) array of levels,
+    uniform on [0, 1), from one generator call whose row j is context j and
+    then its k levels: the doubles a loop drawing sample by sample would draw.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    c = lo.size
+
+    def sampler(rng, n, k):
+        D = rng.uniform(np.append(lo, np.zeros(k)), np.append(hi, np.ones(k)), (n, c + k))
+        return (D[:, 0] if lo.ndim == 0 else D[:, :c]), D[:, c:]
+
+    return sampler
+
+
 def sample_scheme2(basis: BasisFamily, context_sampler, theta_star, n: int,
                    seed: int) -> Dataset:
-    """I.i.d. contexts: draw x, then y from the mixture CDF by inverse sampling."""
+    """I.i.d. contexts: draw each x with its level u, then y from the mixture CDF by inverse sampling.
+
+    context_sampler(rng, n, k) gives n contexts and an (n, k) array of levels
+    in [0, 1) (see uniform_contexts); here k = 1.
+    """
     theta_star = np.asarray(theta_star, dtype=float)
-    rng = stream_rng(seed)
-    contexts, us = [], np.empty(n)
-    for j in range(n):
-        contexts.append(context_sampler(rng))
-        us[j] = rng.uniform()
-    ys = inverse_cdf_sample(theta_star, basis, contexts, us)
-    return Dataset(contexts, ys, "Random", seed, theta_star, basis.to_spec())
+    X, U = context_sampler(stream_rng(seed), n, 1)
+    ys = inverse_cdf_sample(theta_star, basis, X, U[:, 0])
+    return Dataset(X, ys, "Random", seed, theta_star, basis.to_spec())
 
 
 def sample_scheme1(basis: BasisFamily, adversary, theta_star, n: int,
@@ -141,17 +158,15 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
     """Sample from (1-q) theta*^T Phi + q phi_e and record the realized mismatch vector E_n.
 
     phi_e is a one-dimensional basis family sharing the context space.
+    context_sampler is a batch sampler as in sample_scheme2, drawing k = 2
+    levels per sample: the first picks phi_e, the second is the level u.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("mixture weight q must lie in [0,1]")
     theta_star = np.asarray(theta_star, dtype=float)
-    rng = stream_rng(seed)
-    contexts, pick_e, us = [], np.empty(n, dtype=bool), np.empty(n)
-    for j in range(n):
-        contexts.append(context_sampler(rng))
-        pick_e[j] = rng.uniform() < q
-        us[j] = rng.uniform()
-    X = np.asarray(contexts)
+    X, U = context_sampler(stream_rng(seed), n, 2)
+    X = np.asarray(X)
+    pick_e, us = U[:, 0] < q, U[:, 1]
     ys = np.empty(n)
     ys[pick_e] = inverse_cdf_sample(np.array([1.0]), phi_e, X[pick_e], us[pick_e])
     ys[~pick_e] = inverse_cdf_sample(theta_star, basis, X[~pick_e], us[~pick_e])
@@ -163,7 +178,7 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
         P = basis.eval_nodes(Xb, T)
         e_vals = q * (phi_e.eval_nodes(Xb, T)[:, 0] - theta_star @ P)
         E_n += np.einsum("bik,bk->i", P, m.weights * e_vals)
-    return Dataset(contexts, ys, "Random", seed, theta_star, basis.to_spec(), E_n=E_n)
+    return Dataset(X, ys, "Random", seed, theta_star, basis.to_spec(), E_n=E_n)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +238,17 @@ def _quantiles(vals):
             float(np.quantile(vals, 0.95)))
 
 
-def _polynomial_sigma_n(d, n, x_lo, x_hi, n_nodes=64):
-    """Sigma_n for the uniform context distribution, by Gauss-Legendre over x."""
+@functools.lru_cache(maxsize=8)
+def _polynomial_sigma_1(d, x_lo, x_hi, n_nodes):
+    """Read-only Sigma_1 for contexts uniform on [x_lo, x_hi], by Gauss-Legendre over x.
+
+    Sigma_n is n * Sigma_1, bit for bit population_gram(..., n).
+    """
     m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
     mx = msr.make_uniform_measure(x_lo, x_hi, n_nodes)
-    return population_gram(PolynomialBasis(d), mx.nodes, mx.weights, m, n)
+    S = population_gram(PolynomialBasis(d), mx.nodes, mx.weights, m, 1)
+    S.setflags(write=False)
+    return S
 
 
 def _scaling_rep_metrics(config, d, n, rep, seed):
@@ -247,12 +268,14 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
     elif kind == "polynomial":
         x_lo = float(config["basis"].get("x_lo", 0.5))
         x_hi = float(config["basis"].get("x_hi", 2.0))
+        n_nodes = int(config["basis"].get("n_nodes", 64))
         basis = PolynomialBasis(d)
-        m = msr.make_uniform_measure(0.0, 2.0, int(config["basis"].get("n_nodes", 64)))
-        ds = sample_scheme2(basis, lambda r: r.uniform(x_lo, x_hi), theta_star, n,
+        m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
+        ds = sample_scheme2(basis, uniform_contexts(x_lo, x_hi), theta_star, n,
                             int(rng.integers(2 ** 62)))
         state = accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
-        Sigma_n = _polynomial_sigma_n(d, n, x_lo, x_hi)
+        Sigma_n = (n * _polynomial_sigma_1(d, x_lo, x_hi, n_nodes)
+                   if "sigma_norm" in metrics else None)
         grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
 
         def ks_fn(th, _grid=grid, _basis=basis):
@@ -443,16 +466,13 @@ def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
         thetas = penalized_estimate(stack, 0.0, delta_nU)
         pen_bound = lambda S: bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(S), tnorm)
         bound = None if Sigma_n is None else pen_bound(Sigma_n)
-        out = []
-        for state, theta_check in zip(states, thetas):
-            # objective dominance diagnostic against the near-unregularized ridge fit
-            ridge = ridge_estimate(state, 1e-8)
-            obj = lambda th: np.linalg.norm(state.U @ th - state.u) + delta_nU * np.linalg.norm(th)
-            dominated = obj(theta_check) <= obj(ridge) + 1e-7
-            out.append((float(np.linalg.norm(theta_check - theta_star)),
-                        pen_bound(state.U) if bound is None else bound,
-                        {"dominated": float(dominated)}))
-        return out
+        # objective dominance diagnostic against the near-unregularized ridge fits
+        obj = lambda th: (np.linalg.norm(np.einsum("rij,rj->ri", stack.U, th) - stack.u, axis=1)
+                          + delta_nU * np.linalg.norm(th, axis=1))
+        dominated = obj(thetas) <= obj(ridge_estimate(stack, 1e-8)) + 1e-7
+        return [(float(np.linalg.norm(theta_check - theta_star)),
+                 pen_bound(state.U) if bound is None else bound, {"dominated": float(dom)})
+                for state, theta_check, dom in zip(states, thetas, dominated)]
     # self, sigma and mismatch share the ridge fit; they differ in weight and bound.
     eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
     bound = (bounds.mismatch_bound(eps, extra["E_n_norm"], lam) if mode == "mismatch"

@@ -17,6 +17,23 @@ def test_polynomial_exponent_values():
         polynomial_exponent(5, 6)
 
 
+def test_polynomial_eval_nodes_equals_zero_padded_formula():
+    """Padding outside [0, 1/x] with 1 rather than 0 before np.power changes no bit."""
+    basis = PolynomialBasis(5)
+    xs = np.array([0.5, 0.8, 1.0, 1.7, 2.0])
+    edges = [-np.inf, -1.0, -0.0, 0.0, 1e-300, 0.3, 0.999, np.inf, np.nan]
+    T = np.array([edges + [1.0 / x, np.nextafter(1.0 / x, 0), np.nextafter(1.0 / x, 9),
+                           2.0 / x] for x in xs])
+    X = xs[:, None]
+    inside = (T >= 0) & (T <= 1.0 / X)
+    base = np.where(inside, X * T, 0.0)[:, None, :]
+    ref = np.where(inside[:, None, :], np.power(base, basis.exponents[:, None]),
+                   (T > 1.0 / X)[:, None, :].astype(float))
+    assert basis.eval_nodes(xs, T).tobytes() == ref.tobytes()
+    for j, x in enumerate(xs):
+        assert basis.eval_nodes(x, T[j]).tobytes() == ref[j].tobytes()
+
+
 def test_bernoulli_eval():
     b = BernoulliBasis(1)
     assert b.eval([0.5], 0.5) == pytest.approx([0.5])

@@ -127,6 +127,25 @@ def test_batched_inverse_cdf_matches_scalar_loop(family, us, seed):
     assert isinstance(inverse_cdf_sample(theta, basis, xs[0], us[0]), float)
 
 
+@pytest.mark.parametrize("family", {**FAMILIES, **SAMPLERS})
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_support_and_atoms_equal_stacked_single_calls(family, n, seed):
+    """A bound or atom set given once for a batch holds for each of its contexts."""
+    basis, sampler = {**FAMILIES, **SAMPLERS}[family]
+    rng = np.random.default_rng(seed)
+    xs = [sampler(rng) for _ in range(n)]
+    single = [basis.support(x) for x in xs]
+    assert all(type(b) is float for bounds in single for b in bounds)
+    for batch, loop in zip(basis.support(np.asarray(xs)), np.array(single).T):
+        assert np.broadcast_to(batch, (n,)).tobytes() == loop.tobytes()
+    atoms, loop = basis.atoms(np.asarray(xs)), [basis.atoms(x) for x in xs]
+    if atoms is None:
+        assert all(a is None for a in loop)
+    else:
+        assert np.array_equal(np.broadcast_to(atoms, (n, len(loop[0]))), np.array(loop))
+
+
 def test_bracket_doubling_is_exercised():
     basis, sampler = SAMPLERS["gaussian_laplace"]
     x = sampler(np.random.default_rng(0))

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis
-from cdfreg.errors import SingularGram
+from cdfreg.errors import ConvergenceError, SingularGram
 from cdfreg.estimators import (SigmaSequence, delta_nU_default, ecdf,
                                fit_mle_simplex, hilbert_estimate,
                                penalized_estimate, project_simplex,
@@ -212,6 +212,27 @@ def test_penalized_stack_equals_per_state_calls(d, kinds, lam, delta, seed):
         assert single.shape == (d,)
         assert np.linalg.norm(row - single) <= 1e-14 * np.linalg.norm(single)
         assert (not np.any(single)) == (kind in ("zero_u", "zero_optimal"))
+
+
+def test_ridge_stack_equals_per_state_calls():
+    """Each row of a stacked ridge solve is bit for bit its own state's solve.
+
+    The second row fails a plain Cholesky (A = diag(1 + lam, -1e-14)) and is
+    solved after its own jitter retry; the others are factored as they are.
+    A row whose jittered solve misses its residual check fails the stack.
+    """
+    rng = np.random.default_rng(5)
+    lam, d = 1e-8, 2
+    B = rng.normal(size=(3, d, d))
+    Us = [B[0] @ B[0].T, np.diag([1.0, -lam - 1e-14]), B[2] @ B[2].T]
+    us = [rng.normal(size=d), np.array([1.0, 0.0]), rng.normal(size=d)]
+    stacked = ridge_estimate(GramState(d, UNIT, 1, np.stack(Us), np.stack(us)), lam)
+    assert stacked.shape == (3, d)
+    for U, u, row in zip(Us, us, stacked):
+        assert row.tobytes() == ridge_estimate(GramState(d, UNIT, 1, U, u), lam).tobytes()
+    us[1] = np.array([0.0, 1.0])  # now the jitter shows in the residual
+    with pytest.raises(ConvergenceError, match="ridge solve residual"):
+        ridge_estimate(GramState(d, UNIT, 1, np.stack(Us), np.stack(us)), lam)
 
 
 def test_hilbert_scalar():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from cdfreg import measure as msr
-from cdfreg.basis import BernoulliBasis, PolynomialBasis
+from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
 from cdfreg.gram import GramState, accumulate
 from cdfreg.synth import (_bernoulli_state, _hard_design, hard_instance_matrix,
                           run_coverage_experiment, run_scaling_experiment,
-                          sample_mismatched, sample_scheme1, sample_scheme2, stream_rng)
+                          sample_mismatched, sample_scheme1, sample_scheme2, stream_rng,
+                          uniform_contexts)
 
 
 def _hard_instance_loop(d, n, c):
@@ -122,9 +123,57 @@ def test_stream_rng_keyed_and_reproducible():
     assert not np.array_equal(a, c)
 
 
+def _fixed_context(x):
+    """Batch sampler of the one context x: it draws only the levels."""
+    return lambda rng, n, k: (np.tile(x, (n, 1)), rng.random((n, k)))
+
+
+def _alternating_draws(draw_context, n, seed, k):
+    """Reference: the per-sample loop the batch draw replaces, each context then its k levels."""
+    rng = stream_rng(seed)
+    contexts, U = [], np.empty((n, k))
+    for j in range(n):
+        contexts.append(draw_context(rng))
+        for i in range(k):
+            U[j, i] = rng.uniform()
+    return np.asarray(contexts), U
+
+
+# name -> (basis, one-dimensional phi_e on its contexts, per-sample draw, batch sampler)
+_DESIGNS = {
+    "scalar": (PolynomialBasis(4), PolynomialBasis(1), lambda r: r.uniform(0.5, 2.0),
+               uniform_contexts(0.5, 2.0)),
+    "vector": (BernoulliBasis(3), BernoulliBasis(1, p_map=lambda x: x[:1]),
+               lambda r: r.uniform(0.2, 0.8, 3), uniform_contexts([0.2] * 3, [0.8] * 3)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("design", _DESIGNS)
+def test_batch_draw_is_the_alternating_stream(design, n):
+    """One generator call gives the contexts and outcomes of the per-sample loop, bit for bit."""
+    basis, phi_e, draw_context, sampler = _DESIGNS[design]
+    theta = np.arange(1.0, basis.d + 1) / (basis.d * (basis.d + 1) / 2)
+    X, U = _alternating_draws(draw_context, n, 3, 1)
+    ds = sample_scheme2(basis, sampler, theta, n, seed=3)
+    assert ds.contexts.tobytes() == X.tobytes()
+    assert ds.outcomes.tobytes() == inverse_cdf_sample(theta, basis, X, U[:, 0]).tobytes()
+
+    q = 0.3
+    X, U = _alternating_draws(draw_context, n, 5, 2)
+    pick = U[:, 0] < q
+    ys = np.empty(n)
+    ys[pick] = inverse_cdf_sample(np.array([1.0]), phi_e, X[pick], U[pick, 1])
+    ys[~pick] = inverse_cdf_sample(theta, basis, X[~pick], U[~pick, 1])
+    ds = sample_mismatched(basis, phi_e, q, theta, n, 5, sampler,
+                           msr.make_uniform_measure(0.0, 2.0, 8))
+    assert ds.contexts.tobytes() == X.tobytes()
+    assert ds.outcomes.tobytes() == ys.tobytes()
+
+
 def test_sample_scheme2_deterministic():
     b = BernoulliBasis(2)
-    sampler = lambda rng: rng.uniform(0.2, 0.8, 2)
+    sampler = uniform_contexts([0.2, 0.2], [0.8, 0.8])
     d1 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
     d2 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
     assert np.array_equal(d1.outcomes, d2.outcomes)
@@ -134,14 +183,14 @@ def test_sample_scheme2_deterministic():
 
 def test_sample_scheme2_degenerate_context():
     b = BernoulliBasis(1)
-    ds = sample_scheme2(b, lambda rng: np.array([1.0]), [1.0], 50, seed=0)
+    ds = sample_scheme2(b, _fixed_context([1.0]), [1.0], 50, seed=0)
     assert np.all(ds.outcomes == 1.0)  # p = P(y=1) = 1
 
 
 def test_sample_scheme2_binomial_rate():
     b = BernoulliBasis(1)
     n = 10000
-    ds = sample_scheme2(b, lambda rng: np.array([0.7]), [1.0], n, seed=1)
+    ds = sample_scheme2(b, _fixed_context([0.7]), [1.0], n, seed=1)
     # P(y=1) = p = 0.7; three-sigma band
     rate = float(np.mean(ds.outcomes))
     assert abs(rate - 0.7) < 3.0 * np.sqrt(0.3 * 0.7 / n)
@@ -168,11 +217,11 @@ def test_sample_mismatched_zero_weight():
     b = BernoulliBasis(2)
     e = BernoulliBasis(1, p_map=lambda x: np.atleast_1d(x)[:1])
     ds = sample_mismatched(b, e, 0.0, [0.5, 0.5], 30, 2,
-                           lambda rng: rng.uniform(0.2, 0.8, 2), m)
+                           uniform_contexts([0.2, 0.2], [0.8, 0.8]), m)
     assert np.allclose(ds.E_n, 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         sample_mismatched(b, e, 1.5, [0.5, 0.5], 5, 0,
-                          lambda rng: rng.uniform(0.2, 0.8, 2), m)
+                          uniform_contexts([0.2, 0.2], [0.8, 0.8]), m)
 
 
 def test_sample_mismatched_identical_contaminant():
@@ -180,8 +229,7 @@ def test_sample_mismatched_identical_contaminant():
     m = msr.make_uniform_measure(0.0, 1.0, 32)
     b = BernoulliBasis(1)
     e = BernoulliBasis(1)
-    ds = sample_mismatched(b, e, 0.7, [1.0], 40, 5,
-                           lambda rng: np.array([0.4]), m)
+    ds = sample_mismatched(b, e, 0.7, [1.0], 40, 5, _fixed_context([0.4]), m)
     assert np.allclose(ds.E_n, 0.0, atol=1e-10)
 
 
@@ -193,8 +241,7 @@ def test_sample_mismatched_nonzero_direction():
         def eval_nodes(self, x, ts):
             return super().eval_nodes(np.asarray(x) * 0.5, ts)
 
-    ds = sample_mismatched(b, Shifted(1), 1.0, [1.0], 10, 5,
-                           lambda rng: np.array([0.8]), m)
+    ds = sample_mismatched(b, Shifted(1), 1.0, [1.0], 10, 5, _fixed_context([0.8]), m)
     # e(t) = 1{t in [0,1)} (q_e - q) with q=0.2, q_e=0.6; response vs q=0.2 basis
     # E_n = n * 0.4 * integral of q over [0,1) = 10 * 0.4 * 0.2
     assert ds.E_n[0] == pytest.approx(10 * 0.4 * 0.2, abs=1e-8)
