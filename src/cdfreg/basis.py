@@ -426,6 +426,7 @@ def _bisect(theta, basis, X, us):
         hi[idx] += span[idx]
         span[idx] *= 2
         tries[idx] += 1
+    capped = tries >= 60
     span = np.maximum(hi - lo, 1.0)
     idx = np.arange(len(us))
     while idx.size:
@@ -433,10 +434,12 @@ def _bisect(theta, basis, X, us):
         lo[idx] -= span[idx]
         span[idx] *= 2
         tries[idx] += 1
-    idx = np.arange(len(us))
-    failed = (cdf(idx, hi) + _LEVEL_SLACK < us) | (cdf(idx, lo) >= us)
-    if failed.any():
-        raise BracketError(f"could not bracket u={us[failed.argmax()]} within search bounds")
+    # Only a draw that left a loop at its cap can be unbracketed.
+    idx = np.flatnonzero(capped | (tries >= 120) | ~(lo > -1e308))
+    if idx.size:
+        failed = idx[(cdf(idx, hi[idx]) + _LEVEL_SLACK < us[idx]) | (cdf(idx, lo[idx]) >= us[idx])]
+        if failed.size:
+            raise BracketError(f"could not bracket u={us[failed[0]]} within search bounds")
     # The open draws' brackets are carried compacted; a draw's hi is written back when it stops.
     idx = np.flatnonzero(hi - lo > _BISECT_TOL)
     Xo, uo, l, h = X[idx], us[idx], lo[idx], hi[idx]

@@ -33,12 +33,6 @@ class GramState:
         if self.u is None:
             self.u = np.zeros(self.d)
 
-    def merge(self, other: "GramState") -> "GramState":
-        if other.d != self.d:
-            raise ValueError("dimension mismatch in merge")
-        return GramState(self.d, self.measure, self.n + other.n,
-                         self.U + other.U, self.u + other.u)
-
 
 # Rows per block of the batched quadrature: every temporary then holds
 # _BLOCK_ROWS * d * K values (16k for d=4, K=64), which keeps the peak

@@ -86,7 +86,8 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> np.ndarray:
     the coordinates at eps = c/(2 d^2), which pins the parameters to the
     evaluation family [1 - c/d^2, 1 - c/(2 d^2)] and makes mu_min(U_n) grow
     linearly in n.  Row j > 2d repeats row j - d, so the experiments build
-    only the min(n, 2d) distinct rows (_hard_design); the last four are cached.
+    only the min(n, 2d) distinct rows and count each (_hard_design); the last
+    four matrices are cached.
     """
     if d < 2:
         raise ValueError("hard instance needs d >= 2")
@@ -185,30 +186,31 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
 # Per-rep statistics
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _hard_index(d: int, n: int) -> np.ndarray:
-    """Read-only row index of the n-row hard instance into its distinct rows."""
-    cycle = np.tile(np.arange(d, 2 * d), n // d)  # row j >= d is row d + j mod d
-    idx = np.concatenate([np.arange(min(n, d)), cycle[:max(n - d, 0)]])
-    idx.setflags(write=False)
-    return idx
-
-
 def _hard_design(d: int, n: int, c: float):
-    """Distinct rows R of the n-row hard instance and idx, with R[idx] its rows bit for bit."""
-    return hard_instance_matrix(d, min(n, 2 * d), c), _hard_index(d, n)
+    """Distinct rows R of the n-row hard instance and how many of the n rows each one is.
+
+    Rows j < d occur once; row j >= d is row d + (j - d) mod d, so row i >= d
+    occurs ceil((n - i) / d) times.
+    """
+    i = np.arange(min(n, 2 * d))
+    return hard_instance_matrix(d, i.size, c), np.where(i < d, 1, (n - i + d - 1) // d)
 
 
-def _bernoulli_state(R, idx, probs, rng) -> GramState:
-    """Statistics of y_j ~ Bernoulli(probs[idx_j]) at R[idx], summed over the distinct rows R."""
-    y = rng.random(idx.size) < probs[idx]
+def _bernoulli_state(R, counts, probs, rng) -> GramState:
+    """Statistics of y_j ~ Bernoulli(probs of row j) on the n-row design, by distinct row of R.
+
+    y_j is r[j] < probs of row j for r = rng.random(n), so the draws at row
+    i >= d are the strided view r[i::d]: no row index and no gather.
+    """
     k, d = R.shape
-    # Entry 2i + y counts the draws y at row i: the zeros are column 0, the ones column 1.
-    key = 2 * idx
-    key += y  # in place: one n-row temporary, not two
-    w = np.bincount(key, minlength=2 * k).reshape(k, 2).T.reshape(-1)
+    r = rng.random(counts.sum())
+    ones = np.empty(k, dtype=np.int64)
+    ones[:d] = r[:d] < probs[:d]
+    for i in range(d, k):
+        ones[i] = np.count_nonzero(r[i::d] < probs[i])
+    # The first k weights count the zeros at each row, the last k the ones.
     return accumulate(GramState(d, _UNIT_INTERVAL), BernoulliBasis(d), np.vstack([R, R]),
-                      np.repeat([0.0, 1.0], k), w=w)
+                      np.repeat([0.0, 1.0], k), w=np.concatenate([counts - ones, ones]))
 
 
 def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
@@ -261,8 +263,8 @@ def _scaling_rep_metrics(config, d, n, rep, seed):
     rng = stream_rng(seed, 0xD0, d, n, rep)
 
     if kind == "bernoulli_hard":
-        R, idx = _hard_design(d, n, float(config["basis"].get("c", 1.0)))
-        state = _bernoulli_state(R, idx, R @ theta_star, rng)
+        R, counts = _hard_design(d, n, float(config["basis"].get("c", 1.0)))
+        state = _bernoulli_state(R, counts, R @ theta_star, rng)
         Sigma_n = state.U  # fixed design: contexts are deterministic
         ks_fn = lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d)
     elif kind == "polynomial":
@@ -439,7 +441,7 @@ def _coverage_design(config, mode, d, n, theta_star):
         return (*_atom_design(spec, d, n, theta_star), {})
     if kind != "bernoulli_hard":
         raise ValueError(f"unknown coverage basis kind {kind!r}")
-    R, idx = _hard_design(d, n, float(spec.get("c", 1.0)))
+    R, counts = _hard_design(d, n, float(spec.get("c", 1.0)))
     probs = R @ theta_star
     extra = {}
     if mode == "mismatch":
@@ -448,9 +450,9 @@ def _coverage_design(config, mode, d, n, theta_star):
         probs = (1.0 - q) * probs + q * p_e
         # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs, by distinct row
         Q = 1.0 - R
-        r = np.bincount(idx, minlength=len(R)) * q * ((1.0 - p_e) - Q @ theta_star)
+        r = counts * q * ((1.0 - p_e) - Q @ theta_star)
         extra["E_n_norm"] = float(np.linalg.norm(Q.T @ r))
-    return (lambda rng: _bernoulli_state(R, idx, probs, rng)), None, extra
+    return (lambda rng: _bernoulli_state(R, counts, probs, rng)), None, extra
 
 
 def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):

@@ -128,15 +128,6 @@ def test_population_gram_degenerate_and_atoms():
     assert np.linalg.eigvalsh(Sigma2)[0] >= -1e-10
 
 
-def test_merge():
-    b = BernoulliBasis(2)
-    s1 = accumulate(GramState(2, UNIT), b, [0.5, 0.75], 0.0)
-    s2 = accumulate(GramState(2, UNIT), b, [0.2, 0.9], 1.0)
-    merged = s1.merge(s2)
-    assert merged.n == 2
-    assert np.allclose(merged.U, s1.U + s2.U)
-
-
 def _close(a, b):
     return np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
 
@@ -148,19 +139,17 @@ def _close(a, b):
 @settings(max_examples=25, deadline=None)
 @given(sizes=st.lists(st.integers(1, 40), min_size=3, max_size=3),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_merge_associative_and_matches_one_batch(basis, context, sizes, seed):
+def test_three_accumulates_match_one_batch(basis, context, sizes, seed):
     rng = np.random.default_rng(seed)
     X = context(rng, sum(sizes))
     y = rng.uniform(-0.2, 1.2, sum(sizes))
     cuts = np.cumsum(sizes)[:-1]
-    a, b, c = (accumulate(GramState(basis.d, UNIT), basis, Xk, yk)
-               for Xk, yk in zip(np.split(X, cuts), np.split(y, cuts)))
-    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
+    s = GramState(basis.d, UNIT)
+    for Xk, yk in zip(np.split(X, cuts), np.split(y, cuts)):
+        s = accumulate(s, basis, Xk, yk)
     whole = accumulate(GramState(basis.d, UNIT), basis, X, y)
-    for s in (left, right):
-        assert s.n == whole.n == sum(sizes)
-        assert _close(s.U, whole.U) and _close(s.u, whole.u)
-    assert _close(left.U, right.U) and _close(left.u, right.u)
+    assert s.n == whole.n == sum(sizes)
+    assert _close(s.U, whole.U) and _close(s.u, whole.u)
 
 
 class _CountingBernoulli(BernoulliBasis):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdfreg import measure as msr
+from cdfreg import synth
 from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
 from cdfreg.gram import GramState, accumulate
 from cdfreg.synth import (_bernoulli_state, _hard_design, hard_instance_matrix,
@@ -89,15 +90,34 @@ _HARD_SIZES = [(5, 3), (5, 5), (5, 7), (3, 11), (5, 100_000), (3, 100_000)]
 
 @pytest.mark.parametrize("d,n", _HARD_SIZES)
 @pytest.mark.parametrize("c", [1.0, 3.3])
-def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c):
+def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c, monkeypatch):
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
     P = hard_instance_matrix(d, n, c)
-    R, idx = _hard_design(d, n, c)
+    R, counts = _hard_design(d, n, c)
+    # Reference index: row j < d is distinct row j, row j >= d is row d + (j - d) mod d.
+    j = np.arange(n)
+    idx = np.where(j < d, j, d + (j - d) % d)
     assert len(R) == min(n, 2 * d) and np.array_equal(R[idx], P)
-    state = _bernoulli_state(R, idx, R @ theta, stream_rng(7, d, n))
+    weights = []
+
+    def spy(*args, w):  # keeps the row weights _bernoulli_state passes
+        weights.append(w)
+        return accumulate(*args, w=w)
+
+    monkeypatch.setattr(synth, "accumulate", spy)
+    rng = stream_rng(7, d, n)
+    state = _bernoulli_state(R, counts, R @ theta, rng)
     # Reference: the draws and statistics on the full (n, d) matrix.
-    y = (stream_rng(7, d, n).random(n) < P @ theta).astype(float)
-    ref = accumulate(GramState(d, state.measure), BernoulliBasis(d), P, y)
+    ref_rng = stream_rng(7, d, n)
+    y = ref_rng.random(n) < P @ theta
+    assert np.array_equal(rng.random(3), ref_rng.random(3))  # one random(n) call's worth
+    ref_counts = np.bincount(idx, minlength=len(R))
+    ref_ones = np.bincount(idx[y], minlength=len(R))
+    assert np.array_equal(counts, ref_counts)
+    (w,) = weights
+    assert w.dtype == np.int64
+    assert np.array_equal(w, np.concatenate([ref_counts - ref_ones, ref_ones]))
+    ref = accumulate(GramState(d, state.measure), BernoulliBasis(d), P, y.astype(float))
     assert state.n == ref.n == n
     assert _close(state.U, ref.U) and _close(state.u, ref.u)
 
