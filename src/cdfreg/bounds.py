@@ -114,10 +114,14 @@ def ks_distance(F1, F2, grid) -> float:
 
 def ks_grid(support_lo: float, support_hi: float, jump_points=(),
             n_uniform: int = 512) -> np.ndarray:
-    """Default evaluation grid: endpoints, a uniform fill, and declared jumps."""
+    """Default evaluation grid: endpoints, a uniform fill, and declared jumps.
+
+    Sorted and without repeats, as np.unique gives it, which would load numpy.ma.
+    """
     base = np.linspace(support_lo, support_hi, n_uniform)
-    return np.unique(np.concatenate([base, np.asarray(jump_points, dtype=float),
-                                     [support_lo, support_hi]]))
+    grid = np.sort(np.concatenate([base, np.asarray(jump_points, dtype=float),
+                                   [support_lo, support_hi]]))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def l2_error_crps(ys, F, m: msr.QuadMeasure) -> float:

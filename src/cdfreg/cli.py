@@ -11,8 +11,7 @@ import os
 import re
 import sys
 
-# Loaded now rather than inside main: locale (above) for argparse, numpy.ma for np.quantile.
-import numpy.ma  # noqa: F401
+# Loaded now rather than inside main: locale (above) for argparse.
 import numpy.random  # noqa: F401
 from numpy.linalg import LinAlgError
 

@@ -21,7 +21,7 @@ from .bounds import l2_error_crps
 from .errors import CdfRegError
 from .estimators import ecdf, fit_mle_simplex, project_simplex, ridge_estimate
 from .gram import GramState, accumulate
-from .synth import stream_rng
+from .synth import sorted_quantile, stream_rng
 
 _GLM_COEF_CAP = 30.0
 
@@ -142,7 +142,7 @@ def fit_glm_univariate(xs, ys, link: str, max_iter: int = 100,
     """Newton-Raphson for a univariate logistic or probit regression."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if not set(np.unique(ys)) <= {0.0, 1.0}:
+    if not np.all((ys == 0.0) | (ys == 1.0)):
         raise ValueError("GLM outcome must be binary 0/1")
     if np.all(ys == ys[0]):
         raise ValueError("GLM needs both outcome classes present")
@@ -264,10 +264,11 @@ def evaluate_pipeline(config) -> dict:
         vals = [r["l2_error"] for r in rows
                 if r["method"] == method and math.isfinite(r["l2_error"])]
         if vals:
+            s = np.sort(vals)
             summary[method] = {"mean": float(np.mean(vals)),
-                               "q05": float(np.quantile(vals, 0.05)),
-                               "q50": float(np.quantile(vals, 0.50)),
-                               "q95": float(np.quantile(vals, 0.95))}
+                               "q05": sorted_quantile(s, 0.05),
+                               "q50": sorted_quantile(s, 0.50),
+                               "q95": sorted_quantile(s, 0.95)}
     return {"rows": rows, "summary": summary, "failures": errors,
             "dropped_rows": data.dropped_rows, "n": int(len(data.outcomes))}
 

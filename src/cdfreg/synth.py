@@ -3,6 +3,10 @@
 Includes the adversarial Bernoulli hard instance, the polynomial
 random-design setup, mismatched-model sampling, and the scaling /
 coverage sweep drivers that emit plot-ready records.
+
+Both drivers build a design once (once per grid point in the scaling
+sweep), draw each rep's statistics from the rep's own Philox stream, and
+solve the reps' estimates as one stacked system.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +32,7 @@ RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
                   "metric_name", "value"]
 AGGREGATE_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "metric_name",
                      "mean", "q05", "q95"]
-# The metrics _scaling_rep_metrics computes, by the names a config asks for them.
+# The metrics _scaling_point computes, by the names a config asks for them.
 METRICS = ("l2", "self_norm", "sigma_norm", "ks", "eps_lambda", "mu_min_U")
 
 # Outcome measure of the Bernoulli designs, built once and only ever read.  Two
@@ -233,11 +236,34 @@ def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
 # Scaling experiment driver
 # ---------------------------------------------------------------------------
 
+# Statistical and numerical errors: a failure row, not a crash.
+_FAILURES = (CdfRegError, LinAlgError, ValueError)
+
+
+def sorted_quantile(s, q: float) -> float:
+    """np.quantile(s, q) of a sorted 1-D array, by numpy's 'linear' method step for step.
+
+    The virtual index (len - 1) q, its two neighbours (both the last value
+    once the index reaches the end) and numpy's _lerp, which for t >= 0.5
+    interpolates back from the upper neighbour; a NaN sorts last and is then
+    the answer.  np.quantile itself loads numpy.ma.
+    """
+    n = len(s)
+    v = (n - 1) * q
+    i = j = -1
+    if v < n - 1:
+        i = math.floor(v)
+        j = i + 1
+    t = v - i
+    a, b = float(s[i]), float(s[j])
+    diff = b - a
+    value = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return float(s[-1]) if math.isnan(s[-1]) else value
+
+
 def _quantiles(vals):
     vals = np.sort(np.asarray(vals, dtype=float))
-    return (float(np.mean(vals)),
-            float(np.quantile(vals, 0.05)),
-            float(np.quantile(vals, 0.95)))
+    return float(np.mean(vals)), sorted_quantile(vals, 0.05), sorted_quantile(vals, 0.95)
 
 
 @functools.lru_cache(maxsize=8)
@@ -253,65 +279,132 @@ def _polynomial_sigma_1(d, x_lo, x_hi, n_nodes):
     return S
 
 
-def _scaling_rep_metrics(config, d, n, rep, seed):
-    """Compute all requested metrics for one (grid point, rep)."""
-    kind = config["basis"]["kind"]
+def _scaling_design(config, d, n, theta_star, metrics):
+    """(draw, Sigma_n, ks_fn), what every rep of grid point (d, n) shares.
+
+    draw(rng) gives one rep's GramState.  Sigma_n is None for the fixed hard
+    design, whose Sigma_n is each rep's own U_n.
+    """
+    spec = config["basis"]
+    kind = spec["kind"]
+    if kind == "bernoulli_hard":
+        draw, Sigma_n, _ = _bernoulli_design(config, "self", d, n, theta_star)
+        return draw, Sigma_n, lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d)
+    if kind != "polynomial":
+        raise ValueError(f"unknown scaling basis kind {kind!r}")
+    x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
+    n_nodes = int(spec.get("n_nodes", 64))
+    basis = PolynomialBasis(d)
+    m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
+    contexts = uniform_contexts(x_lo, x_hi)
+
+    def draw(rng) -> GramState:
+        ds = sample_scheme2(basis, contexts, theta_star, n, int(rng.integers(2 ** 62)))
+        return accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
+
+    Sigma_n = (n * _polynomial_sigma_1(d, x_lo, x_hi, n_nodes)
+               if "sigma_norm" in metrics else None)
+    grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
+
+    def ks_fn(th):
+        proj = project_simplex(th)
+        worst = 0.0
+        for x in (x_lo, 1.0, x_hi):
+            F1 = lambda ts: proj @ basis.eval_nodes(x, np.atleast_1d(ts))
+            F2 = lambda ts: theta_star @ basis.eval_nodes(x, np.atleast_1d(ts))
+            worst = max(worst, bounds.ks_distance(F1, F2, grid))
+        return worst
+
+    return draw, Sigma_n, ks_fn
+
+
+def _scaling_rep_state(draw, seed, d, n, rep) -> GramState:
+    """One rep's statistics at grid point (d, n), drawn from the rep's own stream."""
+    return draw(stream_rng(seed, 0xD0, d, n, rep))
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the failure it raises, for _value to raise where it is used."""
+    try:
+        return fn(*args)
+    except _FAILURES as exc:
+        return exc
+
+
+def _value(x):
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
+def _ridge_rows(states, lam) -> list:
+    """Each state's ridge estimate at lam, or the failure its own solve raises.
+
+    One stacked solve serves every state, row for row the state's own solve;
+    if it raises, each state is solved alone.
+    """
+    if not states:
+        return []
+    stack = GramState(states[0].d, states[0].measure, states[0].n,
+                      np.stack([s.U for s in states]), np.stack([s.u for s in states]))
+    try:
+        return list(ridge_estimate(stack, lam))
+    except _FAILURES:
+        return [_attempt(ridge_estimate, state, lam) for state in states]
+
+
+def _scaling_point(config, d, n, seed, reps) -> list:
+    """(payload, error) of each rep at grid point (d, n); the design is built once.
+
+    payload lists (lambda, {metric: value}); a rep whose draw, solve or
+    metrics fail has error "Type: message" instead, and a design that fails
+    gives every rep its error.
+    """
     theta_star = _theta_star(config, d)
     lambdas = [float(l) for l in config["lambdas"]]
     delta = float(config.get("delta", 0.1))
     metrics = config.get("metrics", ["l2", "self_norm", "ks", "eps_lambda"])
-    rng = stream_rng(seed, 0xD0, d, n, rep)
-
-    if kind == "bernoulli_hard":
-        R, counts = _hard_design(d, n, float(config["basis"].get("c", 1.0)))
-        state = _bernoulli_state(R, counts, R @ theta_star, rng)
-        Sigma_n = state.U  # fixed design: contexts are deterministic
-        ks_fn = lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d)
-    elif kind == "polynomial":
-        x_lo = float(config["basis"].get("x_lo", 0.5))
-        x_hi = float(config["basis"].get("x_hi", 2.0))
-        n_nodes = int(config["basis"].get("n_nodes", 64))
-        basis = PolynomialBasis(d)
-        m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
-        ds = sample_scheme2(basis, uniform_contexts(x_lo, x_hi), theta_star, n,
-                            int(rng.integers(2 ** 62)))
-        state = accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
-        Sigma_n = (n * _polynomial_sigma_1(d, x_lo, x_hi, n_nodes)
-                   if "sigma_norm" in metrics else None)
-        grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
-
-        def ks_fn(th, _grid=grid, _basis=basis):
-            proj = project_simplex(th)
-            worst = 0.0
-            for x in (x_lo, 1.0, x_hi):
-                F1 = lambda ts: proj @ _basis.eval_nodes(x, np.atleast_1d(ts))
-                F2 = lambda ts: theta_star @ _basis.eval_nodes(x, np.atleast_1d(ts))
-                worst = max(worst, bounds.ks_distance(F1, F2, _grid))
-            return worst
-    else:
-        raise ValueError(f"unknown scaling basis kind {kind!r}")
-
-    out = []
+    failure = lambda exc: f"{type(exc).__name__}: {exc}"
+    try:
+        draw, Sigma_n, ks_fn = _scaling_design(config, d, n, theta_star, metrics)
+    except _FAILURES as exc:
+        return [(None, failure(exc))] * reps
+    states, errors = {}, {}
+    for rep in range(reps):
+        try:
+            states[rep] = _scaling_rep_state(draw, seed, d, n, rep)
+        except _FAILURES as exc:
+            errors[rep] = failure(exc)
+    payloads = {rep: [] for rep in states}
     tnorm = float(np.linalg.norm(theta_star))
     for lam in lambdas:
-        A = regularized_gram(state, lam)
-        theta_hat = ridge_estimate(state, lam)
-        diff = theta_hat - theta_star
-        vals = {}
-        if "l2" in metrics:
-            vals["l2"] = float(np.linalg.norm(diff))
-        if "self_norm" in metrics:
-            vals["self_norm"] = bounds.weighted_norm(diff, A)
-        if "sigma_norm" in metrics:
-            vals["sigma_norm"] = bounds.weighted_norm(diff, Sigma_n)
-        if "ks" in metrics:
-            vals["ks"] = ks_fn(theta_hat)
-        if "eps_lambda" in metrics:
-            vals["eps_lambda"] = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
-        if "mu_min_U" in metrics:
-            vals["mu_min_U"] = bounds.min_eigenvalue(state.U)
-        out.append((lam, vals))
-    return out
+        live = [rep for rep in states if rep not in errors]
+        thetas = _ridge_rows([states[rep] for rep in live], lam)
+        eps = _attempt(bounds.epsilon_lambda, n, d, delta, lam, tnorm)
+        for rep, theta_hat in zip(live, thetas):
+            state = states[rep]
+            try:
+                A = regularized_gram(state, lam)
+                diff = _value(theta_hat) - theta_star
+                vals = {}
+                if "l2" in metrics:
+                    vals["l2"] = float(np.linalg.norm(diff))
+                if "self_norm" in metrics:
+                    vals["self_norm"] = bounds.weighted_norm(diff, A)
+                if "sigma_norm" in metrics:
+                    vals["sigma_norm"] = bounds.weighted_norm(
+                        diff, state.U if Sigma_n is None else Sigma_n)
+                if "ks" in metrics:
+                    vals["ks"] = ks_fn(theta_hat)
+                if "eps_lambda" in metrics:
+                    vals["eps_lambda"] = _value(eps)
+                if "mu_min_U" in metrics:
+                    vals["mu_min_U"] = bounds.min_eigenvalue(state.U)
+                payloads[rep].append((lam, vals))
+            except _FAILURES as exc:
+                errors[rep] = failure(exc)
+    return [(None, errors[rep]) if rep in errors else (payloads[rep], None)
+            for rep in range(reps)]
 
 
 def _theta_star(config, d):
@@ -328,13 +421,19 @@ def _theta_star(config, d):
 def _map_tasks(fn, tasks, threads: int) -> list:
     """fn over tasks, in task order; on a thread pool when threads > 1."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by one-thread runs
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
 
 def run_scaling_experiment(config) -> tuple[list, list]:
-    """Run the replicated sweep; returns (records, aggregate_rows)."""
+    """Run the replicated sweep; returns (records, aggregate_rows).
+
+    Each grid point (d, n) is one task: its design is built once, each rep
+    draws its statistics from its own Philox stream, and each lambda's ridge
+    estimates of all reps are one stacked solve.
+    """
     exp_id = config.get("experiment_id", "scaling")
     seed = int(config.get("seed", 0))
     reps = int(config["reps"])
@@ -345,38 +444,27 @@ def run_scaling_experiment(config) -> tuple[list, list]:
         points = [(int(config["basis"]["d"]), int(n)) for n in config["n_grid"]]
     else:
         points = [(int(d), int(config["n"])) for d in config["d_grid"]]
-
-    tasks = [(d, n, rep) for d, n in points for rep in range(reps)]
     for d, _ in points:  # a bad theta_star fails here, before any task runs
         _theta_star(config, d)
 
-    def run_task(task):
-        d, n, rep = task
-        try:
-            return _scaling_rep_metrics(config, d, n, rep, seed), None
-        except (CdfRegError, LinAlgError, ValueError) as exc:  # failure row; sweep continues
-            return None, f"{type(exc).__name__}: {exc}"
-
-    records = []
-    results = _map_tasks(run_task, tasks, int(config.get("threads", 1)))
-    for (d, n, rep), (payload, err) in zip(tasks, results):
-        if err is not None:
-            records.append(ExperimentRecord(exp_id, scheme, d, n, float("nan"),
-                                            rep, seed, "failure", float("nan"), err))
-            continue
-        for lam, vals in payload:
-            for name, value in vals.items():
-                records.append(ExperimentRecord(exp_id, scheme, d, n, lam, rep,
-                                                seed, name, value))
+    records, groups = [], {}
+    results = _map_tasks(lambda p: _scaling_point(config, *p, seed, reps), points,
+                         int(config.get("threads", 1)))
+    for (d, n), point in zip(points, results):
+        for rep, (payload, err) in enumerate(point):
+            if err is not None:
+                records.append(ExperimentRecord(exp_id, scheme, d, n, float("nan"),
+                                                rep, seed, "failure", float("nan"), err))
+                continue
+            for lam, vals in payload:
+                for name, value in vals.items():
+                    records.append(ExperimentRecord(exp_id, scheme, d, n, lam, rep,
+                                                    seed, name, value))
+                    groups.setdefault((d, n, lam, name), []).append(value)
 
     aggregates = []
-    keys = sorted({(r.d, r.n, r.lam, r.metric_name) for r in records
-                   if r.metric_name != "failure"},
-                  key=lambda k: (k[0], k[1], k[2], k[3]))
-    for d, n, lam, name in keys:
-        vals = [r.value for r in records
-                if (r.d, r.n, r.lam, r.metric_name) == (d, n, lam, name)]
-        mean, q05, q95 = _quantiles(vals)
+    for d, n, lam, name in sorted(groups):
+        mean, q05, q95 = _quantiles(groups[d, n, lam, name])
         aggregates.append([exp_id, scheme, d, n, repr(float(lam)), name,
                            repr(mean), repr(q05), repr(q95)])
     return records, aggregates
@@ -427,11 +515,12 @@ def _atom_design(spec, d, n, theta_star):
     return draw, population_gram(basis, P_atoms, probs, m, n)
 
 
-def _coverage_design(config, mode, d, n, theta_star):
+def _bernoulli_design(config, mode, d, n, theta_star):
     """(draw, Sigma_n, extra), what every rep shares: draw(rng) gives one rep's GramState.
 
     Sigma_n is None for the fixed hard design, whose Sigma_n is each rep's own
-    U_n; extra holds its E_n_norm in mismatch mode.
+    U_n; extra holds its E_n_norm in mismatch mode.  The scaling sweep takes
+    its hard-instance draw from here in "self" mode.
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
@@ -506,7 +595,7 @@ def run_coverage_experiment(config) -> dict:
     seed = int(config.get("seed", 0))
     d, n = int(config["d"]), int(config["n"])
     theta_star = _theta_star(config, d)  # a bad theta_star fails here, before any rep runs
-    draw, Sigma_n, extra = _coverage_design(config, mode, d, n, theta_star)
+    draw, Sigma_n, extra = _bernoulli_design(config, mode, d, n, theta_star)
     states = _map_tasks(lambda rep: draw(stream_rng(seed, 0xC0, rep)), range(reps),
                         int(config.get("threads", 1)))
     results = _coverage_results(config, mode, states, Sigma_n, extra, theta_star)

@@ -4,11 +4,12 @@ import csv
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from cdfreg import realdata, synth
 from cdfreg.cli import main
-from cdfreg.errors import ConvergenceError
+from cdfreg.errors import ConvergenceError, SingularGram
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "cdfreg" / "data"
 
@@ -31,7 +32,7 @@ def test_scaling_code_bug_propagates(monkeypatch):
     def broken(*args):
         raise TypeError("a bug, not a statistical failure")
 
-    monkeypatch.setattr(synth, "_scaling_rep_metrics", broken)
+    monkeypatch.setattr(synth, "_scaling_rep_state", broken)
     with pytest.raises(TypeError):
         synth.run_scaling_experiment(SCALING)
 
@@ -69,14 +70,14 @@ def test_cli_exits_3_when_every_seed_failed(tmp_path, capsys):
 
 
 def test_cli_keeps_partial_failures_as_rows(tmp_path, monkeypatch):
-    original = synth._scaling_rep_metrics
+    original = synth._scaling_rep_state
 
-    def flaky(config, d, n, rep, seed):
+    def flaky(draw, seed, d, n, rep):
         if rep == 1:
             raise ValueError("rep 1 is degenerate")
-        return original(config, d, n, rep, seed)
+        return original(draw, seed, d, n, rep)
 
-    monkeypatch.setattr(synth, "_scaling_rep_metrics", flaky)
+    monkeypatch.setattr(synth, "_scaling_rep_state", flaky)
     code, out = _run(tmp_path, "synth-bernoulli", SCALING)
     assert code == 0
     with open(out / "records.csv") as fh:
@@ -85,6 +86,53 @@ def test_cli_keeps_partial_failures_as_rows(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_failures"] == 2
     assert all(f["error"] == "ValueError: rep 1 is degenerate" for f in summary["failures"])
+
+
+THREE = {**SCALING, "reps": 3, "lambdas": [0.001, 0.1], "metrics": ["l2", "ks"]}
+
+
+def _without(records, n, rep):
+    return [r.row() for r in records if (r.n, r.rep) != (n, rep)]
+
+
+def test_one_failed_draw_fails_only_its_rep(monkeypatch):
+    clean, _ = synth.run_scaling_experiment(THREE)
+    original = synth._scaling_rep_state
+
+    def flaky(draw, seed, d, n, rep):
+        if (n, rep) == (100, 1):
+            raise SingularGram("degenerate draw")
+        return original(draw, seed, d, n, rep)
+
+    monkeypatch.setattr(synth, "_scaling_rep_state", flaky)
+    records, _ = synth.run_scaling_experiment(THREE)
+    assert [(r.n, r.rep, r.metric_name, r.error) for r in records if r.error] == [
+        (100, 1, "failure", "SingularGram: degenerate draw")]
+    assert _without(records, 100, 1) == _without(clean, 100, 1)
+
+
+@pytest.mark.parametrize("poison,message", [
+    ("u", "ValueError: array must not contain infs or NaNs"),
+    ("U", "LinAlgError: Matrix is not positive definite"),
+])
+def test_one_bad_row_of_the_stacked_solve_fails_only_its_rep(monkeypatch, poison, message):
+    clean, _ = synth.run_scaling_experiment(THREE)
+    original = synth._scaling_rep_state
+
+    def poisoned(draw, seed, d, n, rep):
+        state = original(draw, seed, d, n, rep)
+        if (n, rep) == (50, 2):
+            if poison == "u":
+                state.u = np.full(d, np.nan)
+            else:
+                state.U = -np.eye(d)
+        return state
+
+    monkeypatch.setattr(synth, "_scaling_rep_state", poisoned)
+    records, _ = synth.run_scaling_experiment(THREE)
+    assert [(r.n, r.rep, r.metric_name, r.error) for r in records if r.error] == [
+        (50, 2, "failure", message)]
+    assert _without(records, 50, 2) == _without(clean, 50, 2)
 
 
 def test_ridge_convergence_error_is_a_typed_failure(monkeypatch):

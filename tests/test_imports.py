@@ -63,3 +63,12 @@ def test_cli_import_loads_neither_scipy_nor_jsonschema():
 def test_main_imports_no_module(tmp_path):
     added = _run(_MAIN_IMPORTS, str(tmp_path), json.dumps(TINY_CONFIGS))
     assert added == {command: [0, []] for command in TINY_CONFIGS}
+
+
+def test_cli_import_loads_neither_numpy_ma_nor_concurrent_futures():
+    # Quantiles come from synth.sorted_quantile, and a thread pool is imported
+    # only by a run with more than one thread.
+    loaded = _run("import json, sys; import cdfreg.cli; "
+                  "print(json.dumps(sorted(sys.modules)))")
+    assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")
+            or m.split(".")[0] == "concurrent"] == []

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cdfreg import bounds
 from cdfreg import measure as msr
 from cdfreg import synth
 from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
-from cdfreg.gram import GramState, accumulate
-from cdfreg.synth import (_bernoulli_state, _hard_design, hard_instance_matrix,
-                          run_coverage_experiment, run_scaling_experiment,
-                          sample_mismatched, sample_scheme1, sample_scheme2, stream_rng,
-                          uniform_contexts)
+from cdfreg.estimators import project_simplex, ridge_estimate
+from cdfreg.gram import GramState, accumulate, population_gram
+from cdfreg.synth import (_bernoulli_state, _hard_design, bernoulli_ks_sup,
+                          hard_instance_matrix, run_coverage_experiment,
+                          run_scaling_experiment, sample_mismatched, sample_scheme1,
+                          sample_scheme2, sorted_quantile, stream_rng, uniform_contexts)
 
 
 def _hard_instance_loop(d, n, c):
@@ -296,6 +299,100 @@ def test_run_scaling_experiment_thread_determinism():
     r2, a2 = run_scaling_experiment({**cfg, "threads": 4})
     assert [r.row() for r in r1] == [r.row() for r in r2]
     assert a1 == a2
+
+
+ALL_METRICS = ["l2", "self_norm", "sigma_norm", "ks", "eps_lambda", "mu_min_U"]
+
+
+def _scaling_reference(config):
+    """Reference: every (grid point, rep) drawn, solved and scored on its own.
+
+    Returns the records as (d, n, lambda, rep, metric, value bytes) and the
+    aggregate rows, with quantiles from np.quantile.
+    """
+    kind, d, seed = config["basis"]["kind"], config["basis"]["d"], config["seed"]
+    theta = np.arange(1, d + 1, dtype=float)
+    theta /= theta.sum()
+    rows, groups = [], {}
+    for n in config["n_grid"]:
+        for rep in range(config["reps"]):
+            rng = stream_rng(seed, 0xD0, d, n, rep)
+            if kind == "bernoulli_hard":
+                R, counts = _hard_design(d, n, 1.0)
+                state = _bernoulli_state(R, counts, R @ theta, rng)
+                Sigma_n = state.U
+                ks = lambda th: bernoulli_ks_sup(project_simplex(th), theta, d)
+            else:
+                basis, m = PolynomialBasis(d), msr.make_uniform_measure(0.0, 2.0, 64)
+                ds = sample_scheme2(basis, uniform_contexts(0.5, 2.0), theta, n,
+                                    int(rng.integers(2 ** 62)))
+                state = accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
+                mx = msr.make_uniform_measure(0.5, 2.0, 64)
+                Sigma_n = population_gram(basis, mx.nodes, mx.weights, m, n)
+                grid = bounds.ks_grid(0.0, 2.0, jump_points=[2.0, 1.0, 0.5])
+
+                def ks(th, basis=basis, grid=grid):
+                    proj, worst = project_simplex(th), 0.0
+                    for x in (0.5, 1.0, 2.0):
+                        worst = max(worst, bounds.ks_distance(
+                            lambda ts: proj @ basis.eval_nodes(x, np.atleast_1d(ts)),
+                            lambda ts: theta @ basis.eval_nodes(x, np.atleast_1d(ts)), grid))
+                    return worst
+            for lam in config["lambdas"]:
+                theta_hat = ridge_estimate(state, lam)
+                diff = theta_hat - theta
+                vals = {"l2": float(np.linalg.norm(diff)),
+                        "self_norm": bounds.weighted_norm(diff, state.U + lam * np.eye(d)),
+                        "sigma_norm": bounds.weighted_norm(diff, Sigma_n),
+                        "ks": ks(theta_hat),
+                        "eps_lambda": bounds.epsilon_lambda(n, d, 0.1, lam,
+                                                            float(np.linalg.norm(theta))),
+                        "mu_min_U": bounds.min_eigenvalue(state.U)}
+                for name in ALL_METRICS:
+                    rows.append((d, n, lam, rep, name, np.float64(vals[name]).tobytes()))
+                    groups.setdefault((n, lam, name), []).append(vals[name])
+    aggregates = []
+    for n, lam, name in sorted(groups):
+        v = np.sort(groups[n, lam, name])
+        aggregates.append(["scaling", "Fixed" if kind == "bernoulli_hard" else "Random", d, n,
+                           repr(lam), name, repr(float(np.mean(v))),
+                           repr(float(np.quantile(v, 0.05))), repr(float(np.quantile(v, 0.95)))])
+    return rows, aggregates
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("kind,d,n_grid", [("bernoulli_hard", 3, [50, 400]),
+                                           ("polynomial", 3, [30, 80])])
+def test_stacked_sweep_equals_per_rep_reference(kind, d, n_grid, reps, monkeypatch):
+    """The sweep builds each grid point once and solves each lambda's reps as one
+    stack; every record and aggregate is byte-identical to solving rep by rep."""
+    config = {"basis": {"kind": kind, "d": d}, "n_grid": n_grid, "reps": reps,
+              "lambdas": [0.001, 0.1], "metrics": ALL_METRICS, "seed": 5}
+    rows, aggregates = _scaling_reference(config)
+    calls = {"ridge_estimate": 0, "build": 0}
+    built = "_hard_design" if kind == "bernoulli_hard" else "uniform_contexts"
+    for name, key in (("ridge_estimate", "ridge_estimate"), (built, "build")):
+        original = getattr(synth, name)
+
+        def counted(*args, _original=original, _key=key):
+            calls[_key] += 1
+            return _original(*args)
+        monkeypatch.setattr(synth, name, counted)
+    records, aggs = run_scaling_experiment(config)
+    assert [(r.d, r.n, r.lam, r.rep, r.metric_name, np.float64(r.value).tobytes())
+            for r in records] == rows
+    assert aggs == aggregates
+    assert calls == {"ridge_estimate": len(n_grid) * 2, "build": len(n_grid)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.floats(width=64), min_size=1, max_size=200),
+       q=st.sampled_from([0.05, 0.5, 0.95]))
+def test_sorted_quantile_is_np_quantile(vals, q):
+    s = np.sort(np.array(vals, dtype=float))
+    with np.errstate(invalid="ignore"):  # numpy's lerp of infinities makes NaN
+        expected = np.float64(np.quantile(s, q))
+    assert np.float64(sorted_quantile(s, q)).tobytes() == expected.tobytes()
 
 
 def test_run_coverage_experiment_self_mode():
