@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .basis import (BasisFamily, BernoulliBasis, CustomBasis,
                     GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
-                    basis_from_spec, check_simplex, inverse_cdf_sample,
-                    mixture_cdf_eval)
+                    basis_from_spec, check_simplex, inverse_cdf_sample)
 from .bounds import (epsilon_lambda, epsilon_unreg, fit_loglog_slope,
                      hilbert_bound, ks_distance, ks_grid, l2_error_crps,
                      min_eigenvalue, mismatch_bound, penalized_bound,
@@ -23,7 +22,7 @@ from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, ecdf,
 from .gram import (GramState, accumulate, gram_matrix_of_context,
                    population_gram, regularized_gram,
                    response_vector_of_sample)
-from .measure import (QuadMeasure, integrate, jump_panel,
+from .measure import (QuadMeasure, jump_panel,
                       make_counting_measure, make_gaussian_measure,
                       make_uniform_measure, measure_from_spec, tail_mass)
 from .synth import (Dataset, ExperimentRecord, hard_instance_matrix,

@@ -369,12 +369,6 @@ def check_simplex(theta, tol: float = 1e-9) -> np.ndarray:
     return theta
 
 
-def mixture_cdf_eval(theta, basis: BasisFamily, x, t: float) -> float:
-    """F(x, t) = theta^T Phi(x, t) for theta in the simplex."""
-    theta = check_simplex(theta)
-    return float(np.dot(theta, basis.eval(x, t)))
-
-
 def inverse_cdf_sample(theta, basis: BasisFamily, x, u):
     """Smallest t with theta^T Phi(x, t) >= u, by atom lookup or bisection.
 

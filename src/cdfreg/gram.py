@@ -78,26 +78,23 @@ def response_vector_of_sample(basis: BasisFamily, x, y: float, m: msr.QuadMeasur
     return _sums(basis, [x], np.array([y], dtype=float), m, gram=False)[1]
 
 
-def accumulate(state: GramState, basis: BasisFamily, x, y, w=None) -> GramState:
+def accumulate(state: GramState, basis: BasisFamily, x, y) -> GramState:
     """Return a new state with the samples (x, y) added, integrated against state.measure.
 
     A scalar y adds one sample with context x; a 1-D y of n outcomes adds
-    n samples whose contexts are the n entries of x, sample j counted w[j] times.
+    n samples whose contexts are the n entries of x.
     """
     if basis.d != state.d:
         raise ValueError(f"basis dimension {basis.d} != state dimension {state.d}")
     ys = np.asarray(y, dtype=float)
     X = [x] if ys.ndim == 0 else x
     ys = ys.reshape(-1)
-    w = None if w is None else np.asarray(w).reshape(-1)
-    if len(X) != ys.size or (w is not None and w.size != ys.size):
+    if len(X) != ys.size:
         raise ValueError(f"{len(X)} contexts for {ys.size} outcomes")
-    dU, du = _sums(basis, X, ys, state.measure, c=w)
+    dU, du = _sums(basis, X, ys, state.measure)
     U = state.U + dU
     U = 0.5 * (U + U.T)  # quadrature round-off symmetry guard
-    u = state.u + du
-    n = state.n + (ys.size if w is None else w.sum().item())
-    return GramState(state.d, state.measure, n, U, u)
+    return GramState(state.d, state.measure, state.n + ys.size, U, state.u + du)
 
 
 def regularized_gram(state: GramState, lam: float) -> np.ndarray:

@@ -99,23 +99,6 @@ def measure_from_spec(spec: dict) -> QuadMeasure:
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
-def _eval_on(f, ts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(ts), dtype=float)
-        if vals.shape != ts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(t)) for t in ts])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values")
-    return vals
-
-
-def integrate(f, m: QuadMeasure) -> float:
-    """Integral of f against the measure: sum_k w_k f(t_k)."""
-    return float(np.dot(m.weights, _eval_on(f, m.nodes)))
-
-
 @functools.lru_cache(maxsize=None)
 def _legendre_rule(n_nodes: int):
     """Reference Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""

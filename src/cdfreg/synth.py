@@ -199,21 +199,46 @@ def _hard_design(d: int, n: int, c: float):
     return hard_instance_matrix(d, i.size, c), np.where(i < d, 1, (n - i + d - 1) // d)
 
 
-def _bernoulli_state(R, counts, probs, rng) -> GramState:
-    """Statistics of y_j ~ Bernoulli(probs of row j) on the n-row design, by distinct row of R.
+def _hard_ones(d: int, counts, probs, rng) -> np.ndarray:
+    """How many of each distinct hard-instance row's draws y_j ~ Bernoulli(probs) are 1.
 
     y_j is r[j] < probs of row j for r = rng.random(n), so the draws at row
     i >= d are the strided view r[i::d]: no row index and no gather.
     """
-    k, d = R.shape
     r = rng.random(counts.sum())
-    ones = np.empty(k, dtype=np.int64)
+    ones = np.empty(len(counts), dtype=np.int64)
     ones[:d] = r[:d] < probs[:d]
-    for i in range(d, k):
+    for i in range(d, len(counts)):
         ones[i] = np.count_nonzero(r[i::d] < probs[i])
-    # The first k weights count the zeros at each row, the last k the ones.
-    return accumulate(GramState(d, _UNIT_INTERVAL), BernoulliBasis(d), np.vstack([R, R]),
-                      np.repeat([0.0, 1.0], k), w=np.concatenate([counts - ones, ones]))
+    return ones
+
+
+def _atom_statistics(P, m):
+    """state(counts, ones): the statistics of counts[a] draws at atom P[a], ones[a] of them y = 1.
+
+    The atoms are Bernoulli p-vectors.  Each atom's Gram G (k, d, d) and its
+    responses R0, R1 (k, d) at y = 0 and y = 1 are integrated against m
+    once; a state is then the count-weighted sums U_n = counts.G and
+    u_n = (counts - ones).R0 + ones.R1.
+    """
+    k, d = P.shape
+    basis = BernoulliBasis(d)
+    G = np.array([gram_matrix_of_context(basis, p, m) for p in P]).reshape(k, d * d)
+    R0, R1 = (np.array([response_vector_of_sample(basis, p, y, m) for p in P])
+              for y in (0.0, 1.0))
+
+    def state(counts, ones) -> GramState:
+        U = (counts @ G).reshape(d, d)
+        return GramState(d, m, int(counts.sum()), 0.5 * (U + U.T),
+                         (counts - ones) @ R0 + ones @ R1)
+
+    return state
+
+
+@functools.lru_cache(maxsize=4)
+def _hard_statistics(d: int, k: int, c: float):
+    """_atom_statistics of the first k distinct hard rows: one build serves every n >= 2d."""
+    return _atom_statistics(hard_instance_matrix(d, k, c), _UNIT_INTERVAL)
 
 
 def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
@@ -282,8 +307,8 @@ def _polynomial_sigma_1(d, x_lo, x_hi, n_nodes):
 def _scaling_design(config, d, n, theta_star, metrics):
     """(draw, Sigma_n, ks_fn), what every rep of grid point (d, n) shares.
 
-    draw(rng) gives one rep's GramState.  Sigma_n is None for the fixed hard
-    design, whose Sigma_n is each rep's own U_n.
+    draw(rng) gives one rep's GramState.  The polynomial design builds
+    Sigma_n only for the sigma_norm metric and gives None otherwise.
     """
     spec = config["basis"]
     kind = spec["kind"]
@@ -392,8 +417,7 @@ def _scaling_point(config, d, n, seed, reps) -> list:
                 if "self_norm" in metrics:
                     vals["self_norm"] = bounds.weighted_norm(diff, A)
                 if "sigma_norm" in metrics:
-                    vals["sigma_norm"] = bounds.weighted_norm(
-                        diff, state.U if Sigma_n is None else Sigma_n)
+                    vals["sigma_norm"] = bounds.weighted_norm(diff, Sigma_n)
                 if "ks" in metrics:
                     vals["ks"] = ks_fn(theta_hat)
                 if "eps_lambda" in metrics:
@@ -477,8 +501,8 @@ def run_scaling_experiment(config) -> tuple[list, list]:
 def _atom_design(spec, d, n, theta_star):
     """draw(rng) of one rep's statistics on a finite atom set of p-vectors, and Sigma_n.
 
-    Each atom's Gram and its two responses (y=0, y=1) are integrated against
-    the measure once; a rep draws atoms and outcomes and sums them by atom.
+    A rep draws n atoms and their outcomes and counts them by atom; Sigma_n
+    is U_n at the expected counts n * probs.
     """
     try:
         P_atoms = np.asarray(spec.get("atoms"), dtype=float)
@@ -495,32 +519,26 @@ def _atom_design(spec, d, n, theta_star):
     except ValueError as exc:
         raise ValueError(f"basis.probs: {exc}") from None
     m = msr.measure_from_spec(spec["measure"]) if "measure" in spec else _UNIT_INTERVAL
-    basis = BernoulliBasis(d)
-    G = [gram_matrix_of_context(basis, p, m) for p in P_atoms]
-    r0 = [response_vector_of_sample(basis, p, 0.0, m) for p in P_atoms]
-    r1 = [response_vector_of_sample(basis, p, 1.0, m) for p in P_atoms]
+    state = _atom_statistics(P_atoms, m)
     success = P_atoms @ theta_star  # P(y = 1) at each atom
 
     def draw(rng) -> GramState:
         idx = rng.choice(k, size=n, p=probs)
         y = (rng.random(n) < success[idx]).astype(float)
-        counts = np.bincount(idx, minlength=k).astype(float)
-        ones = np.bincount(idx, weights=y, minlength=k)
-        U, u = np.zeros((d, d)), np.zeros(d)
-        for a in range(k):
-            U += counts[a] * G[a]
-            u += (counts[a] - ones[a]) * r0[a] + ones[a] * r1[a]
-        return GramState(d, m, n, U, u)
+        return state(np.bincount(idx, minlength=k).astype(float),
+                     np.bincount(idx, weights=y, minlength=k))
 
-    return draw, population_gram(basis, P_atoms, probs, m, n)
+    return draw, state(n * probs, np.zeros(k)).U
 
 
 def _bernoulli_design(config, mode, d, n, theta_star):
     """(draw, Sigma_n, extra), what every rep shares: draw(rng) gives one rep's GramState.
 
-    Sigma_n is None for the fixed hard design, whose Sigma_n is each rep's own
-    U_n; extra holds its E_n_norm in mismatch mode.  The scaling sweep takes
-    its hard-instance draw from here in "self" mode.
+    Both designs are Bernoulli outcomes at a finite set of atoms, so a rep's
+    statistics are count-weighted sums of per-atom ones (_atom_statistics).
+    The hard design's counts are fixed, so its U_n is the same in every rep
+    and is its Sigma_n.  extra holds E_n_norm in mismatch mode.  The scaling
+    sweep takes its hard-instance draw from here in "self" mode.
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
@@ -530,18 +548,21 @@ def _bernoulli_design(config, mode, d, n, theta_star):
         return (*_atom_design(spec, d, n, theta_star), {})
     if kind != "bernoulli_hard":
         raise ValueError(f"unknown coverage basis kind {kind!r}")
-    R, counts = _hard_design(d, n, float(spec.get("c", 1.0)))
+    c = float(spec.get("c", 1.0))
+    R, counts = _hard_design(d, n, c)
+    state = _hard_statistics(d, len(R), c)
+    Sigma_n = state(counts, 0 * counts).U
     probs = R @ theta_star
     extra = {}
     if mode == "mismatch":
         # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
         q, p_e = float(config["q"]), float(spec["p_e"])
         probs = (1.0 - q) * probs + q * p_e
-        # E_n = sum_j q (q_e - theta*^T q_j) q_j, closed form for step CDFs, by distinct row
-        Q = 1.0 - R
-        r = counts * q * ((1.0 - p_e) - Q @ theta_star)
-        extra["E_n_norm"] = float(np.linalg.norm(Q.T @ r))
-    return (lambda rng: _bernoulli_state(R, counts, probs, rng)), None, extra
+        # E_n = sum_j q integral (phi_e - theta*^T Phi_j) Phi_j: the u_n of outcomes
+        # drawn from phi_e, in expectation, less Sigma_n theta*.
+        E_n = q * (state(counts, p_e * counts).u - Sigma_n @ theta_star)
+        extra["E_n_norm"] = float(np.linalg.norm(E_n))
+    return (lambda rng: state(counts, _hard_ones(d, counts, probs, rng))), Sigma_n, extra
 
 
 def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
@@ -555,15 +576,13 @@ def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
         stack = GramState(d, states[0].measure, n, np.stack([s.U for s in states]),
                           np.stack([s.u for s in states]))
         thetas = penalized_estimate(stack, 0.0, delta_nU)
-        pen_bound = lambda S: bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(S), tnorm)
-        bound = None if Sigma_n is None else pen_bound(Sigma_n)
+        bound = bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(Sigma_n), tnorm)
         # objective dominance diagnostic against the near-unregularized ridge fits
         obj = lambda th: (np.linalg.norm(np.einsum("rij,rj->ri", stack.U, th) - stack.u, axis=1)
                           + delta_nU * np.linalg.norm(th, axis=1))
         dominated = obj(thetas) <= obj(ridge_estimate(stack, 1e-8)) + 1e-7
-        return [(float(np.linalg.norm(theta_check - theta_star)),
-                 pen_bound(state.U) if bound is None else bound, {"dominated": float(dom)})
-                for state, theta_check, dom in zip(states, thetas, dominated)]
+        return [(float(np.linalg.norm(theta_check - theta_star)), bound, {"dominated": float(dom)})
+                for theta_check, dom in zip(thetas, dominated)]
     # self, sigma and mismatch share the ridge fit; they differ in weight and bound.
     eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
     bound = (bounds.mismatch_bound(eps, extra["E_n_norm"], lam) if mode == "mismatch"
@@ -571,8 +590,7 @@ def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
     out = []
     for state in states:
         diff = ridge_estimate(state, lam) - theta_star
-        W = ((state.U if Sigma_n is None else Sigma_n) if mode == "sigma"
-             else regularized_gram(state, lam))
+        W = Sigma_n if mode == "sigma" else regularized_gram(state, lam)
         out.append((bounds.weighted_norm(diff, W), bound, extra))
     return out
 
@@ -592,6 +610,12 @@ def run_coverage_experiment(config) -> dict:
     mode = config.get("mode", "self")
     if mode not in ("self", "sigma", "penalized", "mismatch"):
         raise ValueError(f"unknown coverage mode {mode!r}")
+    if mode == "mismatch" and "q" not in config:  # checked here, before any rep runs
+        raise ValueError("mismatch mode needs q")
+    if mode == "mismatch" and "p_e" not in config.get("basis", {}):
+        raise ValueError("mismatch mode needs basis.p_e")
+    if mode == "penalized" and "lambda" in config:
+        raise ValueError("lambda: penalized mode takes no lambda; its penalty comes from delta")
     seed = int(config.get("seed", 0))
     d, n = int(config["d"]), int(config["n"])
     theta_star = _theta_star(config, d)  # a bad theta_star fails here, before any rep runs

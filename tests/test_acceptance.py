@@ -71,16 +71,20 @@ def test_ridge_matches_numeric_minimizer():
 def _asymptotic_bias(basis, theta_star, contexts, context_weights, m, levels=16_000):
     """l2 norm of Sigma_1^{-1} E[u_1] - theta*, with E over y ~ theta*^T Phi(x, .).
 
-    y is drawn at `levels` midpoint levels for every context; `accumulate`
-    weighting each draw by its context's weight over `levels` gives Sigma_1
-    as U and E[u_1] as u.
+    y is drawn at `levels` midpoint levels for every context; each context's
+    draws `accumulate`d, weighted by the context's weight over `levels` and
+    summed, give Sigma_1 as U and E[u_1] as u.
     """
     us = np.tile((np.arange(levels) + 0.5) / levels, len(contexts))
     X = np.repeat(np.asarray(contexts), levels, axis=0)
     ys = inverse_cdf_sample(theta_star, basis, X, us)
-    state = accumulate(GramState(basis.d, m), basis, X, ys,
-                       w=np.repeat(context_weights, levels) / levels)
-    return float(np.linalg.norm(np.linalg.solve(state.U, state.u) - theta_star))
+    U, u = np.zeros((basis.d, basis.d)), np.zeros(basis.d)
+    for j, c in enumerate(context_weights):
+        rows = slice(j * levels, (j + 1) * levels)
+        state = accumulate(GramState(basis.d, m), basis, X[rows], ys[rows])
+        U += c / levels * state.U
+        u += c / levels * state.u
+    return float(np.linalg.norm(np.linalg.solve(U, u) - theta_star))
 
 
 def test_polynomial_design_is_unbiased():

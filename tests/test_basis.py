@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, BernoulliBasis, CustomBasis,
                           GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
-                          basis_from_spec, inverse_cdf_sample,
-                          mixture_cdf_eval, polynomial_exponent)
+                          basis_from_spec, check_simplex, inverse_cdf_sample,
+                          polynomial_exponent)
 from cdfreg.errors import BracketError
 
 
@@ -105,10 +105,10 @@ def rng_ctx3(rng):
 
 def test_mixture_eval():
     b = BernoulliBasis(2)
-    assert mixture_cdf_eval([0.5, 0.5], b, [0.3, 0.7], 0.5) == pytest.approx(0.5)
-    assert mixture_cdf_eval([1.0, 0.0], b, [0.3, 0.7], 0.5) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        mixture_cdf_eval([0.9, 0.9], b, [0.3, 0.7], 0.5)
+    assert np.array([0.5, 0.5]) @ b.eval([0.3, 0.7], 0.5) == pytest.approx(0.5)
+    assert np.array([1.0, 0.0]) @ b.eval([0.3, 0.7], 0.5) == pytest.approx(0.7)
+    with pytest.raises(ValueError):  # a mixture's weights lie on the simplex
+        check_simplex([0.9, 0.9])
 
 
 def test_inverse_cdf_uniform_identity():

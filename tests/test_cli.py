@@ -234,3 +234,20 @@ def test_bad_atom_design_exits_2_naming_the_field(tmp_path, capsys, field, basis
     assert code == 2
     assert field in _config_error(capsys)
     assert not (out / "records.csv").exists()
+
+
+@pytest.mark.parametrize("message, payload", [
+    ("mismatch mode needs q", {"mode": "mismatch",
+                               "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}),
+    ("mismatch mode needs basis.p_e", {"mode": "mismatch", "q": 0.2,
+                                       "basis": {"kind": "bernoulli_hard"}}),
+    ("mismatch mode needs basis.p_e", {"mode": "mismatch", "q": 0.2}),
+    ("lambda: penalized mode takes no lambda", {"mode": "penalized", "lambda": 0.01,
+                                                "basis": _ATOMS}),
+], ids=["no_q", "no_p_e", "no_basis", "penalized_lambda"])
+def test_bad_mode_fields_exit_2_naming_the_field(tmp_path, capsys, message, payload):
+    code, out = run(tmp_path, "bound-check", {"d": 3, "n": 50, "delta": 0.1, "reps": 2,
+                                              **payload})
+    assert code == 2
+    assert message in _config_error(capsys)
+    assert not (out / "records.csv").exists()

@@ -7,6 +7,7 @@ from cdfreg.basis import BernoulliBasis, CustomBasis, PolynomialBasis
 from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context,
                          population_gram, regularized_gram,
                          response_vector_of_sample)
+from cdfreg.synth import _atom_statistics
 
 UNIT = msr.make_uniform_measure(0.0, 1.0, 64)
 
@@ -173,34 +174,9 @@ def test_two_point_accumulate_builds_q_once(n):
     assert np.allclose(state.U, Q.T @ Q, rtol=1e-14) and np.allclose(state.u, Q.T @ (1.0 - ys))
 
 
-@pytest.mark.parametrize("basis, context, m", [
-    (BernoulliBasis(3), lambda r, n: r.uniform(0.0, 1.0, (n, 3)), UNIT),
-    (PolynomialBasis(3), lambda r, n: r.uniform(0.5, 2.0, n), UNIT),
-    (BernoulliBasis(2), lambda r, n: r.uniform(0.0, 1.0, (n, 2)),
-     msr.make_uniform_measure(-0.5, 2.0, 24)),
-], ids=["bernoulli", "polynomial", "bernoulli-quadrature"])
-@settings(max_examples=25, deadline=None)
-@given(w=st.lists(st.integers(0, 5), min_size=1, max_size=30),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_weighted_accumulate_equals_repeated_rows(basis, context, m, w, seed):
-    rng = np.random.default_rng(seed)
-    X = context(rng, len(w))
-    y = rng.uniform(-0.2, 1.2, len(w))
-    start = accumulate(GramState(basis.d, m), basis, X[:1], y[:1])  # weights add to a state
-    weighted = accumulate(start, basis, X, y, w=np.array(w))
-    rows = np.repeat(np.arange(len(w)), w)
-    repeated = accumulate(start, basis, X[rows], y[rows])
-    assert weighted.n == repeated.n == 1 + sum(w)
-    assert _close(weighted.U, repeated.U) and _close(weighted.u, repeated.u)
-    # rows of weight 0 add nothing at all
-    zero = accumulate(start, basis, X, y, w=np.zeros(len(w), dtype=int))
-    assert zero.n == start.n
-    assert np.array_equal(zero.U, start.U) and np.array_equal(zero.u, start.u)
-
-
 @st.composite
 def _two_point_samples(draw):
-    """Bernoulli contexts P (n, d), outcomes y in {0, 1} and integer weights w."""
+    """Bernoulli atoms P (k, d), outcomes y in {0, 1} and integer counts w."""
     d, n = draw(st.integers(1, 5)), draw(st.integers(1, 20))
     P = draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))
     y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
@@ -213,11 +189,11 @@ def _two_point_samples(draw):
 @given(sample=_two_point_samples())
 def test_two_point_statistics_do_not_depend_on_the_rule(K, sample):
     # Two-point CDFs are 1 - p on [0, 1) and 1 from t = 1 on, so every rule
-    # with its nodes inside (0, 1) gives U_n = Q^T diag(w) Q, u_n = Q^T (w (1 - y)).
+    # with its nodes inside (0, 1) gives U_n = Q^T diag(w) Q, u_n = Q^T (w (1 - y))
+    # for w[a] draws at atom a, all with outcome y[a].
     P, y, w = sample
     Q = 1.0 - P
-    state = accumulate(GramState(P.shape[1], msr.make_uniform_measure(0.0, 1.0, K)),
-                       BernoulliBasis(P.shape[1]), P, y, w=w)
+    state = _atom_statistics(P, msr.make_uniform_measure(0.0, 1.0, K))(w, w * y)
     assert state.n == w.sum()
     for got, ref in ((state.U, (Q.T * w) @ Q), (state.u, Q.T @ (w * (1.0 - y)))):
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1e-300)

@@ -8,7 +8,8 @@ from cdfreg import synth
 from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
 from cdfreg.estimators import project_simplex, ridge_estimate
 from cdfreg.gram import GramState, accumulate, population_gram
-from cdfreg.synth import (_bernoulli_state, _hard_design, bernoulli_ks_sup,
+from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _bernoulli_design,
+                          _hard_design, _hard_ones, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
                           run_scaling_experiment, sample_mismatched, sample_scheme1,
                           sample_scheme2, sorted_quantile, stream_rng, uniform_contexts)
@@ -93,7 +94,7 @@ _HARD_SIZES = [(5, 3), (5, 5), (5, 7), (3, 11), (5, 100_000), (3, 100_000)]
 
 @pytest.mark.parametrize("d,n", _HARD_SIZES)
 @pytest.mark.parametrize("c", [1.0, 3.3])
-def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c, monkeypatch):
+def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c):
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
     P = hard_instance_matrix(d, n, c)
     R, counts = _hard_design(d, n, c)
@@ -101,25 +102,16 @@ def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c, monkeypatch)
     j = np.arange(n)
     idx = np.where(j < d, j, d + (j - d) % d)
     assert len(R) == min(n, 2 * d) and np.array_equal(R[idx], P)
-    weights = []
-
-    def spy(*args, w):  # keeps the row weights _bernoulli_state passes
-        weights.append(w)
-        return accumulate(*args, w=w)
-
-    monkeypatch.setattr(synth, "accumulate", spy)
     rng = stream_rng(7, d, n)
-    state = _bernoulli_state(R, counts, R @ theta, rng)
+    ones = _hard_ones(d, counts, R @ theta, rng)
+    state = _atom_statistics(R, _UNIT_INTERVAL)(counts, ones)
     # Reference: the draws and statistics on the full (n, d) matrix.
     ref_rng = stream_rng(7, d, n)
     y = ref_rng.random(n) < P @ theta
     assert np.array_equal(rng.random(3), ref_rng.random(3))  # one random(n) call's worth
-    ref_counts = np.bincount(idx, minlength=len(R))
-    ref_ones = np.bincount(idx[y], minlength=len(R))
-    assert np.array_equal(counts, ref_counts)
-    (w,) = weights
-    assert w.dtype == np.int64
-    assert np.array_equal(w, np.concatenate([ref_counts - ref_ones, ref_ones]))
+    assert np.array_equal(counts, np.bincount(idx, minlength=len(R)))
+    assert ones.dtype == np.int64
+    assert np.array_equal(ones, np.bincount(idx[y], minlength=len(R)))
     ref = accumulate(GramState(d, state.measure), BernoulliBasis(d), P, y.astype(float))
     assert state.n == ref.n == n
     assert _close(state.U, ref.U) and _close(state.u, ref.u)
@@ -129,13 +121,55 @@ def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c, monkeypatch)
 @pytest.mark.parametrize("c", [1.0, 3.3])
 def test_mismatch_E_n_from_distinct_rows_matches_full_matrix(d, n, c):
     q, p_e = 0.2, 0.4
+    theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
+    config = {"q": q, "basis": {"kind": "bernoulli_hard", "c": c, "p_e": p_e}}
+    _, _, extra = _bernoulli_design(config, "mismatch", d, n, theta)
+    # Reference: the closed form on the full matrix, for two-point CDFs on [0, 1).
+    Q = 1.0 - hard_instance_matrix(d, n, c)
+    ref = np.linalg.norm(Q.T @ (q * ((1.0 - p_e) - Q @ theta)))
+    assert _close(extra["E_n_norm"], ref)
     report = run_coverage_experiment({
         "mode": "mismatch", "d": d, "n": n, "delta": 0.1, "reps": 1, "q": q,
         "basis": {"kind": "bernoulli_hard", "c": c, "p_e": p_e}})
+    assert report["rows"][0]["E_n_norm"] == extra["E_n_norm"]
+
+
+@st.composite
+def _atom_counts(draw):
+    """Bernoulli atoms P (k, d), per-atom counts and how many of each atom's draws are ones."""
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    P = draw(st.lists(st.floats(0.0, 1.0), min_size=k * d, max_size=k * d))
+    counts = draw(st.lists(st.integers(0, 8), min_size=k, max_size=k))
+    ones = [draw(st.integers(0, c)) for c in counts]
+    return np.reshape(P, (k, d)), np.array(counts), np.array(ones)
+
+
+@pytest.mark.parametrize("m", [_UNIT_INTERVAL, msr.make_counting_measure([-0.5, 0.0, 0.5, 1.0])],
+                         ids=["unit", "counting"])
+@settings(max_examples=60, deadline=None)
+@given(sample=_atom_counts())
+def test_atom_state_equals_accumulate_over_expanded_rows(m, sample):
+    """The count-weighted per-atom state is accumulate over the n rows it stands for."""
+    P, counts, ones = sample
+    rows = np.repeat(np.arange(len(P)), counts)
+    # the first ones[a] draws of atom a are y = 1, the rest y = 0
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    y = (rank < ones[rows]).astype(float)
+    state = _atom_statistics(P, m)(counts, ones)
+    ref = accumulate(GramState(P.shape[1], m), BernoulliBasis(P.shape[1]), P[rows], y)
+    assert state.n == ref.n == counts.sum()
+    assert _close(state.U, ref.U) and _close(state.u, ref.u)
+
+
+@pytest.mark.parametrize("mode", ["self", "mismatch"])
+def test_hard_design_U_n_is_bit_identical_across_reps_and_is_its_Sigma_n(mode):
+    d, n = 4, 1000
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
-    Q = 1.0 - hard_instance_matrix(d, n, c)
-    ref = np.linalg.norm(Q.T @ (q * ((1.0 - p_e) - Q @ theta)))
-    assert report["rows"][0]["E_n_norm"] == pytest.approx(ref, rel=1e-12)
+    config = {"q": 0.2, "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}
+    draw, Sigma_n, _ = _bernoulli_design(config, mode, d, n, theta)
+    states = [draw(stream_rng(0, rep)) for rep in range(5)]
+    assert all(s.U.tobytes() == Sigma_n.tobytes() for s in states)
+    assert len({s.u.tobytes() for s in states}) > 1  # the outcomes do vary
 
 
 def test_stream_rng_keyed_and_reproducible():
@@ -319,7 +353,8 @@ def _scaling_reference(config):
             rng = stream_rng(seed, 0xD0, d, n, rep)
             if kind == "bernoulli_hard":
                 R, counts = _hard_design(d, n, 1.0)
-                state = _bernoulli_state(R, counts, R @ theta, rng)
+                ones = _hard_ones(d, counts, R @ theta, rng)
+                state = _atom_statistics(R, _UNIT_INTERVAL)(counts, ones)
                 Sigma_n = state.U
                 ks = lambda th: bernoulli_ks_sup(project_simplex(th), theta, d)
             else:
@@ -427,8 +462,9 @@ def test_run_coverage_rejects_unknown_mode():
 
 
 def test_coverage_builds_the_atom_design_once(monkeypatch):
-    """Each atom's Gram and responses, Sigma_n and the measure are built once per
-    run, not once per rep; the penalized estimates are one stacked solve."""
+    """Each atom's Gram and responses and the measure are built once per run, not
+    once per rep, and Sigma_n comes from the same per-atom Grams; the penalized
+    estimates are one stacked solve."""
     from cdfreg import synth
     calls = {}
 
@@ -451,4 +487,4 @@ def test_coverage_builds_the_atom_design_once(monkeypatch):
                   "probs": [0.5, 0.5], "measure": {"kind": "counting", "points": [0.0, 1.0]}}})
     assert len(report["rows"]) == 50
     assert calls == {"gram_matrix_of_context": 2, "response_vector_of_sample": 4,
-                     "population_gram": 1, "measure_from_spec": 1, "penalized_estimate": 1}
+                     "measure_from_spec": 1, "penalized_estimate": 1}
