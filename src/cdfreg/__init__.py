@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .basis import (BasisFamily, BernoulliBasis, CustomBasis,
                     GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
-                    basis_from_spec, check_simplex, inverse_cdf_sample)
+                    check_simplex, inverse_cdf_sample)
 from .bounds import (epsilon_lambda, epsilon_unreg, fit_loglog_slope,
                      hilbert_bound, ks_distance, ks_grid, l2_error_crps,
                      min_eigenvalue, mismatch_bound, penalized_bound,
@@ -17,8 +17,7 @@ from .bounds import (epsilon_lambda, epsilon_unreg, fit_loglog_slope,
 from .errors import BracketError, CdfRegError, ConvergenceError, SingularGram
 from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, ecdf,
                          fit_mle_simplex, hilbert_estimate, penalized_estimate,
-                         project_simplex, project_simplex_weighted,
-                         ridge_estimate, unregularized_estimate)
+                         project_simplex, ridge_estimate, unregularized_estimate)
 from .gram import (GramState, accumulate, gram_matrix_of_context,
                    population_gram, regularized_gram,
                    response_vector_of_sample)

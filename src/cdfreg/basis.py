@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BracketError
 
 _BISECT_TOL = 1e-10
+_SIMPLEX_TOL = 1e-9  # check_simplex's slack on the sum and on each weight
 # A CDF value within this of a level u counts as reaching it: when sum(theta)
 # rounds below a level near 1, theta^T Phi never reaches the level itself.
 _LEVEL_SLACK = 1e-15
@@ -140,9 +141,6 @@ class BasisFamily:
         """
         raise NotImplementedError(f"{self.kind} basis has no discrete PMF")
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
 
 class _TwoPointBasis(BasisFamily):
     """CDFs of d outcomes on the atoms {0, 1}: 1 - p_i on [0, 1), 1 from t = 1 on."""
@@ -191,9 +189,6 @@ class BernoulliBasis(_TwoPointBasis):
             raise ValueError("Bernoulli success probabilities must lie in [0,1]")
         return p
 
-    def to_spec(self):
-        return {"kind": self.kind, "d": self.d}
-
 
 class PolynomialBasis(BasisFamily):
     """Power-law CDFs (x t)^{r(i)} on [0, 1/x] for a positive scalar context x."""
@@ -223,9 +218,6 @@ class PolynomialBasis(BasisFamily):
     def support(self, x):
         top = 1.0 / np.asarray(x, dtype=float)
         return (0.0, float(top)) if top.ndim == 0 else (0.0, top.reshape(-1))
-
-    def to_spec(self):
-        return {"kind": self.kind, "d": self.d}
 
 
 class GaussianLaplaceBasis(BasisFamily):
@@ -276,12 +268,6 @@ class GaussianLaplaceBasis(BasisFamily):
         hi = np.maximum(mu_n.max(axis=-1), mu_l.max(axis=-1)) + 40.0 * scale
         return (float(lo), float(hi)) if X.ndim == 1 else (lo, hi)
 
-    def to_spec(self):
-        return {"kind": self.kind, "w": self.w,
-                "beta_n1": self.beta_n1.tolist(), "beta_n0": self.beta_n0.tolist(),
-                "beta_l1": self.beta_l1.tolist(), "beta_l0": self.beta_l0.tolist(),
-                "sigma2": self.sigma2.tolist(), "b": self.b.tolist()}
-
 
 class LogisticProbitBasis(_TwoPointBasis):
     """Bernoulli CDFs whose success probability mixes logistic and probit links."""
@@ -308,14 +294,12 @@ class LogisticProbitBasis(_TwoPointBasis):
         probit = ndtr(self.beta_p1 * X + self.beta_p0)
         return self.w * logit + (1.0 - self.w) * probit
 
-    def to_spec(self):
-        return {"kind": self.kind, "w": self.w,
-                "beta_l1": self.beta_l1.tolist(), "beta_l0": self.beta_l0.tolist(),
-                "beta_p1": self.beta_p1.tolist(), "beta_p0": self.beta_p0.tolist()}
-
 
 class CustomBasis(BasisFamily):
-    """Caller-supplied evaluator with declared support; monotonicity is not verified."""
+    """Caller-supplied evaluator(x, ts) -> (d, ts.size) with declared support.
+
+    Monotonicity is not verified.
+    """
 
     kind = "custom"
 
@@ -329,15 +313,9 @@ class CustomBasis(BasisFamily):
 
     def eval_nodes(self, x, ts):
         X, T, single = _batch_form(x, ts)
-        out = np.stack([self._eval_one(xj, tj) for xj, tj in zip(X, T)])
+        out = np.stack([np.asarray(self.evaluator(xj, tj), dtype=float).reshape(self.d, tj.size)
+                        for xj, tj in zip(X, T)])
         return out[0] if single else out
-
-    def _eval_one(self, x, ts):
-        out = np.asarray(self.evaluator(x, ts), dtype=float)
-        if out.shape != (self.d, ts.size):
-            out = np.stack([np.asarray(self.evaluator(x, np.array([t])), dtype=float).reshape(self.d)
-                            for t in ts], axis=1)
-        return out
 
     def support(self, x):
         return (self._lo, self._hi)
@@ -346,25 +324,9 @@ class CustomBasis(BasisFamily):
         return self._atoms
 
 
-def basis_from_spec(spec: dict) -> BasisFamily:
-    kind = spec["kind"]
-    if kind == "bernoulli":
-        return BernoulliBasis(int(spec["d"]))
-    if kind == "polynomial":
-        return PolynomialBasis(int(spec["d"]))
-    if kind == "gaussian_laplace":
-        return GaussianLaplaceBasis(spec["w"], spec["beta_n1"], spec["beta_n0"],
-                                    spec["beta_l1"], spec["beta_l0"],
-                                    spec["sigma2"], spec["b"])
-    if kind == "logistic_probit":
-        return LogisticProbitBasis(spec["w"], spec["beta_l1"], spec["beta_l0"],
-                                   spec["beta_p1"], spec["beta_p0"])
-    raise ValueError(f"unknown basis kind {kind!r}")
-
-
-def check_simplex(theta, tol: float = 1e-9) -> np.ndarray:
+def check_simplex(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if abs(theta.sum() - 1.0) > tol or theta.min() < -tol:
+    if abs(theta.sum() - 1.0) > _SIMPLEX_TOL or theta.min() < -_SIMPLEX_TOL:
         raise ValueError("theta is not in the probability simplex")
     return theta
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import measure as msr
 
 _ASYM_TOL = 1e-10
+_KS_UNIFORM = 512  # evenly spaced points of ks_grid
 
 
 def epsilon_lambda(n: int, d: int, delta: float, lam: float,
@@ -112,13 +113,12 @@ def ks_distance(F1, F2, grid) -> float:
     return float(np.max(np.abs(v1 - v2)))
 
 
-def ks_grid(support_lo: float, support_hi: float, jump_points=(),
-            n_uniform: int = 512) -> np.ndarray:
+def ks_grid(support_lo: float, support_hi: float, jump_points=()) -> np.ndarray:
     """Default evaluation grid: endpoints, a uniform fill, and declared jumps.
 
     Sorted and without repeats, as np.unique gives it, which would load numpy.ma.
     """
-    base = np.linspace(support_lo, support_hi, n_uniform)
+    base = np.linspace(support_lo, support_hi, _KS_UNIFORM)
     grid = np.sort(np.concatenate([base, np.asarray(jump_points, dtype=float),
                                    [support_lo, support_hi]]))
     return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]

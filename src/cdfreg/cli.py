@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import locale  # noqa: F401
 import operator
@@ -19,7 +18,7 @@ from . import __version__
 from .bounds import fit_loglog_slope
 from .errors import CdfRegError
 from .realdata import evaluate_pipeline, write_report_csv
-from .synth import (METRICS, run_coverage_experiment, run_scaling_experiment,
+from .synth import (METRICS, _write_csv, run_coverage_experiment, run_scaling_experiment,
                     write_aggregates_csv, write_records_csv)
 
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
@@ -199,13 +198,6 @@ def _write_summary(out_dir, payload, config):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _scaling_summary(config, records):

@@ -1,7 +1,7 @@
 """Estimators of the mixture weight vector.
 
-Closed-form ridge and unregularized solves, Euclidean and weighted-norm
-simplex projections, the penalized (burn-in-free) estimator, the
+Closed-form ridge and unregularized solves, the Euclidean simplex
+projection, the penalized (burn-in-free) estimator, the
 sigma-regularized estimator in truncated coordinates, and the ECDF and
 simplex-MLE baselines.
 """
@@ -19,6 +19,8 @@ from .errors import ConvergenceError, SingularGram
 from .gram import GramState, regularized_gram
 
 _SINGULAR_EIG_TOL = 1e-10
+# fit_mle_simplex stops after this many ascent steps or at this KKT residual.
+_MLE_MAX_ITER, _MLE_TOL = 2000, 1e-8
 
 
 @dataclass
@@ -99,25 +101,6 @@ def project_simplex(v) -> np.ndarray:
     tau = css[rho] / (rho + 1.0)
     out = np.maximum(v - tau, 0.0)
     return out / out.sum()  # exact renormalization for downstream KS use
-
-
-def project_simplex_weighted(v, A, max_iter: int = 5000, tol: float = 1e-12) -> np.ndarray:
-    """A-norm projection onto the simplex via projected gradient descent."""
-    v = np.asarray(v, dtype=float)
-    A = np.asarray(A, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    if eigs[0] <= 0:
-        raise ValueError("weight matrix A must be positive definite")
-    if v.size == 1:
-        return np.array([1.0])
-    step = 1.0 / eigs[-1]
-    theta = project_simplex(v)
-    for _ in range(max_iter):
-        new = project_simplex(theta - step * (A @ (theta - v)))
-        if np.linalg.norm(new - theta) < tol:
-            return new
-        theta = new
-    return theta
 
 
 def delta_nU_default(n: int, d: int, delta: float) -> float:
@@ -216,8 +199,7 @@ def ecdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(samples)
 
 
-def fit_mle_simplex(samples, basis: BasisFamily, max_iter: int = 2000,
-                    tol: float = 1e-8) -> np.ndarray:
+def fit_mle_simplex(samples, basis: BasisFamily) -> np.ndarray:
     """Maximize sum_j log(theta^T rho_j) over the simplex by projected gradient ascent.
 
     rho_j are the per-coordinate PMF values of the discrete outcome basis.
@@ -239,7 +221,7 @@ def fit_mle_simplex(samples, basis: BasisFamily, max_iter: int = 2000,
 
     fval = negloglik(theta)
     step = 1.0 / len(samples)
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         grad = -(rho / (rho @ theta)[:, None]).sum(axis=0)
         s = step
         while s > 1e-16:
@@ -249,7 +231,7 @@ def fit_mle_simplex(samples, basis: BasisFamily, max_iter: int = 2000,
                 break
             s *= 0.5
         # KKT residual via the unit-step projected-gradient mapping.
-        if np.linalg.norm(theta - project_simplex(theta - grad / len(samples))) <= tol:
+        if np.linalg.norm(theta - project_simplex(theta - grad / len(samples))) <= _MLE_TOL:
             break
         if s <= 1e-16:
             break

@@ -88,14 +88,13 @@ def make_counting_measure(points) -> QuadMeasure:
 
 def measure_from_spec(spec: dict) -> QuadMeasure:
     kind = spec["kind"]
-    params = spec.get("params", spec)
-    n_nodes = int(spec.get("n_nodes", params.get("n_nodes", DEFAULT_NODES)))
+    n_nodes = int(spec.get("n_nodes", DEFAULT_NODES))
     if kind == UNIFORM:
-        return make_uniform_measure(float(params["a"]), float(params["b"]), n_nodes)
+        return make_uniform_measure(float(spec["a"]), float(spec["b"]), n_nodes)
     if kind == GAUSSIAN:
-        return make_gaussian_measure(float(params["c"]), float(params["var"]), n_nodes)
+        return make_gaussian_measure(float(spec["c"]), float(spec["var"]), n_nodes)
     if kind == COUNTING:
-        return make_counting_measure(params["points"])
+        return make_counting_measure(spec["points"])
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

@@ -21,9 +21,11 @@ from .bounds import l2_error_crps
 from .errors import CdfRegError
 from .estimators import ecdf, fit_mle_simplex, project_simplex, ridge_estimate
 from .gram import GramState, accumulate
-from .synth import sorted_quantile, stream_rng
+from .synth import _write_csv, sorted_quantile, stream_rng
 
 _GLM_COEF_CAP = 30.0
+# fit_glm_univariate stops after this many Newton steps or at this gradient norm.
+_GLM_MAX_ITER, _GLM_TOL = 100, 1e-8
 
 
 @dataclass
@@ -137,8 +139,7 @@ def fit_lad_univariate(xs, ys) -> UnivariateFit:
     return UnivariateFit("LAD", a, b, best / len(xs))
 
 
-def fit_glm_univariate(xs, ys, link: str, max_iter: int = 100,
-                       tol: float = 1e-8) -> UnivariateFit:
+def fit_glm_univariate(xs, ys, link: str) -> UnivariateFit:
     """Newton-Raphson for a univariate logistic or probit regression."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -151,7 +152,7 @@ def fit_glm_univariate(xs, ys, link: str, max_iter: int = 100,
     X = np.column_stack([xs, np.ones_like(xs)])
     beta = np.zeros(2)
     separated = False
-    for _ in range(max_iter):
+    for _ in range(_GLM_MAX_ITER):
         eta = X @ beta
         if link == "Logistic":
             mu = 1.0 / (1.0 + np.exp(-eta))
@@ -173,7 +174,7 @@ def fit_glm_univariate(xs, ys, link: str, max_iter: int = 100,
             beta = np.clip(beta, -_GLM_COEF_CAP, _GLM_COEF_CAP)
             separated = True
             break
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= _GLM_TOL:
             break
     return UnivariateFit(link, float(beta[0]), float(beta[1]),
                          separated=separated)
@@ -205,17 +206,28 @@ def fit_logistic_probit_basis(X, y, w: float) -> LogisticProbitBasis:
 
 
 def evaluate_pipeline(config) -> dict:
-    """Fit basis parameters, mixture weights, and baselines; report test CRPS rows."""
+    """Fit basis parameters, mixture weights, and baselines; report test CRPS rows.
+
+    The seeds are config["seeds"], or n_seeds consecutive ones from seed; a
+    config that gives seeds with seed or n_seeds, or a negative seed, is an
+    error raised before any seed runs.
+    """
+    seeds = config.get("seeds")
+    if seeds is None:
+        base = int(config.get("seed", 0))
+        seeds = [base + k for k in range(int(config.get("n_seeds", 1)))]
+    elif "seed" in config or "n_seeds" in config:
+        raise ValueError("seeds: give seeds alone, or seed (or --seed) with n_seeds")
+    elif any(s < 0 for s in seeds):
+        raise ValueError(f"seeds: {seeds!r} has a negative seed; seeds are non-negative")
+    else:
+        seeds = [int(s) for s in seeds]  # the config check lets 2.0 through as an integer
     data = load_csv(config["csv_path"], config["outcome"],
                     config.get("features"), config.get("delimiter", ","))
     m = msr.measure_from_spec(config["measure"])
     basis_kind = config["basis"]["kind"]
     w = float(config["basis"].get("w", 0.0))
     lambdas = [float(l) for l in config["lambdas"]]
-    seeds = config.get("seeds")
-    if seeds is None:
-        base = int(config.get("seed", 0))
-        seeds = [base + k for k in range(int(config.get("n_seeds", 1)))]
 
     discrete = basis_kind == "logistic_probit"
     rows, errors = [], []
@@ -274,9 +286,6 @@ def evaluate_pipeline(config) -> dict:
 
 
 def write_report_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "lambda", "seed", "l2_error"])
-        for r in rows:
-            writer.writerow([r["method"], repr(float(r["lambda"])), r["seed"],
-                             repr(float(r["l2_error"]))])
+    _write_csv(path, ["method", "lambda", "seed", "l2_error"],
+               ([r["method"], repr(float(r["lambda"])), r["seed"], repr(float(r["l2_error"]))]
+                for r in rows))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -50,11 +50,7 @@ def stream_rng(seed: int, *key) -> np.random.Generator:
 class Dataset:
     contexts: np.ndarray | list  # n contexts, indexed by the first axis
     outcomes: np.ndarray
-    scheme: str
-    seed: int
-    theta_star: np.ndarray
-    basis_spec: dict = field(default_factory=dict)
-    E_n: np.ndarray | None = None
+    E_n: np.ndarray | None = None  # realized mismatch vector (sample_mismatched only)
 
 
 @dataclass
@@ -138,7 +134,7 @@ def sample_scheme2(basis: BasisFamily, context_sampler, theta_star, n: int,
     theta_star = np.asarray(theta_star, dtype=float)
     X, U = context_sampler(stream_rng(seed), n, 1)
     ys = inverse_cdf_sample(theta_star, basis, X, U[:, 0])
-    return Dataset(X, ys, "Random", seed, theta_star, basis.to_spec())
+    return Dataset(X, ys)
 
 
 def sample_scheme1(basis: BasisFamily, adversary, theta_star, n: int,
@@ -153,7 +149,7 @@ def sample_scheme1(basis: BasisFamily, adversary, theta_star, n: int,
         ys[j] = inverse_cdf_sample(theta_star, basis, x, u)
         contexts.append(x)
         history.append((x, ys[j]))
-    return Dataset(contexts, ys, "Adversarial", seed, theta_star, basis.to_spec())
+    return Dataset(contexts, ys)
 
 
 def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
@@ -182,7 +178,7 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
         P = basis.eval_nodes(Xb, T)
         e_vals = q * (phi_e.eval_nodes(Xb, T)[:, 0] - theta_star @ P)
         E_n += np.einsum("bik,bk->i", P, m.weights * e_vals)
-    return Dataset(X, ys, "Random", seed, theta_star, basis.to_spec(), E_n=E_n)
+    return Dataset(X, ys, E_n)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +358,12 @@ def _value(x):
     return x
 
 
+def _stack(states) -> GramState:
+    """One state whose U and u stack the given states' (r, d, d) and (r, d)."""
+    return GramState(states[0].d, states[0].measure, states[0].n,
+                     np.stack([s.U for s in states]), np.stack([s.u for s in states]))
+
+
 def _ridge_rows(states, lam) -> list:
     """Each state's ridge estimate at lam, or the failure its own solve raises.
 
@@ -370,10 +372,8 @@ def _ridge_rows(states, lam) -> list:
     """
     if not states:
         return []
-    stack = GramState(states[0].d, states[0].measure, states[0].n,
-                      np.stack([s.U for s in states]), np.stack([s.u for s in states]))
     try:
-        return list(ridge_estimate(stack, lam))
+        return list(ridge_estimate(_stack(states), lam))
     except _FAILURES:
         return [_attempt(ridge_estimate, state, lam) for state in states]
 
@@ -566,15 +566,17 @@ def _bernoulli_design(config, mode, d, n, theta_star):
 
 
 def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
-    """(error, bound, extra) of each rep; the penalized estimates are one stacked solve."""
+    """(error, bound, extra) of each rep; every mode solves its reps as one stack.
+
+    A rep whose ridge solve fails raises its failure.
+    """
     d, n = int(config["d"]), int(config["n"])
     delta = float(config["delta"])
     lam = float(config.get("lambda", 0.001))
     tnorm = float(np.linalg.norm(theta_star))
     if mode == "penalized":
         delta_nU = delta_nU_default(n, d, delta)
-        stack = GramState(d, states[0].measure, n, np.stack([s.U for s in states]),
-                          np.stack([s.u for s in states]))
+        stack = _stack(states)
         thetas = penalized_estimate(stack, 0.0, delta_nU)
         bound = bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(Sigma_n), tnorm)
         # objective dominance diagnostic against the near-unregularized ridge fits
@@ -588,10 +590,9 @@ def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
     bound = (bounds.mismatch_bound(eps, extra["E_n_norm"], lam) if mode == "mismatch"
              else math.sqrt(2.0) * eps if mode == "sigma" else eps)
     out = []
-    for state in states:
-        diff = ridge_estimate(state, lam) - theta_star
+    for state, theta_hat in zip(states, _ridge_rows(states, lam)):
         W = Sigma_n if mode == "sigma" else regularized_gram(state, lam)
-        out.append((bounds.weighted_norm(diff, W), bound, extra))
+        out.append((bounds.weighted_norm(_value(theta_hat) - theta_star, W), bound, extra))
     return out
 
 
@@ -638,16 +639,17 @@ def run_coverage_experiment(config) -> dict:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def write_records_csv(path, records):
+def _write_csv(path, header, rows):
+    """A header line, then one line per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(r.row())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_records_csv(path, records):
+    _write_csv(path, RECORD_COLUMNS, (r.row() for r in records))
 
 
 def write_aggregates_csv(path, aggregates):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        writer.writerows(aggregates)
+    _write_csv(path, AGGREGATE_COLUMNS, aggregates)

@@ -11,11 +11,9 @@ from scipy.optimize import minimize
 from cdfreg import measure as msr
 from cdfreg.basis import (BernoulliBasis, GaussianLaplaceBasis, PolynomialBasis,
                           inverse_cdf_sample)
-from cdfreg.bounds import (epsilon_lambda, fit_loglog_slope, ks_distance, ks_grid,
-                           weighted_norm)
+from cdfreg.bounds import epsilon_lambda, fit_loglog_slope, ks_distance, ks_grid
 from cdfreg.cli import main
-from cdfreg.estimators import (SigmaSequence, hilbert_estimate,
-                               project_simplex, project_simplex_weighted,
+from cdfreg.estimators import (SigmaSequence, hilbert_estimate, project_simplex,
                                ridge_estimate)
 from cdfreg.gram import GramState, accumulate, gram_matrix_of_context
 from cdfreg.realdata import evaluate_pipeline
@@ -180,19 +178,6 @@ def test_ks_bounded_by_scaled_l2():
         F2 = lambda ts: t2 @ basis.eval_nodes(p, np.atleast_1d(ts))
         ks = ks_distance(F1, F2, grid)
         assert ks <= np.sqrt(d) * np.linalg.norm(t1 - t2) + 1e-12
-
-
-def test_weighted_projection_is_a_contraction():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        d = int(rng.integers(2, 6))
-        M = rng.normal(size=(d, d))
-        A = M @ M.T + 0.1 * np.eye(d)
-        v = rng.normal(size=d) * 3.0
-        theta = project_simplex(rng.normal(size=d))
-        proj = project_simplex_weighted(v, A)
-        assert (weighted_norm(proj - theta, A)
-                <= weighted_norm(v - theta, A) + 1e-10)
 
 
 def test_hilbert_estimate_reduces_to_ridge():

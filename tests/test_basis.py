@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, BernoulliBasis, CustomBasis,
                           GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
-                          basis_from_spec, check_simplex, inverse_cdf_sample,
-                          polynomial_exponent)
+                          check_simplex, inverse_cdf_sample, polynomial_exponent)
 from cdfreg.errors import BracketError
 
 
@@ -145,16 +144,6 @@ def test_inverse_cdf_bracket_failure():
                        0.0, 1.0)
     with pytest.raises(BracketError):
         inverse_cdf_sample([1.0], flat, None, 0.9)
-
-
-def test_spec_round_trip():
-    for b in (BernoulliBasis(3), PolynomialBasis(4),
-              GaussianLaplaceBasis(0.5, np.ones(2), np.zeros(2), np.ones(2),
-                                   np.zeros(2), np.ones(2), np.ones(2)),
-              LogisticProbitBasis(0.5, np.ones(2), np.zeros(2), np.ones(2),
-                                  np.zeros(2))):
-        b2 = basis_from_spec(b.to_spec())
-        assert b2.kind == b.kind and b2.d == b.d
 
 
 _GL2 = GaussianLaplaceBasis(0.5, [1.0, -1.0], [0.0, 0.5], [0.5, 1.0], [0.0, 0.0],

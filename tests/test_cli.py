@@ -149,6 +149,40 @@ def test_real_unusable_csv_exits_2(tmp_path, capsys, csv_text, features):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+REAL_ONE_SEED = {"csv_path": str(DATA / "smoke_12.csv"), "outcome": "y",
+                 "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 16},
+                 "basis": {"kind": "gaussian_laplace", "w": 0.0},
+                 "lambdas": [1.0], "seeds": [0]}
+
+
+def test_real_negative_seed_is_a_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "real", dict(REAL_ONE_SEED, seeds=[0, -1]))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "seeds" in err["message"]
+    assert not (out / "records.csv").exists()  # raised before any seed ran
+
+
+@pytest.mark.parametrize("extra,flags", [({"seed": 3}, ()), ({"n_seeds": 2}, ()),
+                                         ({}, ("--seed", "5"))],
+                         ids=["seed", "n_seeds", "--seed"])
+def test_real_seeds_with_seed_or_n_seeds_is_a_config_error(tmp_path, capsys, extra, flags):
+    code, out = run(tmp_path, "real", dict(REAL_ONE_SEED, **extra), flags)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "seeds" in err["message"]
+    assert not (out / "records.csv").exists()
+
+
+def test_real_integral_float_seed_runs_as_its_integer(tmp_path):
+    code, out = run(tmp_path, "real", dict(REAL_ONE_SEED, seeds=[2.0]))
+    assert code == 0
+    (tmp_path / "int").mkdir()
+    code, ref = run(tmp_path / "int", "real", dict(REAL_ONE_SEED, seeds=[2]))
+    assert code == 0
+    assert (out / "records.csv").read_bytes() == (ref / "records.csv").read_bytes()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["real", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])

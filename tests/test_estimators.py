@@ -10,8 +10,7 @@ from cdfreg.basis import BernoulliBasis
 from cdfreg.errors import ConvergenceError, SingularGram
 from cdfreg.estimators import (SigmaSequence, delta_nU_default, ecdf,
                                fit_mle_simplex, hilbert_estimate,
-                               penalized_estimate, project_simplex,
-                               project_simplex_weighted, ridge_estimate,
+                               penalized_estimate, project_simplex, ridge_estimate,
                                unregularized_estimate)
 from cdfreg.gram import GramState, accumulate
 
@@ -99,19 +98,6 @@ def test_project_simplex_lands_on_simplex_and_is_idempotent(v):
     assert out.min() >= 0.0
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(project_simplex(out), out, rtol=0.0, atol=1e-12)
-
-
-def test_project_simplex_weighted():
-    rng = np.random.default_rng(1)
-    v = rng.normal(size=4)
-    assert np.allclose(project_simplex_weighted(v, np.eye(4)),
-                       project_simplex(v), atol=1e-9)
-    inside = np.array([0.1, 0.2, 0.3, 0.4])
-    A = np.diag([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(project_simplex_weighted(inside, A), inside, atol=1e-9)
-    assert np.allclose(project_simplex_weighted(np.array([5.0]), np.eye(1)), [1.0])
-    with pytest.raises(ValueError):
-        project_simplex_weighted(v, -np.eye(4))
 
 
 def test_delta_nU_default_values():
