@@ -17,6 +17,8 @@ import numpy as np
 from .errors import BracketError
 
 _BISECT_TOL = 1e-10
+# Polynomial draws bracket s = x t between two points of this dyadic grid k / 4096 of [0, 1].
+_GRID = np.linspace(0.0, 1.0, 4097)
 _SIMPLEX_TOL = 1e-9  # check_simplex's slack on the sum and on each weight
 # A CDF value within this of a level u counts as reaching it: when sum(theta)
 # rounds below a level near 1, theta^T Phi never reaches the level itself.
@@ -91,6 +93,14 @@ def _batch_form(x, ts):
     return [x], ts.reshape(1, -1), True
 
 
+def _positive_contexts(X) -> np.ndarray:
+    """The scalar contexts of a polynomial batch as an (n,) array, each checked to be positive."""
+    X = np.asarray(X, dtype=float).reshape(-1)
+    if np.any(X <= 0):
+        raise ValueError("polynomial basis requires a positive context")
+    return X
+
+
 def polynomial_exponent(d: int, i: int) -> float:
     """Exponent of the i-th polynomial basis coordinate (1-based index)."""
     if not 1 <= i <= d:
@@ -104,7 +114,6 @@ class BasisFamily:
     """Abstract contextual CDF basis of dimension d."""
 
     d: int
-    kind: str = "custom"
 
     def eval(self, x, t: float) -> np.ndarray:
         """Phi(x, t) as a (d,) vector."""
@@ -139,7 +148,7 @@ class BasisFamily:
 
         A 1-D y of n outcomes takes the n contexts in x and gives an (n, d) array.
         """
-        raise NotImplementedError(f"{self.kind} basis has no discrete PMF")
+        raise NotImplementedError(f"{type(self).__name__} has no discrete PMF")
 
 
 class _TwoPointBasis(BasisFamily):
@@ -173,8 +182,6 @@ class _TwoPointBasis(BasisFamily):
 class BernoulliBasis(_TwoPointBasis):
     """d Bernoulli CDF coordinates; the context is the success-probability vector."""
 
-    kind = "bernoulli"
-
     def __init__(self, d: int, p_map=None):
         self.d = int(d)
         self.p_map = p_map
@@ -193,8 +200,6 @@ class BernoulliBasis(_TwoPointBasis):
 class PolynomialBasis(BasisFamily):
     """Power-law CDFs (x t)^{r(i)} on [0, 1/x] for a positive scalar context x."""
 
-    kind = "polynomial"
-
     def __init__(self, d: int):
         self.d = int(d)
         self.exponents = np.array([polynomial_exponent(self.d, i)
@@ -202,9 +207,7 @@ class PolynomialBasis(BasisFamily):
 
     def eval_nodes(self, x, ts):
         X, T, single = _batch_form(x, ts)
-        X = np.asarray(X, dtype=float).reshape(-1, 1)
-        if np.any(X <= 0):
-            raise ValueError("polynomial basis requires a positive context")
+        X = _positive_contexts(X)[:, None]
         top = 1.0 / X
         # 0 below the support and 1 above it; np.power runs only on the lanes inside
         # [0, 1/x].  glibc's pow takes a slow special-case path for a zero base (about
@@ -222,8 +225,6 @@ class PolynomialBasis(BasisFamily):
 
 class GaussianLaplaceBasis(BasisFamily):
     """Convex mixtures of Gaussian and Laplace CDFs with per-coordinate linear locations."""
-
-    kind = "gaussian_laplace"
 
     def __init__(self, w, beta_n1, beta_n0, beta_l1, beta_l0, sigma2, b):
         self.w = float(w)
@@ -272,8 +273,6 @@ class GaussianLaplaceBasis(BasisFamily):
 class LogisticProbitBasis(_TwoPointBasis):
     """Bernoulli CDFs whose success probability mixes logistic and probit links."""
 
-    kind = "logistic_probit"
-
     def __init__(self, w, beta_l1, beta_l0, beta_p1, beta_p0):
         self.w = float(w)
         if not 0.0 <= self.w <= 1.0:
@@ -300,8 +299,6 @@ class CustomBasis(BasisFamily):
 
     Monotonicity is not verified.
     """
-
-    kind = "custom"
 
     def __init__(self, d: int, evaluator, support_lo: float, support_hi: float,
                  atoms=None):
@@ -352,7 +349,8 @@ def inverse_cdf_sample(theta, basis: BasisFamily, x, u):
         raise ValueError(f"{len(X)} contexts for {us.size} levels")
     t = _atom_lookup(theta, basis, X, us)
     if t is None:
-        t = _bisect(theta, basis, X, us)
+        sample = _grid_bisect if isinstance(basis, PolynomialBasis) else _bisect
+        t = sample(theta, basis, X, us)
     return float(t[0]) if single else t
 
 
@@ -368,7 +366,7 @@ def _atom_lookup(theta, basis, X, us):
 
 
 def _bisect(theta, basis, X, us):
-    """Bracket each level u_j, then bisect every draw to its own tolerance."""
+    """Bracket each level u_j by doubling out from the support, then bisect t to _BISECT_TOL."""
     def cdf(idx, ts):  # theta^T Phi(x_j, t_j) for the draws idx
         return (theta @ basis.eval_nodes(X[idx], ts[:, None]))[:, 0]
 
@@ -396,17 +394,47 @@ def _bisect(theta, basis, X, us):
         failed = idx[(cdf(idx, hi[idx]) + _LEVEL_SLACK < us[idx]) | (cdf(idx, lo[idx]) >= us[idx])]
         if failed.size:
             raise BracketError(f"could not bracket u={us[failed[0]]} within search bounds")
-    # The open draws' brackets are carried compacted; a draw's hi is written back when it stops.
-    idx = np.flatnonzero(hi - lo > _BISECT_TOL)
-    Xo, uo, l, h = X[idx], us[idx], lo[idx], hi[idx]
+    return _narrow(cdf, us, lo, hi, np.full(len(us), _BISECT_TOL))
+
+
+def _grid_bisect(theta, basis, X, us):
+    """Polynomial draws: F(x, t) = G(x t) with G(s) = theta^T Phi(1, s) = sum_i theta_i s^r_i.
+
+    One G serves the batch: it is evaluated once on _GRID, each level is bracketed between
+    two grid points, and s = x t is bisected to x _BISECT_TOL, so t = s / x meets _BISECT_TOL.
+    """
+    x = _positive_contexts(X)
+
+    # One np.power per exponent rounds each s alike however many draws are open; eval_nodes can't
+    def cdf(idx, s):
+        return sum(w * s ** r for w, r in zip(theta, basis.exponents))
+
+    g = theta @ basis.eval_nodes(1.0, _GRID)
+    failed = np.flatnonzero(g[-1] + _LEVEL_SLACK < us)
+    if failed.size:
+        raise BracketError(f"could not bracket u={us[failed[0]]} within search bounds")
+    # The first grid point where G reaches u > 0 = G(0), by a search kept sorted by the running
+    # maximum; a level that only the slack reaches takes the last cell.
+    k = np.minimum(np.searchsorted(np.maximum.accumulate(g), us), _GRID.size - 1)
+    return _narrow(cdf, us, _GRID[k - 1], _GRID[k], _BISECT_TOL * x) / x
+
+
+def _narrow(cdf, us, lo, hi, tol):
+    """Bisect each draw's bracket [lo_j, hi_j] of the level u_j to tol_j; return the his.
+
+    cdf(idx, ts) gives the draws idx at ts, each value computed alone, as a scalar call would.
+    The open draws' brackets are carried compacted; a draw's hi is written back when it stops.
+    """
+    idx = np.flatnonzero(hi - lo > tol)
+    uo, l, h, to = us[idx], lo[idx], hi[idx], tol[idx]
     while idx.size:
         mid = 0.5 * (l + h)
-        up = (theta @ basis.eval_nodes(Xo, mid[:, None]))[:, 0] >= uo
+        up = cdf(idx, mid) >= uo
         l_next, h_next = np.where(up, l, mid), np.where(up, mid, h)
         # Stop at the tolerance, or where floats are too coarse for mid to split the bracket.
-        go = (h_next - l_next > _BISECT_TOL) & (l < mid) & (mid < h)
+        go = (h_next - l_next > to) & (l < mid) & (mid < h)
         l, h = l_next, h_next
         if not go.all():
             hi[idx[~go]] = h[~go]
-            idx, Xo, uo, l, h = idx[go], Xo[go], uo[go], l[go], h[go]
+            idx, uo, l, h, to = idx[go], uo[go], l[go], h[go], to[go]
     return hi

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class QuadMeasure:
     weights: np.ndarray
     support_lo: float
     support_hi: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -57,8 +56,7 @@ def make_uniform_measure(a: float, b: float, n_nodes: int = DEFAULT_NODES) -> Qu
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     # Jacobian (b-a)/2 times density 1/(b-a) leaves w/2.
     weights = 0.5 * w
-    return QuadMeasure(UNIFORM, nodes, weights, a, b,
-                       {"a": a, "b": b, "n_nodes": n_nodes})
+    return QuadMeasure(UNIFORM, nodes, weights, a, b)
 
 
 def make_gaussian_measure(c: float, var: float, n_nodes: int = DEFAULT_NODES) -> QuadMeasure:
@@ -70,8 +68,7 @@ def make_gaussian_measure(c: float, var: float, n_nodes: int = DEFAULT_NODES) ->
     z, w = np.polynomial.hermite.hermgauss(n_nodes)
     nodes = c + math.sqrt(2.0 * var) * z
     weights = w / math.sqrt(math.pi)
-    return QuadMeasure(GAUSSIAN, nodes, weights, -math.inf, math.inf,
-                       {"c": c, "var": var, "n_nodes": n_nodes})
+    return QuadMeasure(GAUSSIAN, nodes, weights, -math.inf, math.inf)
 
 
 def make_counting_measure(points) -> QuadMeasure:
@@ -82,8 +79,7 @@ def make_counting_measure(points) -> QuadMeasure:
     if pts.size > 1 and np.any(np.diff(pts) <= 0):
         raise ValueError("points must be strictly increasing (no duplicates)")
     weights = np.full(pts.size, 1.0 / pts.size)
-    return QuadMeasure(COUNTING, pts, weights, float(pts[0]), float(pts[-1]),
-                       {"points": [float(p) for p in pts]})
+    return QuadMeasure(COUNTING, pts, weights, float(pts[0]), float(pts[-1]))
 
 
 def measure_from_spec(spec: dict) -> QuadMeasure:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, BernoulliBasis, CustomBasis,
+from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, _bisect, BernoulliBasis, CustomBasis,
                           GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
                           check_simplex, inverse_cdf_sample, polynomial_exponent)
 from cdfreg.errors import BracketError
@@ -150,16 +150,42 @@ _GL2 = GaussianLaplaceBasis(0.5, [1.0, -1.0], [0.0, 0.5], [0.5, 1.0], [0.0, 0.0]
                             [1.0, 2.0], [1.0, 0.5])
 
 
-def test_inverse_cdf_brackets_level_within_rounding_of_one():
-    theta = np.array([0.5, 0.5 - 2.0 ** -52])  # sums to 1 - 2^-52
-    x = np.array([0.2, -0.1])
+@pytest.mark.parametrize("basis, theta, x", [  # each theta sums to 1 - 2^-52
+    (_GL2, np.array([0.5, 0.5 - 2.0 ** -52]), np.array([0.2, -0.1])),
+    (PolynomialBasis(4), np.array([0.25, 0.25, 0.25, 0.25 - 2.0 ** -52]), 0.7),
+], ids=["gaussian_laplace", "polynomial"])
+def test_inverse_cdf_brackets_level_within_rounding_of_one(basis, theta, x):
     u = 1.0 - 1e-16  # rounds to 1 - 2^-53, above every value of theta^T Phi
-    assert theta @ _GL2.eval(x, 1e6) < u
-    t = inverse_cdf_sample(theta, _GL2, x, u)
+    assert theta @ basis.eval(x, 1e6) < u
+    t = inverse_cdf_sample(theta, basis, x, u)
     assert np.isfinite(t)
-    assert theta @ _GL2.eval(x, t) >= u - 1e-15
-    ts = inverse_cdf_sample(theta, _GL2, [x, x], np.array([0.5, u]))
-    assert ts[1] == t and ts[0] == inverse_cdf_sample(theta, _GL2, x, 0.5)
+    assert theta @ basis.eval(x, t) >= u - 1e-15
+    ts = inverse_cdf_sample(theta, basis, [x, x], np.array([0.5, u]))
+    assert ts[1] == t and ts[0] == inverse_cdf_sample(theta, basis, x, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), zero=st.sampled_from([None, 0, 1, 2, 3]),
+       draws=st.lists(st.tuples(st.floats(-6.0, 6.0),
+                                st.one_of(st.sampled_from([1e-300, 1e-20, 1.0 - 1e-16]),
+                                          st.floats(0.0, 1.0, exclude_min=True,
+                                                    exclude_max=True))),
+                      min_size=1, max_size=8))
+def test_polynomial_draws_agree_with_the_doubling_bracket(seed, zero, draws):
+    """The grid bracket and bisection in s = x t meet _bisect's draws in t to within both
+    tolerances, or a few float steps where floats are coarser, over contexts 1e-6 to 1e6."""
+    basis = PolynomialBasis(4)
+    theta = np.random.default_rng(seed).dirichlet(np.ones(4))
+    if zero is not None:
+        theta[zero] = 0.0
+        theta /= theta.sum()
+    X = 10.0 ** np.array([e for e, _ in draws])
+    us = np.array([u for _, u in draws])
+    ys, ref = inverse_cdf_sample(theta, basis, X, us), _bisect(theta, basis, X, us)
+    # Where floats are coarser, each method resolves about one float step of t, and each rounds
+    # the CDF by about an ulp, which moves its crossing by up to 1 / 0.4 steps: 0.4, the least
+    # exponent, is the least elasticity s G'(s) / G(s).  So 8 steps bound the two together.
+    assert np.all(np.abs(ys - ref) <= np.maximum(2 * _BISECT_TOL, 8 * np.spacing(ref)))
 
 
 def test_laplace_cdf_far_tails_do_not_overflow():

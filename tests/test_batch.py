@@ -146,6 +146,16 @@ def test_batched_support_and_atoms_equal_stacked_single_calls(family, n, seed):
         assert np.array_equal(np.broadcast_to(atoms, (n, len(loop[0]))), np.array(loop))
 
 
+def test_polynomial_batch_equals_scalar_calls_at_the_float_resolution_of_s():
+    """At contexts near 1e-6, s = x t is bisected to its float resolution.  d = 3 has the
+    exponents 2 and 0.5, for which np.power's result can depend on the array layout."""
+    basis, theta = PolynomialBasis(3), np.array([0.193, 0.758, 0.049])
+    xs, us = (a.ravel() for a in np.meshgrid(10.0 ** np.linspace(-6.0, -5.0, 30),
+                                             np.linspace(0.05, 0.95, 10)))
+    batch = inverse_cdf_sample(theta, basis, xs, us)
+    assert np.array_equal(batch, [inverse_cdf_sample(theta, basis, x, u) for x, u in zip(xs, us)])
+
+
 def test_bracket_doubling_is_exercised():
     basis, sampler = SAMPLERS["gaussian_laplace"]
     x = sampler(np.random.default_rng(0))
@@ -167,6 +177,18 @@ def test_batch_with_one_unbracketable_draw_raises_like_the_loop():
         inverse_cdf_sample([1.0], capped, [None] * 3, np.array(us))
     assert str(batch.value) == str(scalar.value)
     assert "u=0.9" in str(batch.value)
+
+
+def test_polynomial_level_above_the_weight_sum_raises_like_the_loop():
+    theta = np.array([0.25, 0.25, 0.25, 0.25 - 5e-10])  # on the simplex, to its slack
+    us = [0.3, 1.0 - 1e-10, 0.2]
+    with pytest.raises(BracketError) as scalar:
+        for u in us:
+            inverse_cdf_sample(theta, PolynomialBasis(4), 0.7, u)
+    with pytest.raises(BracketError) as batch:
+        inverse_cdf_sample(theta, PolynomialBasis(4), [0.7] * 3, np.array(us))
+    assert str(batch.value) == str(scalar.value)
+    assert "u=0.9999999999 " in str(batch.value)
 
 
 def test_batches_reject_bad_levels_and_unmatched_contexts():

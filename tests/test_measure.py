@@ -128,10 +128,13 @@ def test_jump_panel_counting():
 
 
 def test_spec_round_trip():
-    for m in (msr.make_uniform_measure(0.0, 2.0, 16),
-              msr.make_gaussian_measure(1.5, 4.0, 32),
-              msr.make_counting_measure([0.0, 1.0])):
-        m2 = msr.measure_from_spec({"kind": m.kind, **m.params})
+    for m, spec in ((msr.make_uniform_measure(0.0, 2.0, 16),
+                     {"kind": msr.UNIFORM, "a": 0.0, "b": 2.0, "n_nodes": 16}),
+                    (msr.make_gaussian_measure(1.5, 4.0, 32),
+                     {"kind": msr.GAUSSIAN, "c": 1.5, "var": 4.0, "n_nodes": 32}),
+                    (msr.make_counting_measure([0.0, 1.0]),
+                     {"kind": msr.COUNTING, "points": [0.0, 1.0]})):
+        m2 = msr.measure_from_spec(spec)
         assert np.allclose(m.nodes, m2.nodes)
         assert np.allclose(m.weights, m2.weights)
 
