@@ -323,7 +323,8 @@ class CustomBasis(BasisFamily):
 
 def check_simplex(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if abs(theta.sum() - 1.0) > _SIMPLEX_TOL or theta.min() < -_SIMPLEX_TOL:
+    # Negated, so that a NaN sum, which any non-finite weight gives, fails too.
+    if not (abs(theta.sum() - 1.0) <= _SIMPLEX_TOL and theta.min() >= -_SIMPLEX_TOL):
         raise ValueError("theta is not in the probability simplex")
     return theta
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401
+import math
 import operator
 import os
 import re
@@ -152,6 +153,8 @@ def _check(value, schema, path=""):
     if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])) and not (
             kind == "integer" and isinstance(value, float) and value.is_integer()):
         fail(f"{value!r} is not of type {kind!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        fail(f"{value!r} is not a finite number")
     if "enum" in schema and value not in schema["enum"]:
         fail(f"{value!r} is not one of {schema['enum']!r}")
     if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):

@@ -1,12 +1,14 @@
-"""Synthetic data generators and replicated experiment drivers.
+"""Synthetic data generators and the replicated experiment driver.
 
-Includes the adversarial Bernoulli hard instance, the polynomial
-random-design setup, mismatched-model sampling, and the scaling /
-coverage sweep drivers that emit plot-ready records.
+Includes the adversarial Bernoulli hard instance, the Bernoulli atom
+design, the polynomial random-design setup, mismatched-model sampling, and
+the scaling / coverage runs that emit plot-ready records.
 
-Both drivers build a design once (once per grid point in the scaling
-sweep), draw each rep's statistics from the rep's own Philox stream, and
-solve the reps' estimates as one stacked system.
+One driver (_point) serves both runs: on a design built once (_design), it
+draws each rep's statistics from the rep's own Philox stream, solves each
+lambda's reps as one stacked system and scores the requested metrics.  The
+scaling sweep runs it once per grid point (d, n).  A coverage run is one
+grid point whose error is one of the sweep's metrics, held against a bound.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
                   "metric_name", "value"]
 AGGREGATE_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "metric_name",
                      "mean", "q05", "q95"]
-# The metrics _scaling_point computes, by the names a config asks for them.
+# The metrics _point computes, by the names a config asks for them.
 METRICS = ("l2", "self_norm", "sigma_norm", "ks", "eps_lambda", "mu_min_U")
 
 # Outcome measure of the Bernoulli designs, built once and only ever read.  Two
@@ -254,7 +256,7 @@ def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scaling experiment driver
+# Experiment drivers
 # ---------------------------------------------------------------------------
 
 # Statistical and numerical errors: a failure row, not a crash.
@@ -300,204 +302,6 @@ def _polynomial_sigma_1(d, x_lo, x_hi, n_nodes):
     return S
 
 
-def _scaling_design(config, d, n, theta_star, metrics):
-    """(draw, Sigma_n, ks_fn), what every rep of grid point (d, n) shares.
-
-    draw(rng) gives one rep's GramState.  The polynomial design builds
-    Sigma_n only for the sigma_norm metric and gives None otherwise.
-    """
-    spec = config["basis"]
-    kind = spec["kind"]
-    if kind == "bernoulli_hard":
-        draw, Sigma_n, _ = _bernoulli_design(config, "self", d, n, theta_star)
-        return draw, Sigma_n, lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d)
-    if kind != "polynomial":
-        raise ValueError(f"unknown scaling basis kind {kind!r}")
-    x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
-    n_nodes = int(spec.get("n_nodes", 64))
-    basis = PolynomialBasis(d)
-    m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
-    contexts = uniform_contexts(x_lo, x_hi)
-
-    def draw(rng) -> GramState:
-        ds = sample_scheme2(basis, contexts, theta_star, n, int(rng.integers(2 ** 62)))
-        return accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
-
-    Sigma_n = (n * _polynomial_sigma_1(d, x_lo, x_hi, n_nodes)
-               if "sigma_norm" in metrics else None)
-    grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
-
-    def ks_fn(th):
-        proj = project_simplex(th)
-        worst = 0.0
-        for x in (x_lo, 1.0, x_hi):
-            F1 = lambda ts: proj @ basis.eval_nodes(x, np.atleast_1d(ts))
-            F2 = lambda ts: theta_star @ basis.eval_nodes(x, np.atleast_1d(ts))
-            worst = max(worst, bounds.ks_distance(F1, F2, grid))
-        return worst
-
-    return draw, Sigma_n, ks_fn
-
-
-def _scaling_rep_state(draw, seed, d, n, rep) -> GramState:
-    """One rep's statistics at grid point (d, n), drawn from the rep's own stream."""
-    return draw(stream_rng(seed, 0xD0, d, n, rep))
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the failure it raises, for _value to raise where it is used."""
-    try:
-        return fn(*args)
-    except _FAILURES as exc:
-        return exc
-
-
-def _value(x):
-    if isinstance(x, Exception):
-        raise x
-    return x
-
-
-def _stack(states) -> GramState:
-    """One state whose U and u stack the given states' (r, d, d) and (r, d)."""
-    return GramState(states[0].d, states[0].measure, states[0].n,
-                     np.stack([s.U for s in states]), np.stack([s.u for s in states]))
-
-
-def _ridge_rows(states, lam) -> list:
-    """Each state's ridge estimate at lam, or the failure its own solve raises.
-
-    One stacked solve serves every state, row for row the state's own solve;
-    if it raises, each state is solved alone.
-    """
-    if not states:
-        return []
-    try:
-        return list(ridge_estimate(_stack(states), lam))
-    except _FAILURES:
-        return [_attempt(ridge_estimate, state, lam) for state in states]
-
-
-def _scaling_point(config, d, n, seed, reps) -> list:
-    """(payload, error) of each rep at grid point (d, n); the design is built once.
-
-    payload lists (lambda, {metric: value}); a rep whose draw, solve or
-    metrics fail has error "Type: message" instead, and a design that fails
-    gives every rep its error.
-    """
-    theta_star = _theta_star(config, d)
-    lambdas = [float(l) for l in config["lambdas"]]
-    delta = float(config.get("delta", 0.1))
-    metrics = config.get("metrics", ["l2", "self_norm", "ks", "eps_lambda"])
-    failure = lambda exc: f"{type(exc).__name__}: {exc}"
-    try:
-        draw, Sigma_n, ks_fn = _scaling_design(config, d, n, theta_star, metrics)
-    except _FAILURES as exc:
-        return [(None, failure(exc))] * reps
-    states, errors = {}, {}
-    for rep in range(reps):
-        try:
-            states[rep] = _scaling_rep_state(draw, seed, d, n, rep)
-        except _FAILURES as exc:
-            errors[rep] = failure(exc)
-    payloads = {rep: [] for rep in states}
-    tnorm = float(np.linalg.norm(theta_star))
-    for lam in lambdas:
-        live = [rep for rep in states if rep not in errors]
-        thetas = _ridge_rows([states[rep] for rep in live], lam)
-        eps = _attempt(bounds.epsilon_lambda, n, d, delta, lam, tnorm)
-        for rep, theta_hat in zip(live, thetas):
-            state = states[rep]
-            try:
-                A = regularized_gram(state, lam)
-                diff = _value(theta_hat) - theta_star
-                vals = {}
-                if "l2" in metrics:
-                    vals["l2"] = float(np.linalg.norm(diff))
-                if "self_norm" in metrics:
-                    vals["self_norm"] = bounds.weighted_norm(diff, A)
-                if "sigma_norm" in metrics:
-                    vals["sigma_norm"] = bounds.weighted_norm(diff, Sigma_n)
-                if "ks" in metrics:
-                    vals["ks"] = ks_fn(theta_hat)
-                if "eps_lambda" in metrics:
-                    vals["eps_lambda"] = _value(eps)
-                if "mu_min_U" in metrics:
-                    vals["mu_min_U"] = bounds.min_eigenvalue(state.U)
-                payloads[rep].append((lam, vals))
-            except _FAILURES as exc:
-                errors[rep] = failure(exc)
-    return [(None, errors[rep]) if rep in errors else (payloads[rep], None)
-            for rep in range(reps)]
-
-
-def _theta_star(config, d):
-    """The config's theta* for dimension d, checked, or (1, ..., d) / sum."""
-    if config.get("theta_star") is None:
-        theta = np.arange(1, d + 1, dtype=float)
-        return theta / theta.sum()
-    theta = np.asarray(config["theta_star"], dtype=float)
-    if theta.shape != (d,) or not np.all(np.isfinite(theta)):
-        raise ValueError(f"theta_star must be {d} finite numbers for d = {d}")
-    return check_simplex(theta)
-
-
-def _map_tasks(fn, tasks, threads: int) -> list:
-    """fn over tasks, in task order; on a thread pool when threads > 1."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not loaded by one-thread runs
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-def run_scaling_experiment(config) -> tuple[list, list]:
-    """Run the replicated sweep; returns (records, aggregate_rows).
-
-    Each grid point (d, n) is one task: its design is built once, each rep
-    draws its statistics from its own Philox stream, and each lambda's ridge
-    estimates of all reps are one stacked solve.
-    """
-    exp_id = config.get("experiment_id", "scaling")
-    seed = int(config.get("seed", 0))
-    reps = int(config["reps"])
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    scheme = "Fixed" if config["basis"]["kind"] == "bernoulli_hard" else "Random"
-    if "n_grid" in config:
-        points = [(int(config["basis"]["d"]), int(n)) for n in config["n_grid"]]
-    else:
-        points = [(int(d), int(config["n"])) for d in config["d_grid"]]
-    for d, _ in points:  # a bad theta_star fails here, before any task runs
-        _theta_star(config, d)
-
-    records, groups = [], {}
-    results = _map_tasks(lambda p: _scaling_point(config, *p, seed, reps), points,
-                         int(config.get("threads", 1)))
-    for (d, n), point in zip(points, results):
-        for rep, (payload, err) in enumerate(point):
-            if err is not None:
-                records.append(ExperimentRecord(exp_id, scheme, d, n, float("nan"),
-                                                rep, seed, "failure", float("nan"), err))
-                continue
-            for lam, vals in payload:
-                for name, value in vals.items():
-                    records.append(ExperimentRecord(exp_id, scheme, d, n, lam, rep,
-                                                    seed, name, value))
-                    groups.setdefault((d, n, lam, name), []).append(value)
-
-    aggregates = []
-    for d, n, lam, name in sorted(groups):
-        mean, q05, q95 = _quantiles(groups[d, n, lam, name])
-        aggregates.append([exp_id, scheme, d, n, repr(float(lam)), name,
-                           repr(mean), repr(q05), repr(q95)])
-    return records, aggregates
-
-
-# ---------------------------------------------------------------------------
-# Coverage experiment driver
-# ---------------------------------------------------------------------------
-
 def _atom_design(spec, d, n, theta_star):
     """draw(rng) of one rep's statistics on a finite atom set of p-vectors, and Sigma_n.
 
@@ -531,76 +335,246 @@ def _atom_design(spec, d, n, theta_star):
     return draw, state(n * probs, np.zeros(k)).U
 
 
-def _bernoulli_design(config, mode, d, n, theta_star):
-    """(draw, Sigma_n, extra), what every rep shares: draw(rng) gives one rep's GramState.
+def _design(config, mode, d, n, theta_star, metrics):
+    """(draw, Sigma_n, ks_fn, extra), what every rep of grid point (d, n) shares.
 
-    Both designs are Bernoulli outcomes at a finite set of atoms, so a rep's
-    statistics are count-weighted sums of per-atom ones (_atom_statistics).
-    The hard design's counts are fixed, so its U_n is the same in every rep
-    and is its Sigma_n.  extra holds E_n_norm in mismatch mode.  The scaling
-    sweep takes its hard-instance draw from here in "self" mode.
+    draw(rng) gives one rep's GramState.  The Bernoulli designs are outcomes
+    at a finite set of atoms, so a rep's statistics are count-weighted sums
+    of per-atom ones (_atom_statistics).  The hard design's counts are fixed,
+    so its U_n is the same in every rep and is its Sigma_n.  The polynomial
+    design builds Sigma_n only for the sigma_norm metric and gives None
+    otherwise.  ks_fn is None on the atom design, which no sweep runs.  Only
+    mode "mismatch" changes the design: its outcomes mix in phi_e, and extra
+    holds E_n_norm; extra is {} otherwise.
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
     if mode == "mismatch" and kind != "bernoulli_hard":
         raise ValueError("mismatch mode uses the bernoulli_hard design")
     if kind == "bernoulli_atoms":
-        return (*_atom_design(spec, d, n, theta_star), {})
-    if kind != "bernoulli_hard":
-        raise ValueError(f"unknown coverage basis kind {kind!r}")
-    c = float(spec.get("c", 1.0))
-    R, counts = _hard_design(d, n, c)
-    state = _hard_statistics(d, len(R), c)
-    Sigma_n = state(counts, 0 * counts).U
-    probs = R @ theta_star
-    extra = {}
-    if mode == "mismatch":
-        # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
-        q, p_e = float(config["q"]), float(spec["p_e"])
-        probs = (1.0 - q) * probs + q * p_e
-        # E_n = sum_j q integral (phi_e - theta*^T Phi_j) Phi_j: the u_n of outcomes
-        # drawn from phi_e, in expectation, less Sigma_n theta*.
-        E_n = q * (state(counts, p_e * counts).u - Sigma_n @ theta_star)
-        extra["E_n_norm"] = float(np.linalg.norm(E_n))
-    return (lambda rng: state(counts, _hard_ones(d, counts, probs, rng))), Sigma_n, extra
+        return (*_atom_design(spec, d, n, theta_star), None, {})
+    if kind == "bernoulli_hard":
+        c = float(spec.get("c", 1.0))
+        R, counts = _hard_design(d, n, c)
+        state = _hard_statistics(d, len(R), c)
+        Sigma_n = state(counts, 0 * counts).U
+        probs = R @ theta_star
+        extra = {}
+        if mode == "mismatch":
+            # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
+            q, p_e = float(config["q"]), float(spec["p_e"])
+            probs = (1.0 - q) * probs + q * p_e
+            # E_n = sum_j q integral (phi_e - theta*^T Phi_j) Phi_j: the u_n of outcomes
+            # drawn from phi_e, in expectation, less Sigma_n theta*.
+            E_n = q * (state(counts, p_e * counts).u - Sigma_n @ theta_star)
+            extra["E_n_norm"] = float(np.linalg.norm(E_n))
+        return ((lambda rng: state(counts, _hard_ones(d, counts, probs, rng))), Sigma_n,
+                lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d), extra)
+    if kind != "polynomial":
+        raise ValueError(f"unknown basis kind {kind!r}")
+    x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
+    n_nodes = int(spec.get("n_nodes", 64))
+    basis = PolynomialBasis(d)
+    m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
+    contexts = uniform_contexts(x_lo, x_hi)
+
+    def draw(rng) -> GramState:
+        ds = sample_scheme2(basis, contexts, theta_star, n, int(rng.integers(2 ** 62)))
+        return accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
+
+    Sigma_n = (n * _polynomial_sigma_1(d, x_lo, x_hi, n_nodes)
+               if "sigma_norm" in metrics else None)
+    grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
+
+    def ks_fn(th):
+        proj = project_simplex(th)
+        worst = 0.0
+        for x in (x_lo, 1.0, x_hi):
+            F1 = lambda ts: proj @ basis.eval_nodes(x, np.atleast_1d(ts))
+            F2 = lambda ts: theta_star @ basis.eval_nodes(x, np.atleast_1d(ts))
+            worst = max(worst, bounds.ks_distance(F1, F2, grid))
+        return worst
+
+    return draw, Sigma_n, ks_fn, {}
 
 
-def _coverage_results(config, mode, states, Sigma_n, extra, theta_star):
-    """(error, bound, extra) of each rep; every mode solves its reps as one stack.
+def _metrics(names, n, delta, theta_star, Sigma_n, ks_fn) -> dict:
+    """{name: score(state, lam, theta_hat)} of the named metrics, in METRICS order."""
+    d, tnorm = theta_star.size, float(np.linalg.norm(theta_star))
+    every = {
+        "l2": lambda state, lam, th: float(np.linalg.norm(th - theta_star)),
+        "self_norm": lambda state, lam, th: bounds.weighted_norm(
+            th - theta_star, regularized_gram(state, lam)),
+        "sigma_norm": lambda state, lam, th: bounds.weighted_norm(th - theta_star, Sigma_n),
+        "ks": lambda state, lam, th: ks_fn(th),
+        "eps_lambda": lambda state, lam, th: bounds.epsilon_lambda(n, d, delta, lam, tnorm),
+        "mu_min_U": lambda state, lam, th: bounds.min_eigenvalue(state.U),
+    }
+    return {name: every[name] for name in METRICS if name in names}
 
-    A rep whose ridge solve fails raises its failure.
+
+def _scaling_rep_state(draw, seed, d, n, rep) -> GramState:
+    """One rep's statistics at grid point (d, n), drawn from the rep's own stream."""
+    return draw(stream_rng(seed, 0xD0, d, n, rep))
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the failure it raises, for _value to raise where it is used."""
+    try:
+        return fn(*args)
+    except _FAILURES as exc:
+        return exc
+
+
+def _value(x):
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
+def _stack(states) -> GramState:
+    """One state whose U and u stack the given states' (r, d, d) and (r, d)."""
+    return GramState(states[0].d, states[0].measure, states[0].n,
+                     np.stack([s.U for s in states]), np.stack([s.u for s in states]))
+
+
+def _ridge(stack, lam) -> list:
+    """(estimate, {}) of each row of a stacked state: the ridge solver of every driver."""
+    return [(theta, {}) for theta in ridge_estimate(stack, lam)]
+
+
+def _penalized(delta_nU):
+    """Solver of the penalized estimates at penalty delta_nU.
+
+    Each row's "dominated" value says whether its objective is at most that
+    of its near-unregularized ridge fit, from the same stack.
     """
-    d, n = int(config["d"]), int(config["n"])
-    delta = float(config["delta"])
-    lam = float(config.get("lambda", 0.001))
-    tnorm = float(np.linalg.norm(theta_star))
-    if mode == "penalized":
-        delta_nU = delta_nU_default(n, d, delta)
-        stack = _stack(states)
-        thetas = penalized_estimate(stack, 0.0, delta_nU)
-        bound = bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(Sigma_n), tnorm)
-        # objective dominance diagnostic against the near-unregularized ridge fits
+    def solve(stack, lam) -> list:
+        thetas = penalized_estimate(stack, lam, delta_nU)
         obj = lambda th: (np.linalg.norm(np.einsum("rij,rj->ri", stack.U, th) - stack.u, axis=1)
                           + delta_nU * np.linalg.norm(th, axis=1))
         dominated = obj(thetas) <= obj(ridge_estimate(stack, 1e-8)) + 1e-7
-        return [(float(np.linalg.norm(theta_check - theta_star)), bound, {"dominated": float(dom)})
-                for theta_check, dom in zip(thetas, dominated)]
-    # self, sigma and mismatch share the ridge fit; they differ in weight and bound.
-    eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
-    bound = (bounds.mismatch_bound(eps, extra["E_n_norm"], lam) if mode == "mismatch"
-             else math.sqrt(2.0) * eps if mode == "sigma" else eps)
-    out = []
-    for state, theta_hat in zip(states, _ridge_rows(states, lam)):
-        W = Sigma_n if mode == "sigma" else regularized_gram(state, lam)
-        out.append((bounds.weighted_norm(_value(theta_hat) - theta_star, W), bound, extra))
-    return out
+        return [(theta, {"dominated": float(dom)}) for theta, dom in zip(thetas, dominated)]
+
+    return solve
+
+
+def _point(draw_rep, reps, solve, lambdas, metrics) -> list:
+    """Each rep's [(lambda, {name: value})], or the failure that stopped the rep.
+
+    draw_rep(rep) gives a rep's GramState, solve(stack, lam) the (estimate,
+    values) of each row of a stacked state, and metrics maps each requested
+    name to score(state, lam, theta_hat).  Each lambda's live reps are one
+    stacked solve, row for row each rep's own solve; a rep whose draw, solve
+    or metrics fail stops there.
+    """
+    states = [_attempt(draw_rep, rep) for rep in range(reps)]
+    results = [s if isinstance(s, Exception) else [] for s in states]
+    for lam in lambdas:
+        live = [rep for rep in range(reps) if not isinstance(results[rep], Exception)]
+        try:
+            rows = solve(_stack([states[rep] for rep in live]), lam) if live else []
+        except _FAILURES:  # solve each rep alone, so that only a bad rep fails
+            rows = [_attempt(lambda s: solve(_stack([s]), lam)[0], states[rep]) for rep in live]
+        for rep, solved in zip(live, rows):
+            try:
+                theta_hat, vals = _value(solved)
+                for name, score in metrics.items():
+                    vals[name] = score(states[rep], lam, theta_hat)
+                results[rep].append((lam, vals))
+            except _FAILURES as exc:
+                results[rep] = exc
+    return results
+
+
+def _theta_star(config, d):
+    """The config's theta* for dimension d, checked, or (1, ..., d) / sum."""
+    if config.get("theta_star") is None:
+        theta = np.arange(1, d + 1, dtype=float)
+        return theta / theta.sum()
+    theta = np.asarray(config["theta_star"], dtype=float)
+    if theta.shape != (d,):
+        raise ValueError(f"theta_star must be {d} numbers for d = {d}")
+    return check_simplex(theta)
+
+
+def _map_tasks(fn, tasks, threads: int) -> list:
+    """fn over tasks, in task order; on a thread pool when threads > 1."""
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by one-thread runs
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def run_scaling_experiment(config) -> tuple[list, list]:
+    """Run the replicated sweep; returns (records, aggregate_rows).
+
+    Each grid point (d, n) is one task (_point): its design is built once,
+    each rep draws its statistics from its own Philox stream, and each
+    lambda's ridge estimates of all reps are one stacked solve.  A rep that
+    fails, or every rep of a design that fails, gets one failure row.
+    """
+    exp_id = config.get("experiment_id", "scaling")
+    seed = int(config.get("seed", 0))
+    reps = int(config["reps"])
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    scheme = "Fixed" if config["basis"]["kind"] == "bernoulli_hard" else "Random"
+    if "n_grid" in config:
+        points = [(int(config["basis"]["d"]), int(n)) for n in config["n_grid"]]
+    else:
+        points = [(int(d), int(config["n"])) for d in config["d_grid"]]
+    for d, _ in points:  # a bad theta_star fails here, before any task runs
+        _theta_star(config, d)
+    lambdas = [float(l) for l in config["lambdas"]]
+    delta = float(config.get("delta", 0.1))
+    metrics = config.get("metrics", ["l2", "self_norm", "ks", "eps_lambda"])
+
+    def grid_point(point):
+        d, n = point
+        theta_star = _theta_star(config, d)
+        try:
+            draw, Sigma_n, ks_fn, _ = _design(config, "self", d, n, theta_star, metrics)
+        except _FAILURES as exc:
+            return [exc] * reps
+        return _point(lambda rep: _scaling_rep_state(draw, seed, d, n, rep), reps, _ridge,
+                      lambdas, _metrics(metrics, n, delta, theta_star, Sigma_n, ks_fn))
+
+    records, groups = [], {}
+    results = _map_tasks(grid_point, points, int(config.get("threads", 1)))
+    for (d, n), point in zip(points, results):
+        for rep, result in enumerate(point):
+            if isinstance(result, Exception):
+                records.append(ExperimentRecord(exp_id, scheme, d, n, float("nan"), rep, seed,
+                                                "failure", float("nan"),
+                                                f"{type(result).__name__}: {result}"))
+                continue
+            for lam, vals in result:
+                for name, value in vals.items():
+                    records.append(ExperimentRecord(exp_id, scheme, d, n, lam, rep,
+                                                    seed, name, value))
+                    groups.setdefault((d, n, lam, name), []).append(value)
+
+    aggregates = []
+    for d, n, lam, name in sorted(groups):
+        mean, q05, q95 = _quantiles(groups[d, n, lam, name])
+        aggregates.append([exp_id, scheme, d, n, repr(float(lam)), name,
+                           repr(mean), repr(q05), repr(q95)])
+    return records, aggregates
+
+
+# The sweep metric that each coverage mode's error is.
+_MODE_METRIC = {"self": "self_norm", "mismatch": "self_norm", "sigma": "sigma_norm",
+                "penalized": "l2"}
 
 
 def run_coverage_experiment(config) -> dict:
     """Empirical coverage of a stated bound across replications.
 
-    The design is built once; each rep draws its statistics from its own
-    Philox stream, and the estimates are solved after every rep is drawn.
+    The run is one grid point (d, n) of the sweep's _point, on its own
+    (0xC0, rep) streams, at one lambda: the config's for the ridge modes and
+    0 for the penalized estimate.  A rep that fails raises its error.
     """
     delta = float(config["delta"])
     if not 0.0 < delta < 1.0:
@@ -609,7 +583,7 @@ def run_coverage_experiment(config) -> dict:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     mode = config.get("mode", "self")
-    if mode not in ("self", "sigma", "penalized", "mismatch"):
+    if mode not in _MODE_METRIC:
         raise ValueError(f"unknown coverage mode {mode!r}")
     if mode == "mismatch" and "q" not in config:  # checked here, before any rep runs
         raise ValueError("mismatch mode needs q")
@@ -620,16 +594,27 @@ def run_coverage_experiment(config) -> dict:
     seed = int(config.get("seed", 0))
     d, n = int(config["d"]), int(config["n"])
     theta_star = _theta_star(config, d)  # a bad theta_star fails here, before any rep runs
-    draw, Sigma_n, extra = _bernoulli_design(config, mode, d, n, theta_star)
-    states = _map_tasks(lambda rep: draw(stream_rng(seed, 0xC0, rep)), range(reps),
-                        int(config.get("threads", 1)))
-    results = _coverage_results(config, mode, states, Sigma_n, extra, theta_star)
-    rows = [{"rep": rep, "error": err, "bound": bound, "covered": err <= bound, **extra}
-            for rep, (err, bound, extra) in enumerate(results)]
+    metric = _MODE_METRIC[mode]
+    draw, Sigma_n, ks_fn, extra = _design(config, mode, d, n, theta_star, [metric])
+    tnorm = float(np.linalg.norm(theta_star))
+    if mode == "penalized":
+        lam, solve = 0.0, _penalized(delta_nU_default(n, d, delta))
+        bound = bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(Sigma_n), tnorm)
+    else:
+        lam, solve = float(config.get("lambda", 0.001)), _ridge
+        eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
+        bound = (bounds.mismatch_bound(eps, extra["E_n_norm"], lam) if mode == "mismatch"
+                 else math.sqrt(2.0) * eps if mode == "sigma" else eps)
+    results = _point(lambda rep: draw(stream_rng(seed, 0xC0, rep)), reps, solve, [lam],
+                     _metrics([metric], n, delta, theta_star, Sigma_n, ks_fn))
+    values = [{**extra, **_value(result)[0][1]} for result in results]
+    errors = [vals.pop(metric) for vals in values]
+    rows = [{"rep": rep, "error": err, "bound": bound, "covered": err <= bound, **vals}
+            for rep, (err, vals) in enumerate(zip(errors, values))]
     report = {"mode": mode, "delta": delta, "reps": reps,
               "coverage": sum(row["covered"] for row in rows) / reps, "rows": rows}
-    for k in results[0][2]:
-        vs = [row[k] for row in rows]
+    for k in values[0]:
+        vs = [vals[k] for vals in values]
         report[f"{k}_mean"] = float(np.mean(vs))
         report[f"{k}_max"] = float(np.max(vs))
     return report

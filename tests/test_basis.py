@@ -108,6 +108,11 @@ def test_mixture_eval():
     assert np.array([1.0, 0.0]) @ b.eval([0.3, 0.7], 0.5) == pytest.approx(0.7)
     with pytest.raises(ValueError):  # a mixture's weights lie on the simplex
         check_simplex([0.9, 0.9])
+    for theta in ([np.nan, np.nan], [0.5, 0.5, np.nan], [np.inf, 0.0], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="simplex"):  # and are finite
+            check_simplex(theta)
+    with pytest.raises(ValueError, match="simplex"):
+        inverse_cdf_sample([np.nan, np.nan], PolynomialBasis(2), 1.0, 0.3)
 
 
 def test_inverse_cdf_uniform_identity():

@@ -270,6 +270,27 @@ def test_bad_atom_design_exits_2_naming_the_field(tmp_path, capsys, field, basis
     assert not (out / "records.csv").exists()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("synth-bernoulli", dict(BERN_CFG, basis={"kind": "bernoulli_hard", "d": 2, "c": _NAN}),
+     "basis.c"),
+    ("synth-bernoulli", dict(BERN_CFG, lambdas=[_NAN]), "lambdas.0"),
+    ("synth-bernoulli", dict(BERN_CFG, lambdas=[0.001, _INF]), "lambdas.1"),
+    ("synth-poly", dict(POLY_CFG, basis={"kind": "polynomial", "d": 2, "x_lo": _NAN}),
+     "basis.x_lo"),
+    ("bound-check", {"mode": "penalized", "d": 3, "n": 50, "delta": 0.1, "reps": 2,
+                     "basis": dict(_ATOMS, probs=[_NAN, _NAN])}, "basis.probs.0"),
+], ids=["c_nan", "lambda_nan", "lambda_inf", "x_lo_nan", "probs_nan"])
+def test_non_finite_number_exits_2_naming_the_field(tmp_path, capsys, command, payload, field):
+    """json reads NaN and Infinity; every number field rejects them before any task runs."""
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert _config_error(capsys).startswith(f"config field {field}: ")
+    assert not (out / "records.csv").exists()
+
+
 @pytest.mark.parametrize("message, payload", [
     ("mismatch mode needs q", {"mode": "mismatch",
                                "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}),

@@ -146,3 +146,25 @@ def test_ridge_convergence_error_is_a_typed_failure(monkeypatch):
     with pytest.raises(ConvergenceError):
         synth.run_coverage_experiment({"mode": "self", "d": 2, "n": 50, "delta": 0.1,
                                        "reps": 2, "basis": {"kind": "bernoulli_hard"}})
+
+
+def test_bound_check_failed_draw_raises_its_own_typed_error(tmp_path, monkeypatch, capsys):
+    original, calls = synth._hard_ones, []
+
+    def flaky(*args):  # reps draw in order, so call i is rep i
+        calls.append(None)
+        if len(calls) in (2, 4):
+            raise SingularGram(f"degenerate draw at rep {len(calls) - 1}")
+        return original(*args)
+
+    monkeypatch.setattr(synth, "_hard_ones", flaky)
+    config = {"mode": "self", "d": 2, "n": 50, "delta": 0.1, "reps": 5,
+              "basis": {"kind": "bernoulli_hard"}}
+    with pytest.raises(SingularGram, match="^degenerate draw at rep 1$"):
+        synth.run_coverage_experiment(config)
+    calls.clear()
+    code, out = _run(tmp_path, "bound-check", config)
+    assert code == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "numerical", "message": "SingularGram: degenerate draw at rep 1"}
+    assert not (out / "records.csv").exists()

@@ -6,9 +6,10 @@ from cdfreg import bounds
 from cdfreg import measure as msr
 from cdfreg import synth
 from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
-from cdfreg.estimators import project_simplex, ridge_estimate
+from cdfreg.estimators import (delta_nU_default, penalized_estimate, project_simplex,
+                               ridge_estimate)
 from cdfreg.gram import GramState, accumulate, population_gram
-from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _bernoulli_design,
+from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design,
                           _hard_design, _hard_ones, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
                           run_scaling_experiment, sample_mismatched, sample_scheme1,
@@ -123,7 +124,7 @@ def test_mismatch_E_n_from_distinct_rows_matches_full_matrix(d, n, c):
     q, p_e = 0.2, 0.4
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
     config = {"q": q, "basis": {"kind": "bernoulli_hard", "c": c, "p_e": p_e}}
-    _, _, extra = _bernoulli_design(config, "mismatch", d, n, theta)
+    _, _, _, extra = _design(config, "mismatch", d, n, theta, [])
     # Reference: the closed form on the full matrix, for two-point CDFs on [0, 1).
     Q = 1.0 - hard_instance_matrix(d, n, c)
     ref = np.linalg.norm(Q.T @ (q * ((1.0 - p_e) - Q @ theta)))
@@ -166,7 +167,7 @@ def test_hard_design_U_n_is_bit_identical_across_reps_and_is_its_Sigma_n(mode):
     d, n = 4, 1000
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
     config = {"q": 0.2, "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}
-    draw, Sigma_n, _ = _bernoulli_design(config, mode, d, n, theta)
+    draw, Sigma_n, _, _ = _design(config, mode, d, n, theta, [])
     states = [draw(stream_rng(0, rep)) for rep in range(5)]
     assert all(s.U.tobytes() == Sigma_n.tobytes() for s in states)
     assert len({s.u.tobytes() for s in states}) > 1  # the outcomes do vary
@@ -416,6 +417,97 @@ def test_stacked_sweep_equals_per_rep_reference(kind, d, n_grid, reps, monkeypat
             for r in records] == rows
     assert aggs == aggregates
     assert calls == {"ridge_estimate": len(n_grid) * 2, "build": len(n_grid)}
+
+
+_COVERAGE_ATOMS = {"kind": "bernoulli_atoms",
+                   "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6], [0.9, 0.1, 0.4]],
+                   "probs": [0.3, 0.5, 0.2],
+                   "measure": {"kind": "counting", "points": [0.0, 0.5, 1.0]}}
+
+
+def _coverage_reference(config):
+    """Reference: every bound-check rep drawn from its own (0xC0, rep) stream,
+    solved alone and scored by hand; returns each rep's (error, bound, extras)."""
+    mode, d, n, delta = config["mode"], config["d"], config["n"], config["delta"]
+    lam, seed, spec = config.get("lambda", 0.001), config["seed"], config["basis"]
+    theta = np.asarray(config["theta_star"])
+    tnorm = float(np.linalg.norm(theta))
+    if spec["kind"] == "bernoulli_hard":
+        R, counts = _hard_design(d, n, 1.0)
+        state_of = _atom_statistics(R, _UNIT_INTERVAL)
+        Sigma_n = state_of(counts, 0 * counts).U
+        probs = R @ theta
+        if mode == "mismatch":
+            q, p_e = config["q"], spec["p_e"]
+            probs = (1.0 - q) * probs + q * p_e
+            E_n = q * (state_of(counts, p_e * counts).u - Sigma_n @ theta)
+        draw = lambda rng: state_of(counts, _hard_ones(d, counts, probs, rng))
+    else:
+        P, w = np.array(spec["atoms"]), np.array(spec["probs"])
+        state_of = _atom_statistics(P, msr.measure_from_spec(spec["measure"]))
+        Sigma_n = state_of(n * w, np.zeros(len(w))).U
+
+        def draw(rng):
+            idx = rng.choice(len(w), size=n, p=w)
+            y = (rng.random(n) < (P @ theta)[idx]).astype(float)
+            return state_of(np.bincount(idx, minlength=len(w)).astype(float),
+                            np.bincount(idx, weights=y, minlength=len(w)))
+    rows = []
+    for rep in range(config["reps"]):
+        state = draw(stream_rng(seed, 0xC0, rep))
+        if mode == "penalized":
+            delta_nU = delta_nU_default(n, d, delta)
+            theta_hat = penalized_estimate(state, 0.0, delta_nU)
+            obj = lambda th: (np.linalg.norm(state.U @ th - state.u)
+                              + delta_nU * np.linalg.norm(th))
+            dominated = obj(theta_hat) <= obj(ridge_estimate(state, 1e-8)) + 1e-7
+            rows.append((float(np.linalg.norm(theta_hat - theta)),
+                         bounds.penalized_bound(n, d, delta, bounds.min_eigenvalue(Sigma_n),
+                                                tnorm),
+                         {"dominated": float(dominated)}))
+            continue
+        diff = ridge_estimate(state, lam) - theta
+        eps = bounds.epsilon_lambda(n, d, delta, lam, tnorm)
+        W = Sigma_n if mode == "sigma" else state.U + lam * np.eye(d)
+        extra = {"E_n_norm": float(np.linalg.norm(E_n))} if mode == "mismatch" else {}
+        bound = (eps + extra["E_n_norm"] / np.sqrt(lam) if mode == "mismatch"
+                 else np.sqrt(2.0) * eps if mode == "sigma" else eps)
+        rows.append((bounds.weighted_norm(diff, W), float(bound), extra))
+    return rows
+
+
+@pytest.mark.parametrize("reps", [1, 5])
+@pytest.mark.parametrize("mode,kind", [
+    ("self", "bernoulli_hard"), ("self", "bernoulli_atoms"),
+    ("sigma", "bernoulli_hard"), ("sigma", "bernoulli_atoms"),
+    ("penalized", "bernoulli_hard"), ("penalized", "bernoulli_atoms"),
+    ("mismatch", "bernoulli_hard")])
+def test_coverage_equals_per_rep_reference(mode, kind, reps):
+    """bound-check's reps, drawn and solved as one grid point, are byte-identical
+    to drawing, solving and scoring each rep alone."""
+    basis = dict(_COVERAGE_ATOMS) if kind == "bernoulli_atoms" else {"kind": kind}
+    config = {"mode": mode, "d": 3, "n": 300, "delta": 0.1, "reps": reps, "seed": 4,
+              "theta_star": [0.5, 0.3, 0.2], "basis": basis}
+    if mode in ("self", "sigma"):
+        config["lambda"] = 0.02
+    if mode == "mismatch":
+        config["q"], basis["p_e"] = 0.2, 0.4
+    expected = _coverage_reference(config)
+    report = run_coverage_experiment(config)
+    as_bytes = lambda x: np.float64(x).tobytes()
+    assert len(report["rows"]) == reps
+    assert [(r["rep"], as_bytes(r["error"]), as_bytes(r["bound"]), r["covered"],
+             {k: as_bytes(r[k]) for k in extra})
+            for r, (_, _, extra) in zip(report["rows"], expected)] == [
+        (rep, as_bytes(err), as_bytes(bound), err <= bound,
+         {k: as_bytes(v) for k, v in extra.items()})
+        for rep, (err, bound, extra) in enumerate(expected)]
+    assert as_bytes(report["coverage"]) == as_bytes(
+        sum(err <= bound for err, bound, _ in expected) / reps)
+    for k in expected[0][2]:
+        vs = [extra[k] for _, _, extra in expected]
+        assert as_bytes(report[f"{k}_mean"]) == as_bytes(np.mean(vs))
+        assert as_bytes(report[f"{k}_max"]) == as_bytes(np.max(vs))
 
 
 @settings(max_examples=300, deadline=None)
