@@ -84,6 +84,9 @@ def make_counting_measure(points) -> QuadMeasure:
 
 def measure_from_spec(spec: dict) -> QuadMeasure:
     kind = spec["kind"]
+    for key in ("a", "b", "c", "var", "points"):
+        if key in spec and not np.all(np.isfinite(np.asarray(spec[key], dtype=float))):
+            raise ValueError(f"measure.{key}: {spec[key]!r} is not finite")
     n_nodes = int(spec.get("n_nodes", DEFAULT_NODES))
     if kind == UNIFORM:
         return make_uniform_measure(float(spec["a"]), float(spec["b"]), n_nodes)

@@ -197,18 +197,15 @@ def _hard_design(d: int, n: int, c: float):
     return hard_instance_matrix(d, i.size, c), np.where(i < d, 1, (n - i + d - 1) // d)
 
 
-def _hard_ones(d: int, counts, probs, rng) -> np.ndarray:
-    """How many of each distinct hard-instance row's draws y_j ~ Bernoulli(probs) are 1.
+def _bernoulli_rep(state, counts, success, rng) -> GramState:
+    """One rep's statistics: atom a has counts[a] draws, ones[a] ~ Binomial(counts[a], success[a]).
 
-    y_j is r[j] < probs of row j for r = rng.random(n), so the draws at row
-    i >= d are the strided view r[i::d]: no row index and no gather.
+    The statistics see the outcomes only through the ones, so this is their
+    exact law.  success is clipped to [0, 1], which rng.binomial needs when
+    theta* sits check_simplex's 1e-9 off the simplex; y = (r < p) for uniform
+    r reads such a p as 0 or 1 too, so the clip keeps the law.
     """
-    r = rng.random(counts.sum())
-    ones = np.empty(len(counts), dtype=np.int64)
-    ones[:d] = r[:d] < probs[:d]
-    for i in range(d, len(counts)):
-        ones[i] = np.count_nonzero(r[i::d] < probs[i])
-    return ones
+    return state(counts, rng.binomial(counts, np.clip(success, 0.0, 1.0)))
 
 
 def _atom_statistics(P, m):
@@ -305,8 +302,8 @@ def _polynomial_sigma_1(d, x_lo, x_hi, n_nodes):
 def _atom_design(spec, d, n, theta_star):
     """draw(rng) of one rep's statistics on a finite atom set of p-vectors, and Sigma_n.
 
-    A rep draws n atoms and their outcomes and counts them by atom; Sigma_n
-    is U_n at the expected counts n * probs.
+    A rep's counts are Multinomial(n, probs); Sigma_n is U_n at the expected
+    counts n * probs.
     """
     try:
         P_atoms = np.asarray(spec.get("atoms"), dtype=float)
@@ -325,12 +322,10 @@ def _atom_design(spec, d, n, theta_star):
     m = msr.measure_from_spec(spec["measure"]) if "measure" in spec else _UNIT_INTERVAL
     state = _atom_statistics(P_atoms, m)
     success = P_atoms @ theta_star  # P(y = 1) at each atom
+    pvals = probs / probs.sum()  # rng.multinomial needs sum(pvals[:-1]) <= 1 + 1e-12
 
     def draw(rng) -> GramState:
-        idx = rng.choice(k, size=n, p=probs)
-        y = (rng.random(n) < success[idx]).astype(float)
-        return state(np.bincount(idx, minlength=k).astype(float),
-                     np.bincount(idx, weights=y, minlength=k))
+        return _bernoulli_rep(state, rng.multinomial(n, pvals), success, rng)
 
     return draw, state(n * probs, np.zeros(k)).U
 
@@ -340,12 +335,13 @@ def _design(config, mode, d, n, theta_star, metrics):
 
     draw(rng) gives one rep's GramState.  The Bernoulli designs are outcomes
     at a finite set of atoms, so a rep's statistics are count-weighted sums
-    of per-atom ones (_atom_statistics).  The hard design's counts are fixed,
-    so its U_n is the same in every rep and is its Sigma_n.  The polynomial
-    design builds Sigma_n only for the sigma_norm metric and gives None
-    otherwise.  ks_fn is None on the atom design, which no sweep runs.  Only
-    mode "mismatch" changes the design: its outcomes mix in phi_e, and extra
-    holds E_n_norm; extra is {} otherwise.
+    of per-atom ones (_atom_statistics), drawn from their exact law
+    (_bernoulli_rep).  The hard design's counts are fixed, so its U_n is the
+    same in every rep and is its Sigma_n.  The polynomial design builds
+    Sigma_n only for the sigma_norm metric and gives None otherwise.  ks_fn
+    is None on the atom design, which no sweep runs.  Only mode "mismatch"
+    changes the design: its outcomes mix in phi_e, and extra holds E_n_norm;
+    extra is {} otherwise.
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
@@ -368,7 +364,7 @@ def _design(config, mode, d, n, theta_star, metrics):
             # drawn from phi_e, in expectation, less Sigma_n theta*.
             E_n = q * (state(counts, p_e * counts).u - Sigma_n @ theta_star)
             extra["E_n_norm"] = float(np.linalg.norm(E_n))
-        return ((lambda rng: state(counts, _hard_ones(d, counts, probs, rng))), Sigma_n,
+        return ((lambda rng: _bernoulli_rep(state, counts, probs, rng)), Sigma_n,
                 lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d), extra)
     if kind != "polynomial":
         raise ValueError(f"unknown basis kind {kind!r}")

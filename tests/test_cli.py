@@ -291,6 +291,21 @@ def test_non_finite_number_exits_2_naming_the_field(tmp_path, capsys, command, p
     assert not (out / "records.csv").exists()
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("bound-check", {"mode": "penalized", "d": 3, "n": 50, "delta": 0.1, "reps": 2,
+                     "basis": dict(_ATOMS, measure={"kind": "counting", "points": [0.0, _NAN]})},
+     "measure.points"),
+    ("real", dict(REAL_ONE_SEED, measure={"kind": "gaussian", "c": 0.0, "var": _NAN}),
+     "measure.var"),
+], ids=["counting_points_nan", "gaussian_var_nan"])
+def test_non_finite_measure_exits_2_naming_the_key(tmp_path, capsys, command, payload, key):
+    """The config check leaves a measure object's fields untyped; building it rejects them."""
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert key in _config_error(capsys)
+    assert not (out / "records.csv").exists()
+
+
 @pytest.mark.parametrize("message, payload", [
     ("mismatch mode needs q", {"mode": "mismatch",
                                "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}),

@@ -149,7 +149,7 @@ def test_ridge_convergence_error_is_a_typed_failure(monkeypatch):
 
 
 def test_bound_check_failed_draw_raises_its_own_typed_error(tmp_path, monkeypatch, capsys):
-    original, calls = synth._hard_ones, []
+    original, calls = synth._bernoulli_rep, []
 
     def flaky(*args):  # reps draw in order, so call i is rep i
         calls.append(None)
@@ -157,7 +157,7 @@ def test_bound_check_failed_draw_raises_its_own_typed_error(tmp_path, monkeypatc
             raise SingularGram(f"degenerate draw at rep {len(calls) - 1}")
         return original(*args)
 
-    monkeypatch.setattr(synth, "_hard_ones", flaky)
+    monkeypatch.setattr(synth, "_bernoulli_rep", flaky)
     config = {"mode": "self", "d": 2, "n": 50, "delta": 0.1, "reps": 5,
               "basis": {"kind": "bernoulli_hard"}}
     with pytest.raises(SingularGram, match="^degenerate draw at rep 1$"):

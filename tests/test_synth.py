@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +8,12 @@ from cdfreg import bounds
 from cdfreg import measure as msr
 from cdfreg import synth
 from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
+from cdfreg.cli import main
 from cdfreg.estimators import (delta_nU_default, penalized_estimate, project_simplex,
                                ridge_estimate)
 from cdfreg.gram import GramState, accumulate, population_gram
 from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design,
-                          _hard_design, _hard_ones, bernoulli_ks_sup,
+                          _hard_design, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
                           run_scaling_experiment, sample_mismatched, sample_scheme1,
                           sample_scheme2, sorted_quantile, stream_rng, uniform_contexts)
@@ -103,17 +106,17 @@ def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c):
     j = np.arange(n)
     idx = np.where(j < d, j, d + (j - d) % d)
     assert len(R) == min(n, 2 * d) and np.array_equal(R[idx], P)
-    rng = stream_rng(7, d, n)
-    ones = _hard_ones(d, counts, R @ theta, rng)
-    state = _atom_statistics(R, _UNIT_INTERVAL)(counts, ones)
-    # Reference: the draws and statistics on the full (n, d) matrix.
-    ref_rng = stream_rng(7, d, n)
-    y = ref_rng.random(n) < P @ theta
-    assert np.array_equal(rng.random(3), ref_rng.random(3))  # one random(n) call's worth
     assert np.array_equal(counts, np.bincount(idx, minlength=len(R)))
-    assert ones.dtype == np.int64
-    assert np.array_equal(ones, np.bincount(idx[y], minlength=len(R)))
-    ref = accumulate(GramState(d, state.measure), BernoulliBasis(d), P, y.astype(float))
+    draw, _, _, _ = _design({"basis": {"kind": "bernoulli_hard", "c": c}}, "self",
+                            d, n, theta, [])
+    state = draw(stream_rng(7, d, n))
+    # Reference: accumulate over the full (n, d) matrix, with the ones the draw
+    # took from the same stream laid out per row: the first ones[i] of distinct
+    # row i's draws are y = 1.  Row j >= d is that row's ((j - d) // d)-th draw.
+    ones = stream_rng(7, d, n).binomial(counts, R @ theta)
+    rank = np.where(j < d, 0, (j - d) // d)
+    y = (rank < ones[idx]).astype(float)
+    ref = accumulate(GramState(d, state.measure), BernoulliBasis(d), P, y)
     assert state.n == ref.n == n
     assert _close(state.U, ref.U) and _close(state.u, ref.u)
 
@@ -171,6 +174,79 @@ def test_hard_design_U_n_is_bit_identical_across_reps_and_is_its_Sigma_n(mode):
     states = [draw(stream_rng(0, rep)) for rep in range(5)]
     assert all(s.U.tobytes() == Sigma_n.tobytes() for s in states)
     assert len({s.u.tobytes() for s in states}) > 1  # the outcomes do vary
+
+
+def _counts_and_ones(monkeypatch, config, d, n, theta, reps, seed):
+    """Each rep's (counts, ones) from _design's draw, the rep on stream (seed, rep)."""
+    original = synth._bernoulli_rep
+    monkeypatch.setattr(synth, "_bernoulli_rep", lambda state, counts, success, rng: original(
+        lambda c, o: (c, o), counts, success, rng))
+    draw = _design(config, "self", d, n, theta, [])[0]
+    counts, ones = zip(*(draw(stream_rng(seed, rep)) for rep in range(reps)))
+    return np.array(counts), np.array(ones)
+
+
+def _z(samples, expected):
+    """z-score of the mean over reps (axis 0) of samples against its expected value."""
+    se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+    return (samples.mean(axis=0) - expected) / se
+
+
+_LAW_REPS, _LAW_Z = 4000, 5.0  # |z| < 5 in every cell, set before any seed was run
+
+
+def test_hard_ones_follow_the_binomial_law(monkeypatch):
+    """ones[i] ~ Binomial(counts[i], p_i) with p = R theta*: its mean and variance."""
+    d, n, c, theta = 3, 40, 3.3, np.array([0.5, 0.3, 0.2])
+    R, counts = _hard_design(d, n, c)
+    drawn, ones = _counts_and_ones(monkeypatch, {"basis": {"kind": "bernoulli_hard", "c": c}},
+                                   d, n, theta, _LAW_REPS, 11)
+    assert np.all(drawn == counts)
+    p = R @ theta
+    assert np.all((0.05 < p) & (p < 0.95))  # no cell is degenerate
+    assert np.all(np.abs(_z(ones, counts * p)) < _LAW_Z)
+    assert np.all(np.abs(_z((ones - counts * p) ** 2, counts * p * (1 - p))) < _LAW_Z)
+
+
+def test_atom_counts_follow_the_multinomial_law(monkeypatch):
+    """counts ~ Multinomial(n, probs): mean n probs, covariance n (diag(probs) - probs probs^T);
+    each atom's ones have mean n probs_a p_a."""
+    d, n, theta = 3, 200, np.array([0.5, 0.3, 0.2])
+    spec = dict(_COVERAGE_ATOMS)
+    probs, P = np.array(spec["probs"]), np.array(spec["atoms"])
+    counts, ones = _counts_and_ones(monkeypatch, {"basis": spec}, d, n, theta, _LAW_REPS, 12)
+    assert np.all(counts.sum(axis=1) == n) and np.all((0 <= ones) & (ones <= counts))
+    assert np.all(np.abs(_z(counts, n * probs)) < _LAW_Z)
+    dev = counts - n * probs
+    cov = n * (np.diag(probs) - np.outer(probs, probs))
+    assert np.all(np.abs(_z(dev[:, :, None] * dev[:, None, :], cov)) < _LAW_Z)
+    assert np.all(np.abs(_z(ones, n * probs * (P @ theta))) < _LAW_Z)
+
+
+@pytest.mark.parametrize("theta_star, atom, probs", [
+    ([0.5, 0.3, 0.2 + 5e-10], [1.0, 1.0, 1.0], [0.5, 0.5, 0.0]),
+    ([-5e-10, 0.5, 0.5 + 5e-10], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]),
+    ([0.5, 0.3, 0.2], [0.2, 0.5, 0.8], [0.5, 0.5 + 5e-10, 0.0]),
+], ids=["success_above_1", "success_below_0", "probs_sum_above_1"])
+def test_atom_design_draws_just_off_the_simplex(tmp_path, monkeypatch, theta_star, atom, probs):
+    """check_simplex lets theta* and probs sit 1e-9 off the simplex.  Atom 0's success
+    is then 1 + 5e-10 or -5e-10, which the draw reads as 1 or 0, and probs[:-1] may sum
+    above 1; bound-check runs, and every rep's draws follow."""
+    basis = {"kind": "bernoulli_atoms", "atoms": [atom, [0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
+             "probs": probs}
+    config = {"d": 3, "n": 300, "delta": 0.1, "reps": 20, "theta_star": theta_star,
+              "basis": basis}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["bound-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    counts, ones = _counts_and_ones(monkeypatch, config, 3, 300, np.array(theta_star), 20, 0)
+    success = atom @ np.array(theta_star)
+    if success > 1:
+        assert np.array_equal(ones[:, 0], counts[:, 0]) and counts[:, 0].all()
+    elif success < 0:
+        assert not ones[:, 0].any() and counts[:, 0].all()
+    else:
+        assert np.all(counts.sum(axis=1) == 300) and not counts[:, 2].any()
 
 
 def test_stream_rng_keyed_and_reproducible():
@@ -352,7 +428,7 @@ def _scaling_reference(config):
             rng = stream_rng(seed, 0xD0, d, n, rep)
             if kind == "bernoulli_hard":
                 R, counts = _hard_design(d, n, 1.0)
-                ones = _hard_ones(d, counts, R @ theta, rng)
+                ones = rng.binomial(counts, R @ theta)
                 state = _atom_statistics(R, _UNIT_INTERVAL)(counts, ones)
                 Sigma_n = state.U
                 ks = lambda th: bernoulli_ks_sup(project_simplex(th), theta, d)
@@ -441,17 +517,15 @@ def _coverage_reference(config):
             q, p_e = config["q"], spec["p_e"]
             probs = (1.0 - q) * probs + q * p_e
             E_n = q * (state_of(counts, p_e * counts).u - Sigma_n @ theta)
-        draw = lambda rng: state_of(counts, _hard_ones(d, counts, probs, rng))
+        draw = lambda rng: state_of(counts, rng.binomial(counts, probs))
     else:
         P, w = np.array(spec["atoms"]), np.array(spec["probs"])
         state_of = _atom_statistics(P, msr.measure_from_spec(spec["measure"]))
         Sigma_n = state_of(n * w, np.zeros(len(w))).U
 
         def draw(rng):
-            idx = rng.choice(len(w), size=n, p=w)
-            y = (rng.random(n) < (P @ theta)[idx]).astype(float)
-            return state_of(np.bincount(idx, minlength=len(w)).astype(float),
-                            np.bincount(idx, weights=y, minlength=len(w)))
+            counts = rng.multinomial(n, w)
+            return state_of(counts, rng.binomial(counts, P @ theta))
     rows = []
     for rep in range(config["reps"]):
         state = draw(stream_rng(seed, 0xC0, rep))
