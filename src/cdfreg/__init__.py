@@ -15,9 +15,9 @@ from .bounds import (epsilon_lambda, epsilon_unreg, fit_loglog_slope,
                      min_eigenvalue, mismatch_bound, penalized_bound,
                      weighted_norm)
 from .errors import BracketError, CdfRegError, ConvergenceError, SingularGram
-from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, ecdf,
-                         fit_mle_simplex, hilbert_estimate, penalized_estimate,
-                         project_simplex, ridge_estimate, unregularized_estimate)
+from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, fit_mle_simplex,
+                         hilbert_estimate, penalized_estimate, project_simplex,
+                         ridge_estimate, unregularized_estimate)
 from .gram import (GramState, accumulate, gram_matrix_of_context,
                    population_gram, regularized_gram,
                    response_vector_of_sample)

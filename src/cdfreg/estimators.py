@@ -195,10 +195,6 @@ class EmpiricalCdf:
         return float(vals[0]) if np.isscalar(t) else vals
 
 
-def ecdf(samples) -> EmpiricalCdf:
-    return EmpiricalCdf(samples)
-
-
 def fit_mle_simplex(samples, basis: BasisFamily) -> np.ndarray:
     """Maximize sum_j log(theta^T rho_j) over the simplex by projected gradient ascent.
 

@@ -19,7 +19,7 @@ from . import measure as msr
 from .basis import GaussianLaplaceBasis, LogisticProbitBasis, ndtr
 from .bounds import l2_error_crps
 from .errors import CdfRegError
-from .estimators import ecdf, fit_mle_simplex, project_simplex, ridge_estimate
+from .estimators import EmpiricalCdf, fit_mle_simplex, project_simplex, ridge_estimate
 from .gram import GramState, accumulate
 from .synth import _write_csv, sorted_quantile, stream_rng
 
@@ -32,14 +32,11 @@ _GLM_MAX_ITER, _GLM_TOL = 100, 1e-8
 class TabularDataset:
     features: np.ndarray      # (n, d), standardized
     outcomes: np.ndarray      # (n,)
-    feature_names: list
-    outcome_name: str
     dropped_rows: int = 0
 
 
 @dataclass
 class UnivariateFit:
-    model: str                # OLS | LAD | Logistic | Probit
     coef: float
     intercept: float
     scale: float = float("nan")
@@ -85,7 +82,7 @@ def load_csv(path, outcome: str, features=None, delimiter=",") -> TabularDataset
         raise ValueError(f"no complete numeric row in {path}")
     arr = np.asarray(kept, dtype=float)
     X = np.column_stack([standardize(arr[:, i]) for i in range(len(features))])
-    return TabularDataset(X, arr[:, -1], list(features), outcome, dropped)
+    return TabularDataset(X, arr[:, -1], dropped)
 
 
 def three_way_split(n: int, seed: int):
@@ -105,7 +102,7 @@ def fit_ols_univariate(xs, ys) -> UnivariateFit:
         raise ValueError("OLS needs at least two distinct x values")
     coef, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (coef * xs + intercept)
-    return UnivariateFit("OLS", float(coef), float(intercept), float(np.mean(resid ** 2)))
+    return UnivariateFit(float(coef), float(intercept), float(np.mean(resid ** 2)))
 
 
 def fit_lad_univariate(xs, ys) -> UnivariateFit:
@@ -136,7 +133,7 @@ def fit_lad_univariate(xs, ys) -> UnivariateFit:
         if obj >= best:
             break
         best, a, b, k = obj, slope, icpt, int(others[j])
-    return UnivariateFit("LAD", a, b, best / len(xs))
+    return UnivariateFit(a, b, best / len(xs))
 
 
 def fit_glm_univariate(xs, ys, link: str) -> UnivariateFit:
@@ -176,8 +173,7 @@ def fit_glm_univariate(xs, ys, link: str) -> UnivariateFit:
             break
         if np.linalg.norm(grad) <= _GLM_TOL:
             break
-    return UnivariateFit(link, float(beta[0]), float(beta[1]),
-                         separated=separated)
+    return UnivariateFit(float(beta[0]), float(beta[1]), separated=separated)
 
 
 def fit_gaussian_laplace_basis(X, y, w: float) -> GaussianLaplaceBasis:
@@ -254,7 +250,7 @@ def evaluate_pipeline(config) -> dict:
                 rows.append({"method": "ridge_projected", "lambda": lam,
                              "seed": seed, "l2_error": l2_error_crps(yt, proj @ Phi, m)})
 
-            F_e = ecdf(yr)(m.nodes)
+            F_e = EmpiricalCdf(yr)(m.nodes)
             err_e = l2_error_crps(yt, np.broadcast_to(F_e, (len(yt), F_e.size)), m)
             rows.append({"method": "ecdf", "lambda": float("nan"),
                          "seed": seed, "l2_error": err_e})

@@ -78,17 +78,16 @@ class ExperimentRecord:
 # Bernoulli hard instance
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> np.ndarray:
-    """All n parameter vectors of the hard instance as a read-only (n, d) array.
+def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The n-row hard instance as an atom design: its distinct rows R and each row's count.
 
     Row j (1-based) is 1 - eps with one coordinate lowered by a further eps.
     Rows j <= d lower coordinate j at eps = c/(2 d^3); later rows cycle through
     the coordinates at eps = c/(2 d^2), which pins the parameters to the
     evaluation family [1 - c/d^2, 1 - c/(2 d^2)] and makes mu_min(U_n) grow
-    linearly in n.  Row j > 2d repeats row j - d, so the experiments build
-    only the min(n, 2d) distinct rows and count each (_hard_design); the last
-    four matrices are cached.
+    linearly in n.  Row j > 2d repeats row j - d, so the n rows are the
+    min(n, 2d) distinct rows R, with 0-based row i < d once and row i >= d
+    ceil((n - i) / d) times.
     """
     if d < 2:
         raise ValueError("hard instance needs d >= 2")
@@ -96,13 +95,11 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> np.ndarray:
     def rows(eps):  # row i lowers coordinate i
         return 1.0 - eps - eps * np.eye(d)
 
-    P = rows(c / (2.0 * d ** 2))[np.arange(n) % d]
-    P[:d] = rows(c / (2.0 * d ** 3))[:n]
-    # Later rows permute one pattern, so the first 2d rows hold every value.
-    if np.any(P[:2 * d] < 0) or np.any(P[:2 * d] > 1):
+    i = np.arange(min(n, 2 * d))
+    R = np.vstack([rows(c / (2.0 * d ** 3)), rows(c / (2.0 * d ** 2))])[i]
+    if np.any(R < 0) or np.any(R > 1):
         raise ValueError("hard-instance p out of [0,1]; reduce c")
-    P.setflags(write=False)
-    return P
+    return R, np.where(i < d, 1, (n - i + d - 1) // d)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +184,6 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
 # Per-rep statistics
 # ---------------------------------------------------------------------------
 
-def _hard_design(d: int, n: int, c: float):
-    """Distinct rows R of the n-row hard instance and how many of the n rows each one is.
-
-    Rows j < d occur once; row j >= d is row d + (j - d) mod d, so row i >= d
-    occurs ceil((n - i) / d) times.
-    """
-    i = np.arange(min(n, 2 * d))
-    return hard_instance_matrix(d, i.size, c), np.where(i < d, 1, (n - i + d - 1) // d)
-
-
 def _bernoulli_rep(state, counts, success, rng) -> GramState:
     """One rep's statistics: atom a has counts[a] draws, ones[a] ~ Binomial(counts[a], success[a]).
 
@@ -233,7 +220,7 @@ def _atom_statistics(P, m):
 @functools.lru_cache(maxsize=4)
 def _hard_statistics(d: int, k: int, c: float):
     """_atom_statistics of the first k distinct hard rows: one build serves every n >= 2d."""
-    return _atom_statistics(hard_instance_matrix(d, k, c), _UNIT_INTERVAL)
+    return _atom_statistics(hard_instance_matrix(d, k, c)[0], _UNIT_INTERVAL)
 
 
 def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
@@ -299,11 +286,11 @@ def _polynomial_sigma_1(d, x_lo, x_hi, n_nodes):
     return S
 
 
-def _atom_design(spec, d, n, theta_star):
-    """draw(rng) of one rep's statistics on a finite atom set of p-vectors, and Sigma_n.
+def _atom_fields(spec, d):
+    """A bernoulli_atoms spec's atoms (k, d), probs and outcome measure, checked.
 
-    A rep's counts are Multinomial(n, probs); Sigma_n is U_n at the expected
-    counts n * probs.
+    probs is clipped at 0: check_simplex lets an entry sit 1e-9 below it,
+    which rng.multinomial rejects.
     """
     try:
         P_atoms = np.asarray(spec.get("atoms"), dtype=float)
@@ -311,61 +298,63 @@ def _atom_design(spec, d, n, theta_star):
         P_atoms = np.empty(0)
     if P_atoms.shape[1:] != (d,) or not np.all((P_atoms >= 0) & (P_atoms <= 1)):
         raise ValueError(f"basis.atoms must be a (k, {d}) array of probabilities in [0, 1]")
-    k = len(P_atoms)
     probs = np.asarray(spec.get("probs"), dtype=float)
-    if probs.shape != (k,):
-        raise ValueError(f"basis.probs must have {k} entries, one per atom")
+    if probs.shape != (len(P_atoms),):
+        raise ValueError(f"basis.probs must have {len(P_atoms)} entries, one per atom")
     try:
         check_simplex(probs)
     except ValueError as exc:
         raise ValueError(f"basis.probs: {exc}") from None
     m = msr.measure_from_spec(spec["measure"]) if "measure" in spec else _UNIT_INTERVAL
-    state = _atom_statistics(P_atoms, m)
-    success = P_atoms @ theta_star  # P(y = 1) at each atom
-    pvals = probs / probs.sum()  # rng.multinomial needs sum(pvals[:-1]) <= 1 + 1e-12
-
-    def draw(rng) -> GramState:
-        return _bernoulli_rep(state, rng.multinomial(n, pvals), success, rng)
-
-    return draw, state(n * probs, np.zeros(k)).U
+    return P_atoms, np.clip(probs, 0.0, None), m
 
 
 def _design(config, mode, d, n, theta_star, metrics):
     """(draw, Sigma_n, ks_fn, extra), what every rep of grid point (d, n) shares.
 
-    draw(rng) gives one rep's GramState.  The Bernoulli designs are outcomes
-    at a finite set of atoms, so a rep's statistics are count-weighted sums
-    of per-atom ones (_atom_statistics), drawn from their exact law
-    (_bernoulli_rep).  The hard design's counts are fixed, so its U_n is the
-    same in every rep and is its Sigma_n.  The polynomial design builds
-    Sigma_n only for the sigma_norm metric and gives None otherwise.  ks_fn
-    is None on the atom design, which no sweep runs.  Only mode "mismatch"
-    changes the design: its outcomes mix in phi_e, and extra holds E_n_norm;
-    extra is {} otherwise.
+    draw(rng) gives one rep's GramState.  The two Bernoulli designs are one
+    model: atoms P, their per-atom statistics (_atom_statistics) and a law
+    for each atom's count.  The hard design's atoms and counts are fixed
+    (hard_instance_matrix), so its U_n is the same in every rep and is its
+    Sigma_n; the atom design's counts are Multinomial(n, probs), and its
+    Sigma_n is U_n at the expected counts.  A rep draws its counts, then
+    its ones from their exact law (_bernoulli_rep).  The polynomial design
+    builds Sigma_n only for the sigma_norm metric and gives None otherwise.
+    ks_fn is None on the atom design, which no sweep runs.  Only mode
+    "mismatch" changes the design: its outcomes mix in phi_e, and extra
+    holds E_n_norm; extra is {} otherwise.
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
     if mode == "mismatch" and kind != "bernoulli_hard":
         raise ValueError("mismatch mode uses the bernoulli_hard design")
-    if kind == "bernoulli_atoms":
-        return (*_atom_design(spec, d, n, theta_star), None, {})
-    if kind == "bernoulli_hard":
-        c = float(spec.get("c", 1.0))
-        R, counts = _hard_design(d, n, c)
-        state = _hard_statistics(d, len(R), c)
-        Sigma_n = state(counts, 0 * counts).U
-        probs = R @ theta_star
+    if kind in ("bernoulli_hard", "bernoulli_atoms"):
+        if kind == "bernoulli_hard":
+            c = float(spec.get("c", 1.0))
+            P, expected = hard_instance_matrix(d, n, c)
+            state = _hard_statistics(d, len(P), c)
+            counts = lambda rng: expected
+            ks_fn = lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d)
+        else:
+            P, probs, m = _atom_fields(spec, d)
+            state = _atom_statistics(P, m)
+            expected = n * probs
+            pvals = probs / probs.sum()  # rng.multinomial needs sum(pvals[:-1]) <= 1 + 1e-12
+            counts = lambda rng: rng.multinomial(n, pvals)
+            ks_fn = None
+        success = P @ theta_star  # P(y = 1) at each atom
+        Sigma_n = state(expected, 0 * expected).U
         extra = {}
         if mode == "mismatch":
             # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.
             q, p_e = float(config["q"]), float(spec["p_e"])
-            probs = (1.0 - q) * probs + q * p_e
+            success = (1.0 - q) * success + q * p_e
             # E_n = sum_j q integral (phi_e - theta*^T Phi_j) Phi_j: the u_n of outcomes
             # drawn from phi_e, in expectation, less Sigma_n theta*.
-            E_n = q * (state(counts, p_e * counts).u - Sigma_n @ theta_star)
+            E_n = q * (state(expected, p_e * expected).u - Sigma_n @ theta_star)
             extra["E_n_norm"] = float(np.linalg.norm(E_n))
-        return ((lambda rng: _bernoulli_rep(state, counts, probs, rng)), Sigma_n,
-                lambda th: bernoulli_ks_sup(project_simplex(th), theta_star, d), extra)
+        return ((lambda rng: _bernoulli_rep(state, counts(rng), success, rng)), Sigma_n,
+                ks_fn, extra)
     if kind != "polynomial":
         raise ValueError(f"unknown basis kind {kind!r}")
     x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))

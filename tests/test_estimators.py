@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis
 from cdfreg.errors import ConvergenceError, SingularGram
-from cdfreg.estimators import (SigmaSequence, delta_nU_default, ecdf,
+from cdfreg.estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default,
                                fit_mle_simplex, hilbert_estimate,
                                penalized_estimate, project_simplex, ridge_estimate,
                                unregularized_estimate)
@@ -252,12 +252,12 @@ def test_sigma_sequence_rejects_zero():
 
 
 def test_ecdf():
-    F = ecdf([1.0, 2.0, 3.0])
+    F = EmpiricalCdf([1.0, 2.0, 3.0])
     assert F(2.0) == pytest.approx(2.0 / 3.0)
     assert F(0.5) == 0.0
     assert F(3.0) == 1.0
     with pytest.raises(ValueError):
-        ecdf([])
+        EmpiricalCdf([])
 
 
 def test_mle_singleton():

@@ -12,8 +12,7 @@ from cdfreg.cli import main
 from cdfreg.estimators import (delta_nU_default, penalized_estimate, project_simplex,
                                ridge_estimate)
 from cdfreg.gram import GramState, accumulate, population_gram
-from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design,
-                          _hard_design, bernoulli_ks_sup,
+from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
                           run_scaling_experiment, sample_mismatched, sample_scheme1,
                           sample_scheme2, sorted_quantile, stream_rng, uniform_contexts)
@@ -30,24 +29,30 @@ def _hard_instance_loop(d, n, c):
     return np.array(rows)
 
 
+def _row_index(d, n):
+    """Which distinct row each of the n rows is: row j >= d is row d + (j - d) mod d."""
+    j = np.arange(n)
+    return np.where(j < d, j, d + (j - d) % d)
+
+
 def test_hard_instance_first_steps_d2():
     # d=2, c=1: early scale 1/(2 d^3) = 1/16
-    P = hard_instance_matrix(2, 10)
+    P, _ = hard_instance_matrix(2, 10)
     assert np.allclose(P[0], [0.875, 0.9375])
     assert np.allclose(P[1], [0.9375, 0.875])
 
 
 def test_hard_instance_late_steps_cycle():
     # after step d the scale switches to 1/(2 d^2) and cycles coordinates
-    P = hard_instance_matrix(2, 6, 1.0)
+    P, counts = hard_instance_matrix(2, 6, 1.0)
     assert np.allclose(P[2], [0.75, 0.875])    # j=3 -> coordinate 1, eps=1/8
     assert np.allclose(P[3], [0.875, 0.75])    # j=4 -> coordinate 2 (j mod d = 0)
-    assert np.allclose(P[4], P[2]) and np.allclose(P[5], P[3])
+    assert len(P) == 4 and counts.tolist() == [1, 1, 2, 2]  # j=5, 6 repeat j=3, 4
 
 
 def test_hard_instance_validity():
     for d in (2, 3, 5):
-        P = hard_instance_matrix(d, 4 * d, 1.0)
+        P, _ = hard_instance_matrix(d, 4 * d, 1.0)
         assert np.all(P >= 0.0) and np.all(P <= 1.0)
         Q = 1.0 - P[:d]
         # the first d rows are linearly independent
@@ -56,20 +61,16 @@ def test_hard_instance_validity():
 
 @pytest.mark.parametrize("d,n,c", [(2, 7, 1.0), (3, 10, 0.5), (5, 23, 1.0), (8, 5, 2.0)])
 def test_hard_instance_matches_reference_loop(d, n, c):
-    P = hard_instance_matrix(d, n, c)
-    assert P.shape == (n, d)
-    assert np.array_equal(P, _hard_instance_loop(d, n, c))
+    R, counts = hard_instance_matrix(d, n, c)
+    idx = _row_index(d, n)
+    assert R.shape == (min(n, 2 * d), d)
+    assert np.array_equal(R[idx], _hard_instance_loop(d, n, c))
+    assert np.array_equal(counts, np.bincount(idx, minlength=len(R)))
 
 
 @pytest.mark.parametrize("d,n,m", [(3, 20, 11), (3, 20, 2), (5, 12, 5), (4, 9, 1)])
 def test_hard_instance_prefix_independent_of_n(d, n, m):
-    assert np.array_equal(hard_instance_matrix(d, n)[:m], hard_instance_matrix(d, m))
-
-
-def test_hard_instance_read_only():
-    P = hard_instance_matrix(3, 8)
-    with pytest.raises(ValueError):
-        P[0, 0] = 0.5
+    assert np.array_equal(hard_instance_matrix(d, n)[0][:m], hard_instance_matrix(d, m)[0])
 
 
 def test_hard_instance_rejects_d_below_2():
@@ -83,7 +84,7 @@ def test_hard_instance_rejects_large_c():
     with pytest.raises(ValueError):  # negative c pushes p above 1
         hard_instance_matrix(2, 3, c=-1.0)
     # c=5, d=2 is out of range only at the later scale, so only from row d+1 on.
-    assert hard_instance_matrix(2, 2, c=5.0).shape == (2, 2)
+    assert hard_instance_matrix(2, 2, c=5.0)[0].shape == (2, 2)
     with pytest.raises(ValueError):
         hard_instance_matrix(2, 3, c=5.0)
 
@@ -100,12 +101,10 @@ _HARD_SIZES = [(5, 3), (5, 5), (5, 7), (3, 11), (5, 100_000), (3, 100_000)]
 @pytest.mark.parametrize("c", [1.0, 3.3])
 def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c):
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
-    P = hard_instance_matrix(d, n, c)
-    R, counts = _hard_design(d, n, c)
-    # Reference index: row j < d is distinct row j, row j >= d is row d + (j - d) mod d.
-    j = np.arange(n)
-    idx = np.where(j < d, j, d + (j - d) % d)
-    assert len(R) == min(n, 2 * d) and np.array_equal(R[idx], P)
+    R, counts = hard_instance_matrix(d, n, c)
+    j, idx = np.arange(n), _row_index(d, n)
+    P = R[idx]
+    assert len(R) == min(n, 2 * d) and np.array_equal(P, _hard_instance_loop(d, n, c))
     assert np.array_equal(counts, np.bincount(idx, minlength=len(R)))
     draw, _, _, _ = _design({"basis": {"kind": "bernoulli_hard", "c": c}}, "self",
                             d, n, theta, [])
@@ -129,7 +128,8 @@ def test_mismatch_E_n_from_distinct_rows_matches_full_matrix(d, n, c):
     config = {"q": q, "basis": {"kind": "bernoulli_hard", "c": c, "p_e": p_e}}
     _, _, _, extra = _design(config, "mismatch", d, n, theta, [])
     # Reference: the closed form on the full matrix, for two-point CDFs on [0, 1).
-    Q = 1.0 - hard_instance_matrix(d, n, c)
+    R, _ = hard_instance_matrix(d, n, c)
+    Q = 1.0 - R[_row_index(d, n)]
     ref = np.linalg.norm(Q.T @ (q * ((1.0 - p_e) - Q @ theta)))
     assert _close(extra["E_n_norm"], ref)
     report = run_coverage_experiment({
@@ -198,7 +198,7 @@ _LAW_REPS, _LAW_Z = 4000, 5.0  # |z| < 5 in every cell, set before any seed was 
 def test_hard_ones_follow_the_binomial_law(monkeypatch):
     """ones[i] ~ Binomial(counts[i], p_i) with p = R theta*: its mean and variance."""
     d, n, c, theta = 3, 40, 3.3, np.array([0.5, 0.3, 0.2])
-    R, counts = _hard_design(d, n, c)
+    R, counts = hard_instance_matrix(d, n, c)
     drawn, ones = _counts_and_ones(monkeypatch, {"basis": {"kind": "bernoulli_hard", "c": c}},
                                    d, n, theta, _LAW_REPS, 11)
     assert np.all(drawn == counts)
@@ -227,11 +227,13 @@ def test_atom_counts_follow_the_multinomial_law(monkeypatch):
     ([0.5, 0.3, 0.2 + 5e-10], [1.0, 1.0, 1.0], [0.5, 0.5, 0.0]),
     ([-5e-10, 0.5, 0.5 + 5e-10], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]),
     ([0.5, 0.3, 0.2], [0.2, 0.5, 0.8], [0.5, 0.5 + 5e-10, 0.0]),
-], ids=["success_above_1", "success_below_0", "probs_sum_above_1"])
+    ([0.5, 0.3, 0.2], [0.2, 0.5, 0.8], [1.0 + 5e-10, -5e-10, 0.0]),
+], ids=["success_above_1", "success_below_0", "probs_sum_above_1", "probs_below_0"])
 def test_atom_design_draws_just_off_the_simplex(tmp_path, monkeypatch, theta_star, atom, probs):
     """check_simplex lets theta* and probs sit 1e-9 off the simplex.  Atom 0's success
-    is then 1 + 5e-10 or -5e-10, which the draw reads as 1 or 0, and probs[:-1] may sum
-    above 1; bound-check runs, and every rep's draws follow."""
+    is then 1 + 5e-10 or -5e-10, which the draw reads as 1 or 0, probs[:-1] may sum
+    above 1, and a prob may be -5e-10, which the draw reads as 0; bound-check runs, and
+    every rep's draws follow."""
     basis = {"kind": "bernoulli_atoms", "atoms": [atom, [0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
              "probs": probs}
     config = {"d": 3, "n": 300, "delta": 0.1, "reps": 20, "theta_star": theta_star,
@@ -246,7 +248,8 @@ def test_atom_design_draws_just_off_the_simplex(tmp_path, monkeypatch, theta_sta
     elif success < 0:
         assert not ones[:, 0].any() and counts[:, 0].all()
     else:
-        assert np.all(counts.sum(axis=1) == 300) and not counts[:, 2].any()
+        assert np.all(counts.sum(axis=1) == 300)
+        assert not counts[:, np.array(probs) <= 0].any()
 
 
 def test_stream_rng_keyed_and_reproducible():
@@ -427,7 +430,7 @@ def _scaling_reference(config):
         for rep in range(config["reps"]):
             rng = stream_rng(seed, 0xD0, d, n, rep)
             if kind == "bernoulli_hard":
-                R, counts = _hard_design(d, n, 1.0)
+                R, counts = hard_instance_matrix(d, n, 1.0)
                 ones = rng.binomial(counts, R @ theta)
                 state = _atom_statistics(R, _UNIT_INTERVAL)(counts, ones)
                 Sigma_n = state.U
@@ -480,7 +483,7 @@ def test_stacked_sweep_equals_per_rep_reference(kind, d, n_grid, reps, monkeypat
               "lambdas": [0.001, 0.1], "metrics": ALL_METRICS, "seed": 5}
     rows, aggregates = _scaling_reference(config)
     calls = {"ridge_estimate": 0, "build": 0}
-    built = "_hard_design" if kind == "bernoulli_hard" else "uniform_contexts"
+    built = "hard_instance_matrix" if kind == "bernoulli_hard" else "uniform_contexts"
     for name, key in (("ridge_estimate", "ridge_estimate"), (built, "build")):
         original = getattr(synth, name)
 
@@ -488,11 +491,14 @@ def test_stacked_sweep_equals_per_rep_reference(kind, d, n_grid, reps, monkeypat
             calls[_key] += 1
             return _original(*args)
         monkeypatch.setattr(synth, name, counted)
+    synth._hard_statistics.cache_clear()  # so that the build its statistics take is counted
     records, aggs = run_scaling_experiment(config)
     assert [(r.d, r.n, r.lam, r.rep, r.metric_name, np.float64(r.value).tobytes())
             for r in records] == rows
     assert aggs == aggregates
-    assert calls == {"ridge_estimate": len(n_grid) * 2, "build": len(n_grid)}
+    # One build per grid point; the hard rows' statistics take one more, shared by every n.
+    assert calls == {"ridge_estimate": len(n_grid) * 2,
+                     "build": len(n_grid) + (kind == "bernoulli_hard")}
 
 
 _COVERAGE_ATOMS = {"kind": "bernoulli_atoms",
@@ -509,7 +515,7 @@ def _coverage_reference(config):
     theta = np.asarray(config["theta_star"])
     tnorm = float(np.linalg.norm(theta))
     if spec["kind"] == "bernoulli_hard":
-        R, counts = _hard_design(d, n, 1.0)
+        R, counts = hard_instance_matrix(d, n, 1.0)
         state_of = _atom_statistics(R, _UNIT_INTERVAL)
         Sigma_n = state_of(counts, 0 * counts).U
         probs = R @ theta
