@@ -78,30 +78,33 @@ def mismatch_bound(eps_lambda_val: float, mismatch_norm: float, lam: float,
     return eps_lambda_val + mismatch_norm / math.sqrt(lam)
 
 
-def weighted_norm(v, A) -> float:
-    """sqrt(v^T A v) for symmetric PSD A, clamping tiny negative round-off."""
+def weighted_norm(v, A):
+    """sqrt(v^T A v), tiny negative round-off clamped; (r, d) rows v give (r,), by A or A[i]."""
     v = np.asarray(v, dtype=float)
     A = np.asarray(A, dtype=float)
-    if np.max(np.abs(A - A.T)) > _ASYM_TOL:
+    if np.max(np.abs(A - np.swapaxes(A, -1, -2))) > _ASYM_TOL:
         raise ValueError("weight matrix must be symmetric")
-    q = float(v @ A @ v)
-    if q < -_ASYM_TOL:
-        raise ValueError(f"quadratic form {q:.3e} is negative beyond round-off")
-    return math.sqrt(max(q, 0.0))
+    q = (v.reshape(-1, 1, v.shape[-1]) @ A @ v.reshape(-1, v.shape[-1], 1))[:, 0, 0]
+    if np.any(q < -_ASYM_TOL):
+        raise ValueError(f"quadratic form {q.min():.3e} is negative beyond round-off")
+    norms = np.sqrt(np.maximum(q, 0.0))
+    return float(norms[0]) if v.ndim == 1 else norms
 
 
-def min_eigenvalue(A) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+def min_eigenvalue(A):
+    """Smallest eigenvalue of a symmetric matrix, or of each matrix of an (r, d, d) stack."""
     A = np.asarray(A, dtype=float)
-    if np.max(np.abs(A - A.T)) > _ASYM_TOL:
+    if np.max(np.abs(A - np.swapaxes(A, -1, -2))) > _ASYM_TOL:
         raise ValueError("matrix must be symmetric")
-    return float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
+    mu = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))[..., 0]
+    return float(mu) if A.ndim == 2 else mu
 
 
-def ks_distance(F1, F2, grid) -> float:
+def ks_distance(F1, F2, grid):
     """sup over the grid of |F1 - F2|, probing both sides of potential jumps.
 
     The grid must include every jump point of step CDFs (caller contract).
+    An F1 that gives (r, P) rows, r CDFs at the P points, gives (r,) sups.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -110,7 +113,8 @@ def ks_distance(F1, F2, grid) -> float:
     pts = np.concatenate([grid, grid - eps])
     v1 = np.asarray(F1(pts), dtype=float)
     v2 = np.asarray(F2(pts), dtype=float)
-    return float(np.max(np.abs(v1 - v2)))
+    sup = np.max(np.abs(v1 - v2), axis=-1)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 def ks_grid(support_lo: float, support_hi: float, jump_points=()) -> np.ndarray:

@@ -207,17 +207,14 @@ def _scaling_summary(config, records):
     """Log-log slope of the mean of one metric against n, per (d, lambda)."""
     metric = config.get("slope_metric", "l2")
     slopes = {}
-    pts = sorted({(r.d, r.lam) for r in records if r.metric_name == metric})
-    for d, lam in pts:
-        by_n = {}
-        for r in records:
-            if (r.d, r.lam, r.metric_name) == (d, lam, metric):
-                by_n.setdefault(r.n, []).append(r.value)
+    groups = {}  # (d, lambda) -> n -> the metric's values, in record order
+    for r in records:
+        if r.metric_name == metric:
+            groups.setdefault((r.d, r.lam), {}).setdefault(r.n, []).append(r.value)
+    for (d, lam), by_n in sorted(groups.items()):
         if len(by_n) < 2:
             continue
-        ns = sorted(by_n)
-        means = [sum(by_n[n]) / len(by_n[n]) for n in ns]
-        slope, intercept = fit_loglog_slope(list(zip(ns, means)))
+        slope, intercept = fit_loglog_slope([(n, sum(v) / len(v)) for n, v in sorted(by_n.items())])
         slopes[f"d={d},lambda={lam}"] = {"slope": slope, "intercept": intercept}
     failures = [{"d": r.d, "n": r.n, "rep": r.rep, "error": r.error}
                 for r in records if r.metric_name == "failure"]
@@ -280,6 +277,14 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="cdfreg",
                                      description="Contextual CDF regression experiments")
     parser.add_argument("--version", action="version", version=f"cdfreg {__version__}")
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's options
+    common.add_argument("--config", required=True, help="path to JSON config")
+    common.add_argument("--out", default=".", help="output directory")
+    common.add_argument("--seed", type=int, default=None, help="override config seed")
+    common.add_argument("--threads", type=int, default=None,
+                        help="override config parallelism degree")
+    common.add_argument("--long", action="store_true",
+                        help="full-size sweep defaults instead of desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
         ("synth-bernoulli", "scaling sweep on the adversarial Bernoulli design"),
@@ -287,14 +292,7 @@ def build_parser():
         ("bound-check", "empirical coverage of a stated error bound"),
         ("real", "tabular CSV pipeline with baseline comparison"),
     ]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="override config parallelism degree")
-        p.add_argument("--long", action="store_true",
-                       help="full-size sweep defaults instead of desk scale")
+        sub.add_parser(name, help=helptext, parents=[common])
     return parser
 
 

@@ -89,18 +89,18 @@ def unregularized_estimate(state: GramState) -> np.ndarray:
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort and threshold)."""
+    """Euclidean projection onto the probability simplex, of v or of each row of an (r, d) v."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("cannot project non-finite vector")
-    v = v - v.max()  # same projection; the 1 of the simplex is not lost to rounding
-    s = np.sort(v)[::-1]
-    css = np.cumsum(s) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(s - css / idx > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    out = np.maximum(v - tau, 0.0)
-    return out / out.sum()  # exact renormalization for downstream KS use
+    V = v.reshape(-1, v.shape[-1])
+    V = V - V.max(axis=1)[:, None]  # same projection; the simplex's 1 survives rounding
+    s = np.sort(V, axis=1)[:, ::-1]
+    css = s.cumsum(axis=1) - 1.0
+    idx = np.arange(1, V.shape[1] + 1)
+    k = np.where(s - css / idx > 0, idx, 0).max(axis=1)  # the last such idx, rho + 1
+    out = np.maximum(V - (css[np.arange(len(V)), k - 1] / k)[:, None], 0.0)  # V - tau
+    return (out / out.sum(axis=1)[:, None]).reshape(v.shape)  # exact renormalization
 
 
 def delta_nU_default(n: int, d: int, delta: float) -> float:

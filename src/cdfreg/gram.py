@@ -6,7 +6,7 @@ Gram Sigma_n of a finite context distribution.
 
 Every statistic is a weighted sum over the measure's nodes, computed by
 _sums for a batch of samples at once, a block of _BLOCK_ROWS rows at a
-time; the per-sample functions are the n=1 case.
+time; the per-sample functions are the n=1 case of the same panel products.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ class GramState:
 _BLOCK_ROWS = 64
 
 
-def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None, gram: bool = True):
+def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None):
     """sum_j c_j integral Phi Phi^T m(dt) and sum_j c_j integral 1{y_j<=t} Phi m(dt).
 
     Both integrals are sums over the measure's nodes, so one evaluation of
     Phi per block of _BLOCK_ROWS rows serves both, and no temporary grows
-    beyond one block.  c defaults to ones.  A caller that needs one sum
-    passes ys=None or gram=False, and ignores the other return value.
+    beyond one block.  c defaults to ones, and ys=None leaves u at 0.
     """
     if ys is not None and not np.isfinite(ys).all():
         raise ValueError("outcome y must be finite")
@@ -60,8 +59,7 @@ def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None, gram: bool = Tr
         # (b, d, K) -> (d, b*K): one matrix product sums over rows and nodes.
         A = basis.eval_nodes(Xb, T[:len(Xb)]).transpose(1, 0, 2).reshape(d, -1)
         W = m.weights if c is None else c[rows, None] * m.weights
-        if gram:
-            U += (A.reshape(d, -1, K) * W).reshape(d, -1) @ A.T
+        U += (A.reshape(d, -1, K) * W).reshape(d, -1) @ A.T
         if ys is not None:
             # jump_panel's weights: the nodes at or above y_j keep theirs.
             u += A @ np.where(m.nodes >= ys[rows, None], W, 0.0).reshape(-1)
@@ -73,9 +71,18 @@ def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndar
     return _sums(basis, [x], None, m)[0]
 
 
-def response_vector_of_sample(basis: BasisFamily, x, y: float, m: msr.QuadMeasure) -> np.ndarray:
-    """Integral of 1{y<=t} Phi(x,t) against the measure."""
-    return _sums(basis, [x], np.array([y], dtype=float), m, gram=False)[1]
+def response_vector_of_sample(basis: BasisFamily, x, y, m: msr.QuadMeasure) -> np.ndarray:
+    """Integral of 1{y<=t} Phi(x,t) against the measure.
+
+    A 1-D y of k outcomes takes the k contexts in x and gives their (k, d)
+    responses from one eval_nodes call; a scalar y is the k = 1 case.
+    """
+    ys = np.asarray(y, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValueError("outcome y must be finite")
+    T = np.broadcast_to(m.nodes, (ys.size, m.nodes.size))
+    W = np.where(T >= ys.reshape(-1, 1), m.weights, 0.0)[:, :, None]  # jump_panel's weights
+    return (basis.eval_nodes([x] if ys.ndim == 0 else x, T) @ W).reshape(ys.shape + (basis.d,))
 
 
 def accumulate(state: GramState, basis: BasisFamily, x, y) -> GramState:

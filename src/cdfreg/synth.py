@@ -6,7 +6,7 @@ the scaling / coverage runs that emit plot-ready records.
 
 One driver (_point) serves both runs: on a design built once (_design), it
 draws each rep's statistics from the rep's own Philox stream, solves each
-lambda's reps as one stacked system and scores the requested metrics.  The
+lambda's reps as one stacked system and scores it once per metric.  The
 scaling sweep runs it once per grid point (d, n).  A coverage run is one
 grid point whose error is one of the sweep's metrics, held against a bound.
 """
@@ -187,12 +187,9 @@ def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
 def _bernoulli_rep(state, counts, success, rng) -> GramState:
     """One rep's statistics: atom a has counts[a] draws, ones[a] ~ Binomial(counts[a], success[a]).
 
-    The statistics see the outcomes only through the ones, so this is their
-    exact law.  success is clipped to [0, 1], which rng.binomial needs when
-    theta* sits check_simplex's 1e-9 off the simplex; y = (r < p) for uniform
-    r reads such a p as 0 or 1 too, so the clip keeps the law.
+    The statistics see the outcomes only through the ones, so this is their exact law.
     """
-    return state(counts, rng.binomial(counts, np.clip(success, 0.0, 1.0)))
+    return state(counts, rng.binomial(counts, success))
 
 
 def _atom_statistics(P, m):
@@ -200,14 +197,14 @@ def _atom_statistics(P, m):
 
     The atoms are Bernoulli p-vectors.  Each atom's Gram G (k, d, d) and its
     responses R0, R1 (k, d) at y = 0 and y = 1 are integrated against m
-    once; a state is then the count-weighted sums U_n = counts.G and
-    u_n = (counts - ones).R0 + ones.R1.
+    once, the 2k responses in one call; a state is then the count-weighted
+    sums U_n = counts.G and u_n = (counts - ones).R0 + ones.R1.
     """
     k, d = P.shape
     basis = BernoulliBasis(d)
     G = np.array([gram_matrix_of_context(basis, p, m) for p in P]).reshape(k, d * d)
-    R0, R1 = (np.array([response_vector_of_sample(basis, p, y, m) for p in P])
-              for y in (0.0, 1.0))
+    R0, R1 = response_vector_of_sample(basis, np.vstack([P, P]), np.repeat([0.0, 1.0], k),
+                                       m).reshape(2, k, d)
 
     def state(counts, ones) -> GramState:
         U = (counts @ G).reshape(d, d)
@@ -223,20 +220,20 @@ def _hard_statistics(d: int, k: int, c: float):
     return _atom_statistics(hard_instance_matrix(d, k, c)[0], _UNIT_INTERVAL)
 
 
-def bernoulli_ks_sup(theta_hat, theta_star, d: int) -> float:
+def bernoulli_ks_sup(theta_hat, theta_star, d: int):
     """Sup KS distance over the evaluation family of Bernoulli contexts.
 
     The family mirrors the hard-instance pattern: parameters 1-eps with one
     cyclically perturbed coordinate 1-2*eps, eps ranging over
-    [1/(2 d^2), 1/d^2].
+    [1/(2 d^2), 1/d^2].  An (r, d) stack of theta_hat gives (r,) sups, one per row.
     """
-    delta = np.asarray(theta_hat, dtype=float) - np.asarray(theta_star, dtype=float)
+    D = (np.asarray(theta_hat, dtype=float) - np.asarray(theta_star, dtype=float)).reshape(-1, d)
     # q(eps, j) = eps * (1 + e_j); KS on [0,1) is |delta^T q|, largest at eps = 1/d^2.
-    base = float(np.sum(delta))
-    per_coord = np.abs(base + delta)          # (d,) for each perturbed coordinate
-    step_sup = float((1.0 / (d * d)) * per_coord.max())
+    base = np.sum(D, axis=1)
+    step_sup = (1.0 / (d * d)) * np.abs(base[:, None] + D).max(axis=1)  # over j
     # At t >= 1 both CDFs equal sum(theta); include that gap for improper theta_hat.
-    return max(step_sup, abs(base))
+    sup = np.maximum(step_sup, np.abs(base))
+    return float(sup[0]) if np.ndim(theta_hat) == 1 else sup
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +350,9 @@ def _design(config, mode, d, n, theta_star, metrics):
             # drawn from phi_e, in expectation, less Sigma_n theta*.
             E_n = q * (state(expected, p_e * expected).u - Sigma_n @ theta_star)
             extra["E_n_norm"] = float(np.linalg.norm(E_n))
+        # rng.binomial needs [0, 1], left when theta* sits check_simplex's 1e-9 off the
+        # simplex; y = (r < p) for uniform r reads such a p as 0 or 1, so the clip keeps the law.
+        success = np.clip(success, 0.0, 1.0)
         return ((lambda rng: _bernoulli_rep(state, counts(rng), success, rng)), Sigma_n,
                 ks_fn, extra)
     if kind != "polynomial":
@@ -371,29 +371,33 @@ def _design(config, mode, d, n, theta_star, metrics):
                if "sigma_norm" in metrics else None)
     grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
 
-    def ks_fn(th):
-        proj = project_simplex(th)
+    def ks_fn(th):  # th an (r, d) stack; (r, 1, d) @ (d, K) has the bits of each row's v @ M
+        proj = project_simplex(th)[:, None, :]
         worst = 0.0
         for x in (x_lo, 1.0, x_hi):
-            F1 = lambda ts: proj @ basis.eval_nodes(x, np.atleast_1d(ts))
-            F2 = lambda ts: theta_star @ basis.eval_nodes(x, np.atleast_1d(ts))
-            worst = max(worst, bounds.ks_distance(F1, F2, grid))
+            def gap(ts):  # the rows' CDFs less theta*'s, from one evaluation of Phi
+                M = basis.eval_nodes(x, np.atleast_1d(ts))
+                return (proj @ M)[:, 0] - theta_star @ M
+            worst = np.maximum(worst, bounds.ks_distance(gap, lambda ts: 0.0, grid))
         return worst
 
     return draw, Sigma_n, ks_fn, {}
 
 
 def _metrics(names, n, delta, theta_star, Sigma_n, ks_fn) -> dict:
-    """{name: score(state, lam, theta_hat)} of the named metrics, in METRICS order."""
+    """{name: score(stack, lam, thetas)} of the named metrics, in METRICS order."""
     d, tnorm = theta_star.size, float(np.linalg.norm(theta_star))
     every = {
-        "l2": lambda state, lam, th: float(np.linalg.norm(th - theta_star)),
-        "self_norm": lambda state, lam, th: bounds.weighted_norm(
-            th - theta_star, regularized_gram(state, lam)),
-        "sigma_norm": lambda state, lam, th: bounds.weighted_norm(th - theta_star, Sigma_n),
-        "ks": lambda state, lam, th: ks_fn(th),
-        "eps_lambda": lambda state, lam, th: bounds.epsilon_lambda(n, d, delta, lam, tnorm),
-        "mu_min_U": lambda state, lam, th: bounds.min_eigenvalue(state.U),
+        # each row's own dot product: np.linalg.norm(v)'s bits, which norm(v, axis=1) misses
+        "l2": lambda stack, lam, th: np.sqrt(((th - theta_star)[:, None, :]
+                                              @ (th - theta_star)[:, :, None])[:, 0, 0]),
+        "self_norm": lambda stack, lam, th: bounds.weighted_norm(
+            th - theta_star, regularized_gram(stack, lam)),
+        "sigma_norm": lambda stack, lam, th: bounds.weighted_norm(th - theta_star, Sigma_n),
+        "ks": lambda stack, lam, th: ks_fn(th),
+        "eps_lambda": lambda stack, lam, th: np.full(
+            len(th), bounds.epsilon_lambda(n, d, delta, lam, tnorm)),
+        "mu_min_U": lambda stack, lam, th: bounds.min_eigenvalue(stack.U),
     }
     return {name: every[name] for name in METRICS if name in names}
 
@@ -404,17 +408,11 @@ def _scaling_rep_state(draw, seed, d, n, rep) -> GramState:
 
 
 def _attempt(fn, *args):
-    """fn(*args), or the failure it raises, for _value to raise where it is used."""
+    """fn(*args), or the failure it raises, to be raised or recorded where it is used."""
     try:
         return fn(*args)
     except _FAILURES as exc:
         return exc
-
-
-def _value(x):
-    if isinstance(x, Exception):
-        raise x
-    return x
 
 
 def _stack(states) -> GramState:
@@ -423,9 +421,9 @@ def _stack(states) -> GramState:
                      np.stack([s.U for s in states]), np.stack([s.u for s in states]))
 
 
-def _ridge(stack, lam) -> list:
-    """(estimate, {}) of each row of a stacked state: the ridge solver of every driver."""
-    return [(theta, {}) for theta in ridge_estimate(stack, lam)]
+def _ridge(stack, lam):
+    """The (r, d) estimates of a stacked state and no values: the ridge solver of every driver."""
+    return ridge_estimate(stack, lam), {}
 
 
 def _penalized(delta_nU):
@@ -434,12 +432,12 @@ def _penalized(delta_nU):
     Each row's "dominated" value says whether its objective is at most that
     of its near-unregularized ridge fit, from the same stack.
     """
-    def solve(stack, lam) -> list:
+    def solve(stack, lam):
         thetas = penalized_estimate(stack, lam, delta_nU)
         obj = lambda th: (np.linalg.norm(np.einsum("rij,rj->ri", stack.U, th) - stack.u, axis=1)
                           + delta_nU * np.linalg.norm(th, axis=1))
         dominated = obj(thetas) <= obj(ridge_estimate(stack, 1e-8)) + 1e-7
-        return [(theta, {"dominated": float(dom)}) for theta, dom in zip(thetas, dominated)]
+        return thetas, {"dominated": 1.0 * dominated}
 
     return solve
 
@@ -447,28 +445,28 @@ def _penalized(delta_nU):
 def _point(draw_rep, reps, solve, lambdas, metrics) -> list:
     """Each rep's [(lambda, {name: value})], or the failure that stopped the rep.
 
-    draw_rep(rep) gives a rep's GramState, solve(stack, lam) the (estimate,
-    values) of each row of a stacked state, and metrics maps each requested
-    name to score(state, lam, theta_hat).  Each lambda's live reps are one
-    stacked solve, row for row each rep's own solve; a rep whose draw, solve
-    or metrics fail stops there.
+    draw_rep(rep) gives a rep's GramState; solve(stack, lam) gives a stacked
+    state's (r, d) estimates and {name: (r,) values}, and each metric's
+    score(stack, lam, thetas) its (r,) values.  Each lambda's live reps are one
+    stacked solve and one call per metric, row for row each rep's own; if that
+    fails, each rep is solved and scored alone, so that only a bad rep stops.
     """
+    def step(stack, lam) -> list:  # each row's (lam, {name: value})
+        thetas, cols = solve(stack, lam)
+        cols.update((name, score(stack, lam, thetas)) for name, score in metrics.items())
+        cols = {name: col.tolist() for name, col in cols.items()}
+        return [(lam, {name: col[i] for name, col in cols.items()}) for i in range(len(thetas))]
+
     states = [_attempt(draw_rep, rep) for rep in range(reps)]
     results = [s if isinstance(s, Exception) else [] for s in states]
     for lam in lambdas:
         live = [rep for rep in range(reps) if not isinstance(results[rep], Exception)]
         try:
-            rows = solve(_stack([states[rep] for rep in live]), lam) if live else []
-        except _FAILURES:  # solve each rep alone, so that only a bad rep fails
-            rows = [_attempt(lambda s: solve(_stack([s]), lam)[0], states[rep]) for rep in live]
-        for rep, solved in zip(live, rows):
-            try:
-                theta_hat, vals = _value(solved)
-                for name, score in metrics.items():
-                    vals[name] = score(states[rep], lam, theta_hat)
-                results[rep].append((lam, vals))
-            except _FAILURES as exc:
-                results[rep] = exc
+            rows = step(_stack([states[rep] for rep in live]), lam) if live else []
+        except _FAILURES:  # each rep alone, so that only a bad rep fails
+            rows = [_attempt(lambda s: step(_stack([s]), lam)[0], states[rep]) for rep in live]
+        for rep, row in zip(live, rows):
+            results[rep] = row if isinstance(row, Exception) else results[rep] + [row]
     return results
 
 
@@ -497,8 +495,8 @@ def run_scaling_experiment(config) -> tuple[list, list]:
 
     Each grid point (d, n) is one task (_point): its design is built once,
     each rep draws its statistics from its own Philox stream, and each
-    lambda's ridge estimates of all reps are one stacked solve.  A rep that
-    fails, or every rep of a design that fails, gets one failure row.
+    lambda's ridge estimates of all reps are one stacked solve and score.  A
+    rep that fails, or every rep of a design that fails, gets one failure row.
     """
     exp_id = config.get("experiment_id", "scaling")
     seed = int(config.get("seed", 0))
@@ -592,7 +590,10 @@ def run_coverage_experiment(config) -> dict:
                  else math.sqrt(2.0) * eps if mode == "sigma" else eps)
     results = _point(lambda rep: draw(stream_rng(seed, 0xC0, rep)), reps, solve, [lam],
                      _metrics([metric], n, delta, theta_star, Sigma_n, ks_fn))
-    values = [{**extra, **_value(result)[0][1]} for result in results]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    values = [{**extra, **result[0][1]} for result in results]
     errors = [vals.pop(metric) for vals in values]
     rows = [{"rep": rep, "error": err, "bound": bound, "covered": err <= bound, **vals}
             for rep, (err, vals) in enumerate(zip(errors, values))]

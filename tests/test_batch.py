@@ -1,8 +1,8 @@
 """The batched paths against loops of their single-sample calls.
 
 Gram accumulation sums in a different order when batched, so it is held to
-1e-12 relative; sampling, panels and basis evaluation do the same
-arithmetic per row and must match bit for bit.
+1e-12 relative; sampling, panels, basis evaluation, per-sample responses and
+the stacked metrics do the same arithmetic per row and must match bit for bit.
 """
 
 import re
@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 from cdfreg import measure as msr
 from cdfreg.basis import (BernoulliBasis, CustomBasis, GaussianLaplaceBasis,
                           LogisticProbitBasis, PolynomialBasis, inverse_cdf_sample)
-from cdfreg.bounds import l2_error_crps
+from cdfreg.bounds import l2_error_crps, min_eigenvalue, weighted_norm
 from cdfreg.errors import BracketError
-from cdfreg.gram import GramState, accumulate
+from cdfreg.estimators import project_simplex
+from cdfreg.gram import GramState, accumulate, response_vector_of_sample
+from cdfreg.synth import bernoulli_ks_sup
 
 _RNG = np.random.default_rng(11)
 
@@ -281,3 +283,77 @@ def test_batched_pmf_rows_equal_single_calls(family, ys, seed):
     assert batch.shape == (len(ys), basis.d)
     for j, (x, y) in enumerate(zip(xs, ys)):
         assert np.array_equal(batch[j], basis.pmf_vector(x, y))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("measure", MEASURES)
+@settings(max_examples=10, deadline=None)
+@given(ys=st.lists(OUTCOMES, min_size=1, max_size=40), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_response_rows_equal_single_calls(family, measure, ys, seed):
+    basis, m = FAMILIES[family][0], MEASURES[measure]
+    xs = _contexts(family, seed, len(ys))
+    batch = response_vector_of_sample(basis, xs, np.array(ys), m)
+    assert batch.shape == (len(ys), basis.d)
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        assert batch[j].tobytes() == response_vector_of_sample(basis, x, y, m).tobytes()
+        # the one-sample sum of accumulate, whose panel product is the same
+        assert batch[j].tobytes() == accumulate(GramState(basis.d, m), basis, x, y).u.tobytes()
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _project_one(v):
+    """The one-vector simplex projection the stacked form replaced, step for step."""
+    v = v - v.max()
+    s = np.sort(v)[::-1]
+    css = np.cumsum(s) - 1.0
+    rho = np.nonzero(s - css / np.arange(1, v.size + 1) > 0)[0][-1]
+    out = np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+    return out / out.sum()
+
+
+def _ks_sup_one(theta_hat, theta_star, d):
+    """The one-vector bernoulli_ks_sup the stacked form replaced."""
+    delta = theta_hat - theta_star
+    base = float(np.sum(delta))
+    return max(float((1.0 / (d * d)) * np.abs(base + delta).max()), abs(base))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 30), d=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]), ties=st.booleans())
+def test_stacked_metrics_equal_their_row_by_row_calls(r, d, seed, scale, ties):
+    """Row i of each stacked metric has the bits of the metric of row i alone, and
+    of the one-vector formula that the metric computed before it took stacks."""
+    rng = np.random.default_rng(seed)
+    v = scale * rng.normal(size=(r, d))
+    if ties:  # repeated entries, as estimates on the simplex's faces have
+        v = np.round(v / scale, 1) * scale
+    B = rng.normal(size=(r, d, d))
+    A = B @ np.swapaxes(B, 1, 2)
+    A = 0.5 * (A + np.swapaxes(A, 1, 2))
+    theta_star = rng.dirichlet(np.ones(d))
+    stacked = {
+        "project_simplex": (project_simplex(v), [project_simplex(row) for row in v]),
+        "weighted_norm": (weighted_norm(v, A), [weighted_norm(v[i], A[i]) for i in range(r)]),
+        "weighted_norm_shared": (weighted_norm(v, A[0]), [weighted_norm(row, A[0]) for row in v]),
+        "weighted_norm_identity": (weighted_norm(v, np.eye(d)),
+                                   [weighted_norm(row, np.eye(d)) for row in v]),
+        "min_eigenvalue": (min_eigenvalue(A), [min_eigenvalue(a) for a in A]),
+        "bernoulli_ks_sup": (bernoulli_ks_sup(v, theta_star, d),
+                             [bernoulli_ks_sup(row, theta_star, d) for row in v]),
+    }
+    one_vector = {
+        "project_simplex": [_project_one(row) for row in v],
+        "weighted_norm": [np.sqrt(max(float(v[i] @ A[i] @ v[i]), 0.0)) for i in range(r)],
+        "weighted_norm_shared": [np.sqrt(max(float(row @ A[0] @ row), 0.0)) for row in v],
+        "weighted_norm_identity": [np.linalg.norm(row) for row in v],
+        "min_eigenvalue": [np.linalg.eigvalsh(a)[0] for a in A],
+        "bernoulli_ks_sup": [_ks_sup_one(row, theta_star, d) for row in v],
+    }
+    for name, (stack, rows) in stacked.items():
+        assert len(stack) == r, name
+        assert [_bits(x) for x in stack] == [_bits(x) for x in rows], name
+        assert [_bits(x) for x in rows] == [_bits(x) for x in one_vector[name]], name

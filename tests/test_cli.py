@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from cdfreg import __version__
-from cdfreg.cli import main
+from cdfreg.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "cdfreg" / "data"
 
@@ -113,6 +113,27 @@ def test_bound_check_happy_path(tmp_path):
     assert summary["coverage"] >= 0.8
 
 
+@pytest.mark.parametrize("mode", ["self", "sigma", "penalized", "mismatch"])
+def test_bound_check_writes_plain_numbers(tmp_path, mode):
+    """Every number bound-check writes is a plain float literal, whatever type the
+    scores and bounds took on the way."""
+    payload = {"mode": mode, "d": 3, "n": 300, "delta": 0.1, "reps": 5, "seed": 1,
+               "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}
+    if mode == "mismatch":
+        payload["q"] = 0.2
+    code, out = run(tmp_path, "bound-check", payload)
+    assert code == 0
+    for name in ("records.csv", "aggregates.csv"):
+        with open(out / name) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for value in (v for r in rows for k, v in r.items() if k != "mode"):
+            float(value)  # "np.float64(1.0)" and the like raise
+    summary = json.loads((out / "summary.json").read_text())
+    assert all(type(v) in (int, float) for k, v in summary.items() if k.endswith(("_mean", "_max"))
+               or k == "coverage")
+
+
 def test_real_happy_path(tmp_path):
     payload = {"csv_path": str(DATA / "smoke_12.csv"), "outcome": "y",
                "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0,
@@ -181,6 +202,21 @@ def test_real_integral_float_seed_runs_as_its_integer(tmp_path):
     code, ref = run(tmp_path / "int", "real", dict(REAL_ONE_SEED, seeds=[2]))
     assert code == 0
     assert (out / "records.csv").read_bytes() == (ref / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["synth-bernoulli", "synth-poly", "bound-check", "real"])
+def test_every_subcommand_takes_the_shared_options(command, capsys):
+    parse = build_parser().parse_args
+    args = parse([command, "--config", "c.json"])
+    assert (args.command, args.config, args.out, args.seed, args.threads, args.long) == (
+        command, "c.json", ".", None, None, False)
+    args = parse([command, "--config", "c.json", "--out", "o", "--seed", "3",
+                  "--threads", "2", "--long"])
+    assert (args.out, args.seed, args.threads, args.long) == ("o", 3, 2, True)
+    with pytest.raises(SystemExit) as exc:
+        parse([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

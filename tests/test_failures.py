@@ -3,6 +3,7 @@
 import csv
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,38 @@ def test_one_bad_row_of_the_stacked_solve_fails_only_its_rep(monkeypatch, poison
     records, _ = synth.run_scaling_experiment(THREE)
     assert [(r.n, r.rep, r.metric_name, r.error) for r in records if r.error] == [
         (50, 2, "failure", message)]
+    assert _without(records, 50, 2) == _without(clean, 50, 2)
+
+
+@pytest.mark.parametrize("poison,message", [
+    (lambda A: A + np.triu(A, 1), r"ValueError: weight matrix must be symmetric"),
+    (lambda A: -A, r"ValueError: quadratic form -\S+ is negative beyond round-off"),
+])
+def test_one_bad_row_of_a_stacked_metric_fails_only_its_rep(monkeypatch, poison, message):
+    """self_norm scores each lambda's reps as one stack; a weight matrix that fails its
+    check on one row fails that rep alone, and every other value keeps its bits."""
+    config = {**THREE, "metrics": ["l2", "self_norm", "ks", "mu_min_U"]}
+    clean, _ = synth.run_scaling_experiment(config)
+    original_state, original_gram, bad = synth._scaling_rep_state, synth.regularized_gram, []
+
+    def captured(draw, seed, d, n, rep):
+        state = original_state(draw, seed, d, n, rep)
+        if (n, rep) == (50, 2):
+            bad.append(state.u)
+        return state
+
+    def poisoned(stack, lam):  # the rows of the bad rep's state get a bad weight matrix
+        A = original_gram(stack, lam)
+        rows = np.all(stack.u == bad[0], axis=1)
+        A[rows] = poison(A[rows])
+        return A
+
+    monkeypatch.setattr(synth, "_scaling_rep_state", captured)
+    monkeypatch.setattr(synth, "regularized_gram", poisoned)
+    records, _ = synth.run_scaling_experiment(config)
+    failed = [(r.n, r.rep, r.metric_name, r.error) for r in records if r.error]
+    assert [f[:3] for f in failed] == [(50, 2, "failure")]
+    assert re.fullmatch(message, failed[0][3])
     assert _without(records, 50, 2) == _without(clean, 50, 2)
 
 

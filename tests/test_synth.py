@@ -11,7 +11,8 @@ from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
 from cdfreg.cli import main
 from cdfreg.estimators import (delta_nU_default, penalized_estimate, project_simplex,
                                ridge_estimate)
-from cdfreg.gram import GramState, accumulate, population_gram
+from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context, population_gram,
+                         response_vector_of_sample)
 from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
                           run_scaling_experiment, sample_mismatched, sample_scheme1,
@@ -473,7 +474,7 @@ def _scaling_reference(config):
     return rows, aggregates
 
 
-@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("reps", [1, 3, 20])
 @pytest.mark.parametrize("kind,d,n_grid", [("bernoulli_hard", 3, [50, 400]),
                                            ("polynomial", 3, [30, 80])])
 def test_stacked_sweep_equals_per_rep_reference(kind, d, n_grid, reps, monkeypatch):
@@ -600,6 +601,25 @@ def test_sorted_quantile_is_np_quantile(vals, q):
     assert np.float64(sorted_quantile(s, q)).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("atoms", ["hard", "coverage"])
+def test_atom_statistics_equal_per_atom_calls_bit_for_bit(atoms):
+    """The atom statistics' per-atom Grams and their y = 0 and y = 1 responses, all
+    atoms' responses from one call, have the bits of one call per atom."""
+    if atoms == "hard":
+        P, m = hard_instance_matrix(5, 10, 1.0)[0], _UNIT_INTERVAL
+    else:
+        P = np.array(_COVERAGE_ATOMS["atoms"])
+        m = msr.measure_from_spec(_COVERAGE_ATOMS["measure"])
+    k, d = P.shape
+    state, basis = _atom_statistics(P, m), BernoulliBasis(d)
+    for a, e in enumerate(np.eye(k, dtype=int)):  # one draw at atom a
+        G = gram_matrix_of_context(basis, P[a], m)
+        assert state(e, 0 * e).U.tobytes() == (0.5 * (G + G.T)).tobytes()
+        for y, ones in ((0.0, 0 * e), (1.0, e)):
+            assert state(e, ones).u.tobytes() == response_vector_of_sample(
+                basis, P[a], y, m).tobytes()
+
+
 def test_run_coverage_experiment_self_mode():
     cfg = {"mode": "self", "d": 2, "n": 200, "delta": 0.1, "lambda": 0.01,
            "reps": 20, "seed": 11, "basis": {"kind": "bernoulli_hard"},
@@ -632,9 +652,9 @@ def test_run_coverage_rejects_unknown_mode():
 
 
 def test_coverage_builds_the_atom_design_once(monkeypatch):
-    """Each atom's Gram and responses and the measure are built once per run, not
-    once per rep, and Sigma_n comes from the same per-atom Grams; the penalized
-    estimates are one stacked solve."""
+    """Each atom's Gram and the measure are built once per run, not once per rep, and
+    Sigma_n comes from the same per-atom Grams; the responses of every atom at y = 0
+    and y = 1 are one call, and the penalized estimates are one stacked solve."""
     from cdfreg import synth
     calls = {}
 
@@ -656,5 +676,5 @@ def test_coverage_builds_the_atom_design_once(monkeypatch):
         "basis": {"kind": "bernoulli_atoms", "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
                   "probs": [0.5, 0.5], "measure": {"kind": "counting", "points": [0.0, 1.0]}}})
     assert len(report["rows"]) == 50
-    assert calls == {"gram_matrix_of_context": 2, "response_vector_of_sample": 4,
+    assert calls == {"gram_matrix_of_context": 2, "response_vector_of_sample": 1,
                      "measure_from_spec": 1, "penalized_estimate": 1}
