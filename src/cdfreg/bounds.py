@@ -105,6 +105,7 @@ def ks_distance(F1, F2, grid):
 
     The grid must include every jump point of step CDFs (caller contract).
     An F1 that gives (r, P) rows, r CDFs at the P points, gives (r,) sups.
+    F1 may give the difference of two CDFs itself, against an F2 of 0.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:

@@ -207,14 +207,17 @@ def _scaling_summary(config, records):
     """Log-log slope of the mean of one metric against n, per (d, lambda)."""
     metric = config.get("slope_metric", "l2")
     slopes = {}
-    groups = {}  # (d, lambda) -> n -> the metric's values, in record order
-    for r in records:
-        if r.metric_name == metric:
-            groups.setdefault((r.d, r.lam), {}).setdefault(r.n, []).append(r.value)
-    for (d, lam), by_n in sorted(groups.items()):
+    pts = sorted({(r.d, r.lam) for r in records if r.metric_name == metric})
+    for d, lam in pts:
+        by_n = {}
+        for r in records:
+            if (r.d, r.lam, r.metric_name) == (d, lam, metric):
+                by_n.setdefault(r.n, []).append(r.value)
         if len(by_n) < 2:
             continue
-        slope, intercept = fit_loglog_slope([(n, sum(v) / len(v)) for n, v in sorted(by_n.items())])
+        ns = sorted(by_n)
+        means = [sum(by_n[n]) / len(by_n[n]) for n in ns]
+        slope, intercept = fit_loglog_slope(list(zip(ns, means)))
         slopes[f"d={d},lambda={lam}"] = {"slope": slope, "intercept": intercept}
     failures = [{"d": r.d, "n": r.n, "rep": r.rep, "error": r.error}
                 for r in records if r.metric_name == "failure"]

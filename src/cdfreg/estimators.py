@@ -94,13 +94,13 @@ def project_simplex(v) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("cannot project non-finite vector")
     V = v.reshape(-1, v.shape[-1])
-    V = V - V.max(axis=1)[:, None]  # same projection; the simplex's 1 survives rounding
-    s = np.sort(V, axis=1)[:, ::-1]
-    css = s.cumsum(axis=1) - 1.0
+    V = V - V.max(1)[:, None]  # same projection; the simplex's 1 survives rounding
+    s = np.sort(V)[:, ::-1]
     idx = np.arange(1, V.shape[1] + 1)
-    k = np.where(s - css / idx > 0, idx, 0).max(axis=1)  # the last such idx, rho + 1
-    out = np.maximum(V - (css[np.arange(len(V)), k - 1] / k)[:, None], 0.0)  # V - tau
-    return (out / out.sum(axis=1)[:, None]).reshape(v.shape)  # exact renormalization
+    q = (s.cumsum(1) - 1.0) / idx  # (s_1 + ... + s_j - 1) / j
+    tau = q[np.arange(len(V)), np.where(s > q, idx, 0).max(1) - 1]  # at the last s_j > q_j
+    out = np.maximum(V - tau[:, None], 0.0)
+    return (out / out.sum(1)[:, None]).reshape(v.shape)  # exact renormalization
 
 
 def delta_nU_default(n: int, d: int, delta: float) -> float:
@@ -219,17 +219,15 @@ def fit_mle_simplex(samples, basis: BasisFamily) -> np.ndarray:
     step = 1.0 / len(samples)
     for _ in range(_MLE_MAX_ITER):
         grad = -(rho / (rho @ theta)[:, None]).sum(axis=0)
+        # One projection: the full step's candidate and the KKT residual's unit-step point.
+        cand, kkt = project_simplex(np.stack([theta - step * grad, theta - grad / len(samples)]))
         s = step
-        while s > 1e-16:
-            cand = project_simplex(theta - s * grad)
-            fc = negloglik(cand)
-            if fc <= fval - 1e-12:
-                break
+        while (fc := negloglik(cand)) > fval - 1e-12:
             s *= 0.5
-        # KKT residual via the unit-step projected-gradient mapping.
-        if np.linalg.norm(theta - project_simplex(theta - grad / len(samples))) <= _MLE_TOL:
-            break
-        if s <= 1e-16:
+            if s <= 1e-16:
+                break
+            cand = project_simplex(theta - s * grad)
+        if np.linalg.norm(theta - kkt) <= _MLE_TOL or s <= 1e-16:
             break
         theta, fval = cand, fc
     return theta

@@ -47,8 +47,6 @@ def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None):
     Phi per block of _BLOCK_ROWS rows serves both, and no temporary grows
     beyond one block.  c defaults to ones, and ys=None leaves u at 0.
     """
-    if ys is not None and not np.isfinite(ys).all():
-        raise ValueError("outcome y must be finite")
     c = None if c is None else np.asarray(c, dtype=float)
     d, K = basis.d, m.nodes.size
     U, u = np.zeros((d, d)), np.zeros(d)
@@ -61,9 +59,15 @@ def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None):
         W = m.weights if c is None else c[rows, None] * m.weights
         U += (A.reshape(d, -1, K) * W).reshape(d, -1) @ A.T
         if ys is not None:
-            # jump_panel's weights: the nodes at or above y_j keep theirs.
-            u += A @ np.where(m.nodes >= ys[rows, None], W, 0.0).reshape(-1)
+            u += A @ _jump_weights(ys[rows], W, m).reshape(-1)
     return U, u
+
+
+def _jump_weights(ys, W, m: msr.QuadMeasure):
+    """jump_panel's weights: row j keeps W's weights at the nodes at or above y_j."""
+    if not np.isfinite(ys).all():
+        raise ValueError("outcome y must be finite")
+    return np.where(m.nodes >= ys[:, None], W, 0.0)
 
 
 def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndarray:
@@ -78,10 +82,8 @@ def response_vector_of_sample(basis: BasisFamily, x, y, m: msr.QuadMeasure) -> n
     responses from one eval_nodes call; a scalar y is the k = 1 case.
     """
     ys = np.asarray(y, dtype=float)
-    if not np.isfinite(ys).all():
-        raise ValueError("outcome y must be finite")
     T = np.broadcast_to(m.nodes, (ys.size, m.nodes.size))
-    W = np.where(T >= ys.reshape(-1, 1), m.weights, 0.0)[:, :, None]  # jump_panel's weights
+    W = _jump_weights(ys.reshape(-1), m.weights, m)[:, :, None]
     return (basis.eval_nodes([x] if ys.ndim == 0 else x, T) @ W).reshape(ys.shape + (basis.d,))
 
 

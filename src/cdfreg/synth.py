@@ -373,13 +373,9 @@ def _design(config, mode, d, n, theta_star, metrics):
 
     def ks_fn(th):  # th an (r, d) stack; (r, 1, d) @ (d, K) has the bits of each row's v @ M
         proj = project_simplex(th)[:, None, :]
-        worst = 0.0
-        for x in (x_lo, 1.0, x_hi):
-            def gap(ts):  # the rows' CDFs less theta*'s, from one evaluation of Phi
-                M = basis.eval_nodes(x, np.atleast_1d(ts))
-                return (proj @ M)[:, 0] - theta_star @ M
-            worst = np.maximum(worst, bounds.ks_distance(gap, lambda ts: 0.0, grid))
-        return worst
+        gap = lambda M: (proj @ M)[:, 0] - theta_star @ M  # the rows' CDFs less theta*'s
+        return np.max([bounds.ks_distance(lambda ts: gap(basis.eval_nodes(x, ts)), lambda ts: 0.0,
+                                          grid) for x in (x_lo, 1.0, x_hi)], axis=0)
 
     return draw, Sigma_n, ks_fn, {}
 

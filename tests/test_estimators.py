@@ -282,6 +282,40 @@ def test_mle_separating_bases():
     assert theta[1] == pytest.approx(1.0, abs=1e-6)
 
 
+def _mle_one_projection_each(samples, basis):
+    """fit_mle_simplex's ascent with one projection per candidate and one for the KKT check."""
+    rho = basis.pmf_vector([x for x, _ in samples], np.array([y for _, y in samples]))
+    negloglik = lambda th: -float(np.sum(np.log(rho @ th))) if np.all(rho @ th > 0) else np.inf
+    theta = np.full(basis.d, 1.0 / basis.d)
+    fval, step = negloglik(theta), 1.0 / len(samples)
+    for _ in range(2000):
+        grad = -(rho / (rho @ theta)[:, None]).sum(axis=0)
+        s = step
+        while s > 1e-16:
+            cand = project_simplex(theta - s * grad)
+            fc = negloglik(cand)
+            if fc <= fval - 1e-12:
+                break
+            s *= 0.5
+        if np.linalg.norm(theta - project_simplex(theta - grad / len(samples))) <= 1e-8:
+            break
+        if s <= 1e-16:
+            break
+        theta, fval = cand, fc
+    return theta
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mle_stacked_projections_keep_the_iterates(seed):
+    """Projecting the first candidate and the KKT point as one stack gives the
+    estimate of one projection each, bit for bit."""
+    rng = np.random.default_rng(seed)
+    d, n = 2 + seed % 3, 20 + 10 * seed
+    b = BernoulliBasis(d)
+    samples = [(x, float(rng.random() < x.mean())) for x in rng.random((n, d))]
+    assert fit_mle_simplex(samples, b).tobytes() == _mle_one_projection_each(samples, b).tobytes()
+
+
 def test_mle_degenerate_likelihood():
     b = BernoulliBasis(2)
     with pytest.raises(ValueError):
