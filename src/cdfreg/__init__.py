@@ -18,8 +18,7 @@ from .errors import BracketError, CdfRegError, ConvergenceError, SingularGram
 from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, fit_mle_simplex,
                          hilbert_estimate, penalized_estimate, project_simplex,
                          ridge_estimate, unregularized_estimate)
-from .gram import (GramState, accumulate, gram_matrix_of_context,
-                   population_gram, regularized_gram,
+from .gram import (GramState, accumulate, gram_matrix_of_context, regularized_gram,
                    response_vector_of_sample)
 from .measure import (QuadMeasure, jump_panel,
                       make_counting_measure, make_gaussian_measure,

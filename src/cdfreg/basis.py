@@ -210,9 +210,7 @@ class PolynomialBasis(BasisFamily):
         X = _positive_contexts(X)[:, None]
         top = 1.0 / X
         # 0 below the support and 1 above it; np.power runs only on the lanes inside
-        # [0, 1/x].  glibc's pow takes a slow special-case path for a zero base (about
-        # 4x a positive one), so a base padded with zeros outside the support would
-        # send about half of every Gram panel down it.
+        # [0, 1/x], since glibc's pow is about 4x slower on a zero base than a positive one.
         out = np.repeat((T > top)[:, None, :].astype(float), self.d, axis=1)
         np.power((X * T)[:, None, :], self.exponents[:, None], out=out,
                  where=((T >= 0) & (T <= top))[:, None, :])

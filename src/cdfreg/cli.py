@@ -46,7 +46,6 @@ _SCALING_SCHEMA = {
                 "c": _POS_NUM,
                 "x_lo": _POS_NUM,
                 "x_hi": _POS_NUM,
-                "n_nodes": _POS_INT,
             },
         },
         "lambdas": {"type": "array", "items": _POS_NUM, "minItems": 1},

@@ -1,8 +1,7 @@
 """Sufficient statistics for the ridge estimator.
 
 Accumulates U_n (integrated outer products of the basis vector) and u_n
-(integrated empirical-CDF responses) across samples, and the population
-Gram Sigma_n of a finite context distribution.
+(integrated empirical-CDF responses) across samples.
 
 Every statistic is a weighted sum over the measure's nodes, computed by
 _sums for a batch of samples at once, a block of _BLOCK_ROWS rows at a
@@ -40,14 +39,13 @@ class GramState:
 _BLOCK_ROWS = 64
 
 
-def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None):
-    """sum_j c_j integral Phi Phi^T m(dt) and sum_j c_j integral 1{y_j<=t} Phi m(dt).
+def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure):
+    """sum_j integral Phi Phi^T m(dt) and sum_j integral 1{y_j<=t} Phi m(dt).
 
     Both integrals are sums over the measure's nodes, so one evaluation of
     Phi per block of _BLOCK_ROWS rows serves both, and no temporary grows
-    beyond one block.  c defaults to ones, and ys=None leaves u at 0.
+    beyond one block.  ys=None leaves u at 0.
     """
-    c = None if c is None else np.asarray(c, dtype=float)
     d, K = basis.d, m.nodes.size
     U, u = np.zeros((d, d)), np.zeros(d)
     T = m.nodes[None, :].repeat(min(len(X), _BLOCK_ROWS), axis=0)  # one block's nodes
@@ -56,18 +54,17 @@ def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure, c=None):
         Xb = X[rows]
         # (b, d, K) -> (d, b*K): one matrix product sums over rows and nodes.
         A = basis.eval_nodes(Xb, T[:len(Xb)]).transpose(1, 0, 2).reshape(d, -1)
-        W = m.weights if c is None else c[rows, None] * m.weights
-        U += (A.reshape(d, -1, K) * W).reshape(d, -1) @ A.T
+        U += (A.reshape(d, -1, K) * m.weights).reshape(d, -1) @ A.T
         if ys is not None:
-            u += A @ _jump_weights(ys[rows], W, m).reshape(-1)
+            u += A @ _jump_weights(ys[rows], m).reshape(-1)
     return U, u
 
 
-def _jump_weights(ys, W, m: msr.QuadMeasure):
-    """jump_panel's weights: row j keeps W's weights at the nodes at or above y_j."""
+def _jump_weights(ys, m: msr.QuadMeasure):
+    """jump_panel's weights: row j keeps m's weights at the nodes at or above y_j."""
     if not np.isfinite(ys).all():
         raise ValueError("outcome y must be finite")
-    return np.where(m.nodes >= ys[:, None], W, 0.0)
+    return np.where(m.nodes >= ys[:, None], m.weights, 0.0)
 
 
 def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndarray:
@@ -83,7 +80,7 @@ def response_vector_of_sample(basis: BasisFamily, x, y, m: msr.QuadMeasure) -> n
     """
     ys = np.asarray(y, dtype=float)
     T = np.broadcast_to(m.nodes, (ys.size, m.nodes.size))
-    W = _jump_weights(ys.reshape(-1), m.weights, m)[:, :, None]
+    W = _jump_weights(ys.reshape(-1), m)[:, :, None]
     return (basis.eval_nodes([x] if ys.ndim == 0 else x, T) @ W).reshape(ys.shape + (basis.d,))
 
 
@@ -112,9 +109,3 @@ def regularized_gram(state: GramState, lam: float) -> np.ndarray:
         raise ValueError("lambda must be non-negative")
     return state.U + lam * np.eye(state.d)
 
-
-def population_gram(basis: BasisFamily, atoms, probs, m: msr.QuadMeasure,
-                    n: int) -> np.ndarray:
-    """Population Gram Sigma_n = n * E_x[per-context Gram], x drawn from atoms with probs."""
-    S = _sums(basis, atoms, None, m, probs)[0]
-    return n * 0.5 * (S + S.T)

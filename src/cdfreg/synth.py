@@ -27,8 +27,8 @@ from .basis import (BasisFamily, BernoulliBasis, PolynomialBasis, check_simplex,
 from .errors import CdfRegError
 from .estimators import (delta_nU_default, penalized_estimate, project_simplex,
                          ridge_estimate)
-from .gram import (_BLOCK_ROWS, GramState, accumulate, gram_matrix_of_context,
-                   population_gram, regularized_gram, response_vector_of_sample)
+from .gram import (_BLOCK_ROWS, GramState, gram_matrix_of_context, regularized_gram,
+                   response_vector_of_sample)
 
 RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
                   "metric_name", "value"]
@@ -214,6 +214,39 @@ def _atom_statistics(P, m):
     return state
 
 
+def _polynomial_rep(r, m, X, ys) -> GramState:
+    """Statistics of polynomial-design samples (x_j, y_j), integrated exactly against m, uniform
+    on [0, 2].  Phi_a(x, t) = (x t)^r_a on [0, v = 1/x] and 1 above; with c = min(2x, 1),
+    s = clip(x y, 0, c) and e_ab = r_a + r_b + 1, a sample adds U_ab = (v c^e_ab / e_ab
+    + (2 - v)_+) / 2 and u_a = (v (c^(r_a+1) - s^(r_a+1)) / (r_a+1) + (2 - max(v, y))_+) / 2."""
+    if not np.isfinite(ys).all():
+        raise ValueError("outcome y must be finite")
+    v, c = 1.0 / X, np.minimum(2.0 * X, 1.0)
+    C, vc = c[:, None] ** r, v * c  # c^r_a, which is 1 for every x >= 1/2
+    U = (C.T * vc) @ C / (r[:, None] + r + 1.0) + np.maximum(2.0 - v, 0.0).sum()
+    u = ((vc @ C - v @ np.clip(X * ys, 0.0, c)[:, None] ** (r + 1.0)) / (r + 1.0)
+         + np.maximum(2.0 - np.maximum(v, ys), 0.0).sum())
+    return GramState(r.size, m, ys.size, 0.25 * (U + U.T), 0.5 * u)  # (U + U^T)/2, halved
+
+
+def _polynomial_sigma_1(r, x_lo, x_hi):
+    """Sigma_1 = E U(x), x uniform on [x_lo, x_hi], of _polynomial_rep's U(x): v c^e is
+    2^e x^(e-1) below x = 1/2, and v = 1/x and (2 - v)_+ = 2 - 1/x above it.  b, 1/2 held
+    in [x_lo, x_hi], splits the range there."""
+    e, b = r[:, None] + r + 1.0, min(max(x_lo, 0.5), x_hi)
+    L = math.log(x_hi / b)
+    S = (((2 * b) ** e - (2 * x_lo) ** e) / e + L) / e + 2 * (x_hi - b) - L
+    return S / (2 * (x_hi - x_lo))
+
+
+def _x_range(spec):
+    """The polynomial design's context range (x_lo, x_hi), checked to be an interval of x > 0."""
+    x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
+    if not 0.0 < x_lo < x_hi < math.inf:
+        raise ValueError(f"basis.x_lo must lie in (0, basis.x_hi); got x_lo={x_lo}, x_hi={x_hi}")
+    return x_lo, x_hi
+
+
 @functools.lru_cache(maxsize=4)
 def _hard_statistics(d: int, k: int, c: float):
     """_atom_statistics of the first k distinct hard rows: one build serves every n >= 2d."""
@@ -270,19 +303,6 @@ def _quantiles(vals):
     return float(np.mean(vals)), sorted_quantile(vals, 0.05), sorted_quantile(vals, 0.95)
 
 
-@functools.lru_cache(maxsize=8)
-def _polynomial_sigma_1(d, x_lo, x_hi, n_nodes):
-    """Read-only Sigma_1 for contexts uniform on [x_lo, x_hi], by Gauss-Legendre over x.
-
-    Sigma_n is n * Sigma_1, bit for bit population_gram(..., n).
-    """
-    m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
-    mx = msr.make_uniform_measure(x_lo, x_hi, n_nodes)
-    S = population_gram(PolynomialBasis(d), mx.nodes, mx.weights, m, 1)
-    S.setflags(write=False)
-    return S
-
-
 def _atom_fields(spec, d):
     """A bernoulli_atoms spec's atoms (k, d), probs and outcome measure, checked.
 
@@ -306,7 +326,7 @@ def _atom_fields(spec, d):
     return P_atoms, np.clip(probs, 0.0, None), m
 
 
-def _design(config, mode, d, n, theta_star, metrics):
+def _design(config, mode, d, n, theta_star):
     """(draw, Sigma_n, ks_fn, extra), what every rep of grid point (d, n) shares.
 
     draw(rng) gives one rep's GramState.  The two Bernoulli designs are one
@@ -314,12 +334,11 @@ def _design(config, mode, d, n, theta_star, metrics):
     for each atom's count.  The hard design's atoms and counts are fixed
     (hard_instance_matrix), so its U_n is the same in every rep and is its
     Sigma_n; the atom design's counts are Multinomial(n, probs), and its
-    Sigma_n is U_n at the expected counts.  A rep draws its counts, then
-    its ones from their exact law (_bernoulli_rep).  The polynomial design
-    builds Sigma_n only for the sigma_norm metric and gives None otherwise.
-    ks_fn is None on the atom design, which no sweep runs.  Only mode
-    "mismatch" changes the design: its outcomes mix in phi_e, and extra
-    holds E_n_norm; extra is {} otherwise.
+    Sigma_n is U_n at the expected counts.  A rep draws its counts, then its
+    ones from their exact law (_bernoulli_rep).  A polynomial rep integrates
+    its samples' statistics exactly, and so does its Sigma_n.  ks_fn is None
+    on the atom design, which no sweep runs.  Only mode "mismatch" changes
+    the design: its outcomes mix in phi_e, and extra holds E_n_norm.
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
@@ -357,18 +376,16 @@ def _design(config, mode, d, n, theta_star, metrics):
                 ks_fn, extra)
     if kind != "polynomial":
         raise ValueError(f"unknown basis kind {kind!r}")
-    x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
-    n_nodes = int(spec.get("n_nodes", 64))
+    x_lo, x_hi = _x_range(spec)
     basis = PolynomialBasis(d)
-    m = msr.make_uniform_measure(0.0, 2.0, n_nodes)
+    m = msr.make_uniform_measure(0.0, 2.0)  # the outcome law, which the states integrate exactly
     contexts = uniform_contexts(x_lo, x_hi)
 
     def draw(rng) -> GramState:
         ds = sample_scheme2(basis, contexts, theta_star, n, int(rng.integers(2 ** 62)))
-        return accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
+        return _polynomial_rep(basis.exponents, m, ds.contexts, ds.outcomes)
 
-    Sigma_n = (n * _polynomial_sigma_1(d, x_lo, x_hi, n_nodes)
-               if "sigma_norm" in metrics else None)
+    Sigma_n = n * _polynomial_sigma_1(basis.exponents, x_lo, x_hi)
     grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
 
     def ks_fn(th):  # th an (r, d) stack; (r, 1, d) @ (d, K) has the bits of each row's v @ M
@@ -506,6 +523,8 @@ def run_scaling_experiment(config) -> tuple[list, list]:
         points = [(int(d), int(config["n"])) for d in config["d_grid"]]
     for d, _ in points:  # a bad theta_star fails here, before any task runs
         _theta_star(config, d)
+    if scheme == "Random":  # and so does a bad context range
+        _x_range(config["basis"])
     lambdas = [float(l) for l in config["lambdas"]]
     delta = float(config.get("delta", 0.1))
     metrics = config.get("metrics", ["l2", "self_norm", "ks", "eps_lambda"])
@@ -514,7 +533,7 @@ def run_scaling_experiment(config) -> tuple[list, list]:
         d, n = point
         theta_star = _theta_star(config, d)
         try:
-            draw, Sigma_n, ks_fn, _ = _design(config, "self", d, n, theta_star, metrics)
+            draw, Sigma_n, ks_fn, _ = _design(config, "self", d, n, theta_star)
         except _FAILURES as exc:
             return [exc] * reps
         return _point(lambda rep: _scaling_rep_state(draw, seed, d, n, rep), reps, _ridge,
@@ -574,7 +593,7 @@ def run_coverage_experiment(config) -> dict:
     d, n = int(config["d"]), int(config["n"])
     theta_star = _theta_star(config, d)  # a bad theta_star fails here, before any rep runs
     metric = _MODE_METRIC[mode]
-    draw, Sigma_n, ks_fn, extra = _design(config, mode, d, n, theta_star, [metric])
+    draw, Sigma_n, ks_fn, extra = _design(config, mode, d, n, theta_star)
     tnorm = float(np.linalg.norm(theta_star))
     if mode == "penalized":
         lam, solve = 0.0, _penalized(delta_nU_default(n, d, delta))

@@ -286,6 +286,22 @@ def test_bad_theta_star_exits_2_before_any_task(tmp_path, capsys, command, paylo
     assert not (out / "records.csv").exists()
 
 
+@pytest.mark.parametrize("basis, metrics", [
+    ({"x_lo": 2.0, "x_hi": 0.5}, ["l2", "sigma_norm"]),
+    ({"x_lo": 2.0, "x_hi": 0.5}, ["l2"]),
+    ({"x_lo": 3.0}, ["l2"]),
+    ({"x_hi": 0.4}, ["l2"]),
+    ({"x_lo": 1.0, "x_hi": 1.0}, ["l2", "sigma_norm"]),
+], ids=["reversed_sigma", "reversed", "x_lo_above_default", "x_hi_below_default", "equal"])
+def test_empty_context_range_exits_2_before_any_task(tmp_path, capsys, basis, metrics):
+    """x_lo >= x_hi is a config error naming basis.x_lo, not a failure row of every task."""
+    payload = dict(POLY_CFG, basis={"kind": "polynomial", "d": 2, **basis}, metrics=metrics)
+    code, out = run(tmp_path, "synth-poly", payload)
+    assert code == 2
+    assert "basis.x_lo" in _config_error(capsys)
+    assert not (out / "records.csv").exists()
+
+
 _ATOMS = {"kind": "bernoulli_atoms", "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
           "probs": [0.5, 0.5]}
 

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis, CustomBasis, PolynomialBasis
-from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context,
-                         population_gram, regularized_gram,
+from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context, regularized_gram,
                          response_vector_of_sample)
 from cdfreg.synth import _atom_statistics
 
@@ -112,21 +111,6 @@ def test_regularized_gram():
     assert np.allclose(regularized_gram(s2, 0.0), s2.U)
     with pytest.raises(ValueError):
         regularized_gram(s, -1.0)
-
-
-def test_population_gram_degenerate_and_atoms():
-    b = BernoulliBasis(2)
-    x = np.array([0.5, 0.75])
-    Sigma = population_gram(b, [x], [1.0], UNIT, n=7)
-    assert np.allclose(Sigma, 7 * gram_matrix_of_context(b, x, UNIT), atol=1e-12)
-
-    x2 = np.array([0.2, 0.9])
-    Sigma2 = population_gram(b, [x, x2], [0.5, 0.5], UNIT, n=4)
-    expect = 2.0 * (gram_matrix_of_context(b, x, UNIT)
-                    + gram_matrix_of_context(b, x2, UNIT))
-    assert np.allclose(Sigma2, expect, atol=1e-12)
-    assert np.array_equal(Sigma2, Sigma2.T)
-    assert np.linalg.eigvalsh(Sigma2)[0] >= -1e-10
 
 
 def _close(a, b):

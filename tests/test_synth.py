@@ -11,7 +11,7 @@ from cdfreg.basis import BernoulliBasis, PolynomialBasis, inverse_cdf_sample
 from cdfreg.cli import main
 from cdfreg.estimators import (delta_nU_default, penalized_estimate, project_simplex,
                                ridge_estimate)
-from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context, population_gram,
+from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context,
                          response_vector_of_sample)
 from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
@@ -107,8 +107,7 @@ def test_hard_state_from_distinct_rows_matches_full_matrix(d, n, c):
     P = R[idx]
     assert len(R) == min(n, 2 * d) and np.array_equal(P, _hard_instance_loop(d, n, c))
     assert np.array_equal(counts, np.bincount(idx, minlength=len(R)))
-    draw, _, _, _ = _design({"basis": {"kind": "bernoulli_hard", "c": c}}, "self",
-                            d, n, theta, [])
+    draw, _, _, _ = _design({"basis": {"kind": "bernoulli_hard", "c": c}}, "self", d, n, theta)
     state = draw(stream_rng(7, d, n))
     # Reference: accumulate over the full (n, d) matrix, with the ones the draw
     # took from the same stream laid out per row: the first ones[i] of distinct
@@ -127,7 +126,7 @@ def test_mismatch_E_n_from_distinct_rows_matches_full_matrix(d, n, c):
     q, p_e = 0.2, 0.4
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
     config = {"q": q, "basis": {"kind": "bernoulli_hard", "c": c, "p_e": p_e}}
-    _, _, _, extra = _design(config, "mismatch", d, n, theta, [])
+    _, _, _, extra = _design(config, "mismatch", d, n, theta)
     # Reference: the closed form on the full matrix, for two-point CDFs on [0, 1).
     R, _ = hard_instance_matrix(d, n, c)
     Q = 1.0 - R[_row_index(d, n)]
@@ -171,7 +170,7 @@ def test_hard_design_U_n_is_bit_identical_across_reps_and_is_its_Sigma_n(mode):
     d, n = 4, 1000
     theta = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
     config = {"q": 0.2, "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}
-    draw, Sigma_n, _, _ = _design(config, mode, d, n, theta, [])
+    draw, Sigma_n, _, _ = _design(config, mode, d, n, theta)
     states = [draw(stream_rng(0, rep)) for rep in range(5)]
     assert all(s.U.tobytes() == Sigma_n.tobytes() for s in states)
     assert len({s.u.tobytes() for s in states}) > 1  # the outcomes do vary
@@ -182,7 +181,7 @@ def _counts_and_ones(monkeypatch, config, d, n, theta, reps, seed):
     original = synth._bernoulli_rep
     monkeypatch.setattr(synth, "_bernoulli_rep", lambda state, counts, success, rng: original(
         lambda c, o: (c, o), counts, success, rng))
-    draw = _design(config, "self", d, n, theta, [])[0]
+    draw = _design(config, "self", d, n, theta)[0]
     counts, ones = zip(*(draw(stream_rng(seed, rep)) for rep in range(reps)))
     return np.array(counts), np.array(ones)
 
@@ -397,6 +396,104 @@ def test_run_scaling_experiment_shapes():
         run_scaling_experiment({**cfg, "reps": 0})
 
 
+_GRADE = 30  # 30 r is an integer for every exponent r of d = 3 and d = 4 (1, 2, 1/2, 2/3, 2/5)
+_RULE = np.polynomial.legendre.leggauss(80)
+
+
+def _panel_statistics(basis, x, y):
+    """Reference U(x) and u(x, y) of one sample on Gauss-Legendre panels of [0, 2] split at y
+    and at top = min(2, 1/x), under the uniform law on [0, 2].
+
+    Below top, the panels take t = top w^_GRADE, so that (x t)^r dt is a polynomial in w of
+    degree at most 30 * 4 + 29 and the 80-node rule in w is exact; above top, Phi is 1.
+    """
+    gx, gw = _RULE
+    top = min(2.0, 1.0 / x)
+    cuts = np.unique(np.clip([0.0, y, top, 2.0], 0.0, 2.0))
+    U, u = np.zeros((basis.d, basis.d)), np.zeros(basis.d)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b <= top:  # w in [(a / top)^(1/_GRADE), (b / top)^(1/_GRADE)]
+            wa, wb = (a / top) ** (1 / _GRADE), (b / top) ** (1 / _GRADE)
+            w = 0.5 * (wb - wa) * gx + 0.5 * (wa + wb)
+            ts, ws = top * w ** _GRADE, 0.25 * (wb - wa) * gw * _GRADE * top * w ** (_GRADE - 1)
+        else:
+            ts, ws = 0.5 * (b - a) * gx + 0.5 * (a + b), 0.25 * (b - a) * gw
+        P = basis.eval_nodes(x, ts)
+        U += (P * ws) @ P.T
+        if a >= y:
+            u += P @ ws
+    return U, u
+
+
+def _one(basis, x, y):
+    return synth._polynomial_rep(basis.exponents, None, np.array([x]), np.array([y]))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("x_lo", [0.5, 0.3])
+def test_polynomial_statistics_equal_exact_panels(d, x_lo):
+    """Each sample's closed-form U(x) and u(x, y) equal panels split at y and min(2, 1/x), and
+    the batch sums them.  x_lo = 0.3 puts 1/x, and some outcomes, above the outcome range."""
+    basis = PolynomialBasis(d)
+    theta = np.arange(1, d + 1.0) / (d * (d + 1) / 2)
+    ds = sample_scheme2(basis, uniform_contexts(x_lo, 1.0), theta, 100, 17)
+    # outcomes at 0 and at 1/x, and outside the draws' [0, 1/x]: above 1/x and below 0
+    X = np.append(ds.contexts, [0.3, 0.3, 0.7, 0.7, 1.5])
+    ys = np.append(ds.outcomes, [0.0, 1 / 0.3, 1 / 0.7, 1.9, -0.2])
+    assert (ds.outcomes > 2).any() == (x_lo < 0.5)
+    U_sum, u_sum = np.zeros((d, d)), np.zeros(d)
+    for x, y in zip(X, ys):
+        U, u = _panel_statistics(basis, x, y)
+        got = _one(basis, x, y)
+        assert np.max(np.abs(got.U - U)) <= 1e-13 * np.max(np.abs(U))
+        assert np.max(np.abs(got.u - u)) <= 1e-13 * max(np.max(np.abs(u)), 1.0)
+        U_sum, u_sum = U_sum + U, u_sum + u
+    state = synth._polynomial_rep(basis.exponents, None, X, ys)
+    assert state.n == len(X) and np.array_equal(state.U, state.U.T)
+    assert np.max(np.abs(state.U - U_sum)) <= 1e-13 * np.max(np.abs(U_sum))
+    assert np.max(np.abs(state.u - u_sum)) <= 1e-13 * np.max(np.abs(u_sum))
+    with pytest.raises(ValueError, match="outcome y must be finite"):
+        synth._polynomial_rep(basis.exponents, None, X, np.append(ys[1:], np.nan))
+
+
+@pytest.mark.parametrize("x_lo, x_hi", [(0.1, 0.45), (0.3, 2.0), (0.5, 2.0), (0.7, 3.0)],
+                         ids=["below_half", "across_half", "default", "above_half"])
+def test_polynomial_sigma_1_equals_a_rule_over_x(x_lo, x_hi):
+    """Sigma_1 = E U(x) against a Gauss-Legendre rule over x, split at x = 1/2."""
+    basis = PolynomialBasis(4)
+    gx, gw = np.polynomial.legendre.leggauss(40)
+    ref = np.zeros((4, 4))
+    cuts = np.unique(np.clip([x_lo, 0.5, x_hi], x_lo, x_hi))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for x, w in zip(0.5 * (b - a) * gx + 0.5 * (a + b), 0.5 * (b - a) * gw):
+            ref += w / (x_hi - x_lo) * _one(basis, x, 0.0).U
+    got = synth._polynomial_sigma_1(basis.exponents, x_lo, x_hi)
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("x", [0.2, 0.45, 0.5, 0.8, 2.0])
+@pytest.mark.parametrize("theta", [[0.1, 0.2, 0.3, 0.4], [0.7, 0.0, 0.1, 0.2]])
+def test_polynomial_response_is_exactly_unbiased(x, theta):
+    """E_y u(x, y) = U(x) theta* at a fixed context, on both sides of x = 1/2.
+
+    s = x y has the law G(s) = sum_i theta_i s^r_i on [0, 1], so with q = r_a + 1 and
+    c = min(2x, 1), E min(s, c)^q = sum_i theta_i r_i c^(q + r_i) / (r_i + q)
+    + c^q (1 - G(c)).  u_a(x, y) is affine in min(s, c)^q: u at s = 0 less the step to
+    s = c times (min(s, c) / c)^q, which is checked at a few outcomes first.
+    """
+    basis, theta = PolynomialBasis(4), np.array(theta)
+    r, q, c = basis.exponents, basis.exponents + 1, min(2 * x, 1.0)
+    u0, uc = _one(basis, x, 0.0).u, _one(basis, x, 1 / x).u
+    for s in (0.05, 0.3, 0.6, 0.99):
+        assert np.allclose(_one(basis, x, s / x).u, u0 - (u0 - uc) * (min(s, c) / c) ** q,
+                           rtol=0, atol=1e-15)
+    moment = (theta * r * c ** (q[:, None] + r) / (r + q[:, None])).sum(1) + c ** q * (
+        1 - theta @ c ** r)
+    mean_u = u0 - (u0 - uc) * moment / c ** q
+    assert np.max(np.abs(mean_u - _one(basis, x, 0.0).U @ theta)) <= 1e-12
+
+
 def test_run_scaling_experiment_polynomial_d_grid():
     cfg = {"basis": {"kind": "polynomial"}, "d_grid": [2, 3], "n": 40,
            "reps": 2, "lambdas": [0.01], "metrics": ["l2"], "seed": 3}
@@ -437,12 +534,11 @@ def _scaling_reference(config):
                 Sigma_n = state.U
                 ks = lambda th: bernoulli_ks_sup(project_simplex(th), theta, d)
             else:
-                basis, m = PolynomialBasis(d), msr.make_uniform_measure(0.0, 2.0, 64)
+                basis, m = PolynomialBasis(d), msr.make_uniform_measure(0.0, 2.0)
                 ds = sample_scheme2(basis, uniform_contexts(0.5, 2.0), theta, n,
                                     int(rng.integers(2 ** 62)))
-                state = accumulate(GramState(d, m), basis, ds.contexts, ds.outcomes)
-                mx = msr.make_uniform_measure(0.5, 2.0, 64)
-                Sigma_n = population_gram(basis, mx.nodes, mx.weights, m, n)
+                state = synth._polynomial_rep(basis.exponents, m, ds.contexts, ds.outcomes)
+                Sigma_n = n * synth._polynomial_sigma_1(basis.exponents, 0.5, 2.0)
                 grid = bounds.ks_grid(0.0, 2.0, jump_points=[2.0, 1.0, 0.5])
 
                 def ks(th, basis=basis, grid=grid):
@@ -666,8 +762,7 @@ def test_coverage_builds_the_atom_design_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("gram_matrix_of_context", "response_vector_of_sample", "population_gram",
-                 "penalized_estimate"):
+    for name in ("gram_matrix_of_context", "response_vector_of_sample", "penalized_estimate"):
         counted(synth, name)
     counted(msr, "measure_from_spec")
     report = run_coverage_experiment({
