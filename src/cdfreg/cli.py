@@ -103,7 +103,7 @@ _REAL_SCHEMA = {
         "csv_path": {"type": "string"},
         "outcome": {"type": "string"},
         "features": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "delimiter": {"type": "string"},
+        "delimiter": {"type": "string", "pattern": "^.$"},  # csv takes one character
         "basis": {
             "type": "object",
             "additionalProperties": False,
@@ -203,7 +203,8 @@ def _write_summary(out_dir, payload, config):
 
 
 def _scaling_summary(config, records):
-    """Log-log slope of the mean of one metric against n, per (d, lambda)."""
+    """Log-log slope of the mean of one metric against n, per (d, lambda) with two or more n
+    and every mean positive; any other (d, lambda) has no slope."""
     metric = config.get("slope_metric", "l2")
     slopes = {}
     pts = sorted({(r.d, r.lam) for r in records if r.metric_name == metric})
@@ -212,10 +213,10 @@ def _scaling_summary(config, records):
         for r in records:
             if (r.d, r.lam, r.metric_name) == (d, lam, metric):
                 by_n.setdefault(r.n, []).append(r.value)
-        if len(by_n) < 2:
-            continue
         ns = sorted(by_n)
         means = [sum(by_n[n]) / len(by_n[n]) for n in ns]
+        if len(ns) < 2 or not all(mean > 0 for mean in means):
+            continue
         slope, intercept = fit_loglog_slope(list(zip(ns, means)))
         slopes[f"d={d},lambda={lam}"] = {"slope": slope, "intercept": intercept}
     failures = [{"d": r.d, "n": r.n, "rep": r.rep, "error": r.error}

@@ -56,15 +56,8 @@ def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure):
         A = basis.eval_nodes(Xb, T[:len(Xb)]).transpose(1, 0, 2).reshape(d, -1)
         U += (A.reshape(d, -1, K) * m.weights).reshape(d, -1) @ A.T
         if ys is not None:
-            u += A @ _jump_weights(ys[rows], m).reshape(-1)
+            u += A @ msr.jump_panel(ys[rows], m)[1].reshape(-1)
     return U, u
-
-
-def _jump_weights(ys, m: msr.QuadMeasure):
-    """jump_panel's weights: row j keeps m's weights at the nodes at or above y_j."""
-    if not np.isfinite(ys).all():
-        raise ValueError("outcome y must be finite")
-    return np.where(m.nodes >= ys[:, None], m.weights, 0.0)
 
 
 def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndarray:
@@ -79,9 +72,9 @@ def response_vector_of_sample(basis: BasisFamily, x, y, m: msr.QuadMeasure) -> n
     responses from one eval_nodes call; a scalar y is the k = 1 case.
     """
     ys = np.asarray(y, dtype=float)
-    T = np.broadcast_to(m.nodes, (ys.size, m.nodes.size))
-    W = _jump_weights(ys.reshape(-1), m)[:, :, None]
-    return (basis.eval_nodes([x] if ys.ndim == 0 else x, T) @ W).reshape(ys.shape + (basis.d,))
+    T, W = msr.jump_panel(ys.reshape(-1), m)
+    P = basis.eval_nodes([x] if ys.ndim == 0 else x, T)
+    return (P @ W[:, :, None]).reshape(ys.shape + (basis.d,))
 
 
 def accumulate(state: GramState, basis: BasisFamily, x, y) -> GramState:

@@ -27,11 +27,8 @@ DEFAULT_NODES = 64
 
 @dataclass(frozen=True)
 class QuadMeasure:
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    support_lo: float
-    support_hi: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -39,11 +36,8 @@ class QuadMeasure:
             raise ValueError("measure weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("measure weights must sum to 1")
-        nd = np.asarray(self.nodes, dtype=float)
-        if np.any(np.diff(nd) <= 0):
+        if np.any(np.diff(np.asarray(self.nodes, dtype=float)) <= 0):
             raise ValueError("measure nodes must be strictly increasing")
-        if nd.size and (nd[0] < self.support_lo - 1e-12 or nd[-1] > self.support_hi + 1e-12):
-            raise ValueError("nodes must lie inside the support")
 
 
 def make_uniform_measure(a: float, b: float, n_nodes: int = DEFAULT_NODES) -> QuadMeasure:
@@ -56,7 +50,7 @@ def make_uniform_measure(a: float, b: float, n_nodes: int = DEFAULT_NODES) -> Qu
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     # Jacobian (b-a)/2 times density 1/(b-a) leaves w/2.
     weights = 0.5 * w
-    return QuadMeasure(UNIFORM, nodes, weights, a, b)
+    return QuadMeasure(nodes, weights)
 
 
 def make_gaussian_measure(c: float, var: float, n_nodes: int = DEFAULT_NODES) -> QuadMeasure:
@@ -68,7 +62,7 @@ def make_gaussian_measure(c: float, var: float, n_nodes: int = DEFAULT_NODES) ->
     z, w = np.polynomial.hermite.hermgauss(n_nodes)
     nodes = c + math.sqrt(2.0 * var) * z
     weights = w / math.sqrt(math.pi)
-    return QuadMeasure(GAUSSIAN, nodes, weights, -math.inf, math.inf)
+    return QuadMeasure(nodes, weights)
 
 
 def make_counting_measure(points) -> QuadMeasure:
@@ -79,7 +73,7 @@ def make_counting_measure(points) -> QuadMeasure:
     if pts.size > 1 and np.any(np.diff(pts) <= 0):
         raise ValueError("points must be strictly increasing (no duplicates)")
     weights = np.full(pts.size, 1.0 / pts.size)
-    return QuadMeasure(COUNTING, pts, weights, float(pts[0]), float(pts[-1]))
+    return QuadMeasure(pts, weights)
 
 
 def measure_from_spec(spec: dict) -> QuadMeasure:
@@ -107,25 +101,21 @@ def _legendre_rule(n_nodes: int):
 
 
 def jump_panel(y, m: QuadMeasure):
-    """Nodes and weights realizing t -> integral of 1{y<=t} g(t) m(dt): the nodes at or above y.
+    """Nodes and weights realizing t -> integral of 1{y<=t} g(t) m(dt): m's nodes, and its
+    weights at the nodes at or above y, zero below.
 
-    For a scalar y, returns (ts, ws) such that the integral of
+    For a scalar y, returns (K,) arrays (ts, ws) such that the integral of
     1{y<=t} g(t) m(dt) is sum_k ws_k g(ts_k).  For a 1-D array of n
-    outcomes, returns (n, K) arrays whose row j is the panel of y_j: every
-    row has all K nodes, and the nodes below y_j carry zero weight.
+    outcomes, returns (n, K) arrays whose row j is the panel of y_j.
     """
     ys = np.asarray(y, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValueError("outcome y must be finite")
     above = m.nodes >= ys[..., None]
-    if ys.ndim == 0:
-        return m.nodes[above], m.weights[above]
     return np.broadcast_to(m.nodes, above.shape), np.where(above, m.weights, 0.0)
 
 
 def tail_mass(y, m: QuadMeasure):
-    """m([y, inf)): the weight of the nodes at or above y.
-
-    A 1-D array of outcomes gives an array of tail masses.
-    """
-    ys = np.asarray(y, dtype=float)
-    mass = np.where(m.nodes >= ys[..., None], m.weights, 0.0).sum(axis=-1)
-    return float(mass) if ys.ndim == 0 else mass
+    """m([y, inf)): the weight of jump_panel(y, m), a float for a scalar y, else an array."""
+    mass = jump_panel(y, m)[1].sum(axis=-1)
+    return float(mass) if np.ndim(y) == 0 else mass

@@ -90,7 +90,7 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> tuple[np.ndarray, np
     ceil((n - i) / d) times.
     """
     if d < 2:
-        raise ValueError("hard instance needs d >= 2")
+        raise ValueError(f"hard instance needs d >= 2; got d = {d}")
 
     def rows(eps):  # row i lowers coordinate i
         return 1.0 - eps - eps * np.eye(d)
@@ -98,7 +98,7 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> tuple[np.ndarray, np
     i = np.arange(min(n, 2 * d))
     R = np.vstack([rows(c / (2.0 * d ** 3)), rows(c / (2.0 * d ** 2))])[i]
     if np.any(R < 0) or np.any(R > 1):
-        raise ValueError("hard-instance p out of [0,1]; reduce c")
+        raise ValueError(f"hard-instance p out of [0, 1] at d = {d}, c = {c}; reduce c")
     return R, np.where(i < d, 1, (n - i + d - 1) // d)
 
 
@@ -239,14 +239,6 @@ def _polynomial_sigma_1(r, x_lo, x_hi):
     return S / (2 * (x_hi - x_lo))
 
 
-def _x_range(spec):
-    """The polynomial design's context range (x_lo, x_hi), checked to be an interval of x > 0."""
-    x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
-    if not 0.0 < x_lo < x_hi < math.inf:
-        raise ValueError(f"basis.x_lo must lie in (0, basis.x_hi); got x_lo={x_lo}, x_hi={x_hi}")
-    return x_lo, x_hi
-
-
 @functools.lru_cache(maxsize=4)
 def _hard_statistics(d: int, k: int, c: float):
     """_atom_statistics of the first k distinct hard rows: one build serves every n >= 2d."""
@@ -376,7 +368,9 @@ def _design(config, mode, d, n, theta_star):
                 ks_fn, extra)
     if kind != "polynomial":
         raise ValueError(f"unknown basis kind {kind!r}")
-    x_lo, x_hi = _x_range(spec)
+    x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
+    if not 0.0 < x_lo < x_hi < math.inf:
+        raise ValueError(f"basis.x_lo must lie in (0, basis.x_hi); got x_lo={x_lo}, x_hi={x_hi}")
     basis = PolynomialBasis(d)
     m = msr.make_uniform_measure(0.0, 2.0)  # the outcome law, which the states integrate exactly
     contexts = uniform_contexts(x_lo, x_hi)
@@ -506,10 +500,11 @@ def _map_tasks(fn, tasks, threads: int) -> list:
 def run_scaling_experiment(config) -> tuple[list, list]:
     """Run the replicated sweep; returns (records, aggregate_rows).
 
-    Each grid point (d, n) is one task (_point): its design is built once,
-    each rep draws its statistics from its own Philox stream, and each
-    lambda's ridge estimates of all reps are one stacked solve and score.  A
-    rep that fails, or every rep of a design that fails, gets one failure row.
+    Each grid point (d, n) is one task (_point) on its design, which is built
+    once, before any task runs: a design that fails is a config error and
+    fails the run.  Each rep draws its statistics from its own Philox stream,
+    and each lambda's ridge estimates of all reps are one stacked solve and
+    score.  A rep whose draw, solve or score fails gets one failure row.
     """
     exp_id = config.get("experiment_id", "scaling")
     seed = int(config.get("seed", 0))
@@ -521,26 +516,24 @@ def run_scaling_experiment(config) -> tuple[list, list]:
         points = [(int(config["basis"]["d"]), int(n)) for n in config["n_grid"]]
     else:
         points = [(int(d), int(config["n"])) for d in config["d_grid"]]
-    for d, _ in points:  # a bad theta_star fails here, before any task runs
-        _theta_star(config, d)
-    if scheme == "Random":  # and so does a bad context range
-        _x_range(config["basis"])
     lambdas = [float(l) for l in config["lambdas"]]
     delta = float(config.get("delta", 0.1))
     metrics = config.get("metrics", ["l2", "self_norm", "ks", "eps_lambda"])
 
-    def grid_point(point):
-        d, n = point
+    # Every design is built before any task runs, so that a bad config value fails the run.
+    tasks = []
+    for d, n in points:
         theta_star = _theta_star(config, d)
-        try:
-            draw, Sigma_n, ks_fn, _ = _design(config, "self", d, n, theta_star)
-        except _FAILURES as exc:
-            return [exc] * reps
+        draw, Sigma_n, ks_fn, _ = _design(config, "self", d, n, theta_star)
+        tasks.append((d, n, draw, _metrics(metrics, n, delta, theta_star, Sigma_n, ks_fn)))
+
+    def grid_point(task):
+        d, n, draw, scores = task
         return _point(lambda rep: _scaling_rep_state(draw, seed, d, n, rep), reps, _ridge,
-                      lambdas, _metrics(metrics, n, delta, theta_star, Sigma_n, ks_fn))
+                      lambdas, scores)
 
     records, groups = [], {}
-    results = _map_tasks(grid_point, points, int(config.get("threads", 1)))
+    results = _map_tasks(grid_point, tasks, int(config.get("threads", 1)))
     for (d, n), point in zip(points, results):
         for rep, result in enumerate(point):
             if isinstance(result, Exception):

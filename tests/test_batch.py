@@ -212,9 +212,10 @@ def test_batched_jump_panel_rows_equal_scalar_panels(measure, ys):
     tails = msr.tail_mass(np.array(ys), m)
     for j, y in enumerate(ys):
         t1, w1 = msr.jump_panel(y, m)
-        keep = ws[j] != 0
-        assert np.array_equal(ts[j][keep], t1) and np.array_equal(ws[j][keep], w1)
-        assert tails[j] == msr.tail_mass(y, m)
+        assert np.array_equal(ts[j], t1) and np.array_equal(ws[j], w1)
+        assert np.array_equal(t1, m.nodes)
+        assert np.array_equal(w1, np.where(m.nodes >= y, m.weights, 0.0))
+        assert tails[j] == msr.tail_mass(y, m) == w1.sum()
 
 
 def _on_nodes(basis, X, m):

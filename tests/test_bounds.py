@@ -146,6 +146,9 @@ def test_l2_error_crps_averages():
         l2_error_crps([], _flat(0.0, 0), UNIT)
     with pytest.raises(ValueError, match="shape"):
         l2_error_crps([0.0, 1.0], _flat(0.0), UNIT)
+    for bad in (np.nan, np.inf, -np.inf):  # a non-finite outcome is not scored
+        with pytest.raises(ValueError, match="finite"):
+            l2_error_crps([0.0, bad], _flat(0.0, 2), UNIT)
 
 
 def test_l2_error_crps_uniform_predictor():

@@ -5,7 +5,8 @@ import pathlib
 import pytest
 
 from cdfreg import __version__
-from cdfreg.cli import build_parser, main
+from cdfreg.cli import _scaling_summary, build_parser, main
+from cdfreg.synth import ExperimentRecord
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "cdfreg" / "data"
 
@@ -195,6 +196,14 @@ def test_real_seeds_with_seed_or_n_seeds_is_a_config_error(tmp_path, capsys, ext
     assert not (out / "records.csv").exists()
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"], ids=["empty", "two", "two_tabs"])
+def test_real_delimiter_of_other_than_one_character_exits_2(tmp_path, capsys, delimiter):
+    code, out = run(tmp_path, "real", dict(REAL_ONE_SEED, delimiter=delimiter))
+    assert code == 2
+    assert _config_error(capsys).startswith("config field delimiter: ")
+    assert not (out / "records.csv").exists()
+
+
 def test_real_integral_float_seed_runs_as_its_integer(tmp_path):
     code, out = run(tmp_path, "real", dict(REAL_ONE_SEED, seeds=[2.0]))
     assert code == 0
@@ -302,6 +311,21 @@ def test_empty_context_range_exits_2_before_any_task(tmp_path, capsys, basis, me
     assert not (out / "records.csv").exists()
 
 
+@pytest.mark.parametrize("payload, names", [
+    (dict(BERN_CFG, basis={"kind": "bernoulli_hard", "d": 2, "c": 20.0}), "reduce c"),
+    ({"basis": {"kind": "bernoulli_hard", "c": 20.0}, "lambdas": [0.001], "reps": 2,
+      "d_grid": [2, 8], "n": 100, "metrics": ["l2"]}, "reduce c"),
+    (dict(BERN_CFG, basis={"kind": "bernoulli_hard", "d": 1}), "d >= 2"),
+], ids=["c_n_grid", "c_d_grid", "d_1"])
+def test_bad_hard_design_exits_2_before_any_task(tmp_path, capsys, payload, names):
+    """A design that cannot be built is a config error, not failure rows of its tasks; with
+    d_grid [2, 8] the d = 8 design is valid, and d = 2 still fails the run."""
+    code, out = run(tmp_path, "synth-bernoulli", payload)
+    assert code == 2
+    assert names in _config_error(capsys)
+    assert not (out / "records.csv").exists()
+
+
 _ATOMS = {"kind": "bernoulli_atoms", "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
           "probs": [0.5, 0.5]}
 
@@ -373,3 +397,33 @@ def test_bad_mode_fields_exit_2_naming_the_field(tmp_path, capsys, message, payl
     assert code == 2
     assert message in _config_error(capsys)
     assert not (out / "records.csv").exists()
+
+
+def _slope_summary(means):
+    """cli._scaling_summary of one record per n = 10, 100, ..., at d = 2, lambda = 0.1."""
+    records = [ExperimentRecord("x", "Fixed", 2, 10 ** (j + 1), 0.1, 0, 0, "l2", mean)
+               for j, mean in enumerate(means)]
+    return _scaling_summary({}, records)["slopes"]
+
+
+def test_slope_needs_two_n_and_positive_means():
+    assert _slope_summary([1.0, 0.1])["d=2,lambda=0.1"]["slope"] == pytest.approx(-1.0)
+    assert _slope_summary([1.0]) == {}
+    assert _slope_summary([1.0, 0.0, 0.1]) == {}
+    assert _slope_summary([-2e-22, 1.0]) == {}
+    assert _slope_summary([float("nan"), 1.0]) == {}
+
+
+def test_non_positive_slope_metric_mean_gets_no_slope(tmp_path):
+    """mu_min(U_n) of a rank-deficient U_n (n < d) is 0 up to round-off, whose sign a run
+    does not control: the run still writes its summary and exits 0, with a slope for the
+    (d, lambda) exactly when every mean is positive."""
+    payload = {"basis": {"kind": "bernoulli_hard", "d": 8}, "lambdas": [0.001], "reps": 2,
+               "n_grid": [2, 3, 4], "metrics": ["mu_min_U"], "slope_metric": "mu_min_U"}
+    code, out = run(tmp_path, "synth-bernoulli", payload)
+    assert code == 0
+    with open(out / "aggregates.csv") as fh:
+        means = [float(r["mean"]) for r in csv.DictReader(fh)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(means) == 3 and summary["n_failures"] == 0
+    assert ("d=8,lambda=0.001" in summary["slopes"]) == all(m > 0 for m in means)

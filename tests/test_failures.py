@@ -47,14 +47,16 @@ def test_pipeline_code_bug_propagates(monkeypatch):
         realdata.evaluate_pipeline(REAL)
 
 
-def test_cli_exits_3_when_every_task_failed(tmp_path, capsys):
-    # c = 20 pushes the hard-instance probabilities out of [0, 1] at every step
-    payload = {**SCALING, "basis": {"kind": "bernoulli_hard", "d": 2, "c": 20.0}}
-    code, out = _run(tmp_path, "synth-bernoulli", payload)
+def test_cli_exits_3_when_every_task_failed(tmp_path, capsys, monkeypatch):
+    def singular(*args):
+        raise SingularGram("every rep's Gram is singular")
+
+    monkeypatch.setattr(synth, "_scaling_rep_state", singular)
+    code, out = _run(tmp_path, "synth-bernoulli", SCALING)
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "failed"
-    assert "every task failed" in err["message"] and "reduce c" in err["message"]
+    assert "every task failed" in err["message"] and "SingularGram" in err["message"]
     with open(out / "records.csv") as fh:
         assert {r["metric_name"] for r in csv.DictReader(fh)} == {"failure"}
 

@@ -96,7 +96,7 @@ def test_jump_panel_uniform_split():
     m = msr.make_uniform_measure(0.0, 1.0, 32)
     ts, ws = msr.jump_panel(0.3, m)
     keep = m.nodes >= 0.3
-    assert np.array_equal(ts, m.nodes[keep]) and np.array_equal(ws, m.weights[keep])
+    assert np.array_equal(ts, m.nodes) and np.array_equal(ws, np.where(keep, m.weights, 0.0))
     # integral of 1{0.3<=t} * t dt over [0,1] = (1 - 0.09)/2, to within one node
     assert abs(ws @ ts - (1.0 - 0.09) / 2.0) < m.weights.max()
 
@@ -106,9 +106,12 @@ def test_jump_panel_outside_support():
     ts, ws = msr.jump_panel(-1.0, m)
     assert np.array_equal(ts, m.nodes) and np.array_equal(ws, m.weights)
     ts, ws = msr.jump_panel(2.0, m)
-    assert ts.size == ws.size == 0
+    assert np.array_equal(ts, m.nodes) and np.array_equal(ws, np.zeros(32))
     ts, ws = msr.jump_panel(np.array([-1.0, 2.0]), m)
     assert np.array_equal(ws, [m.weights, np.zeros(32)]) and np.array_equal(ts[1], m.nodes)
+    for bad in (np.nan, np.inf, [0.5, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            msr.jump_panel(bad, m)
 
 
 def test_jump_panel_gaussian_tail_mass():
@@ -123,8 +126,8 @@ def test_jump_panel_gaussian_tail_mass():
 def test_jump_panel_counting():
     m = msr.make_counting_measure([0.0, 0.5, 1.0])
     ts, ws = msr.jump_panel(0.5, m)
-    assert list(ts) == [0.5, 1.0]
-    assert ws.sum() == pytest.approx(2.0 / 3.0)
+    assert list(ts) == [0.0, 0.5, 1.0] and list(ws) == [0.0, 1.0 / 3.0, 1.0 / 3.0]
+    assert msr.tail_mass(0.5, m) == ws.sum() == pytest.approx(2.0 / 3.0)
 
 
 def test_spec_round_trip():
@@ -141,4 +144,4 @@ def test_spec_round_trip():
 
 def test_invariant_rejects_negative_weights():
     with pytest.raises(ValueError):
-        msr.QuadMeasure("counting", np.array([0.0]), np.array([-1.0]), 0.0, 0.0)
+        msr.QuadMeasure(np.array([0.0]), np.array([-1.0]))
