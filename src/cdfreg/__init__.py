@@ -7,15 +7,14 @@ estimates, and run replicated synthetic and tabular-data experiments.
 
 __version__ = "0.1.0"
 
-from .basis import (BasisFamily, BernoulliBasis, CustomBasis,
-                    GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
-                    check_simplex, inverse_cdf_sample)
+from .basis import (BasisFamily, BernoulliBasis, GaussianLaplaceBasis, LogisticProbitBasis,
+                    PolynomialBasis, check_simplex, inverse_cdf_sample)
 from .bounds import (epsilon_lambda, epsilon_unreg, fit_loglog_slope,
                      hilbert_bound, ks_distance, ks_grid, l2_error_crps,
                      min_eigenvalue, mismatch_bound, penalized_bound,
                      weighted_norm)
 from .errors import BracketError, CdfRegError, ConvergenceError, SingularGram
-from .estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default, fit_mle_simplex,
+from .estimators import (EmpiricalCdf, delta_nU_default, fit_mle_simplex,
                          hilbert_estimate, penalized_estimate, project_simplex,
                          ridge_estimate, unregularized_estimate)
 from .gram import (GramState, accumulate, gram_matrix_of_context, regularized_gram,

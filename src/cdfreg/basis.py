@@ -182,13 +182,10 @@ class _TwoPointBasis(BasisFamily):
 class BernoulliBasis(_TwoPointBasis):
     """d Bernoulli CDF coordinates; the context is the success-probability vector."""
 
-    def __init__(self, d: int, p_map=None):
+    def __init__(self, d: int):
         self.d = int(d)
-        self.p_map = p_map
 
     def _probs_batch(self, X) -> np.ndarray:
-        if self.p_map is not None:
-            X = [self.p_map(x) for x in X]
         p = np.asarray(X, dtype=float)
         if p.shape[1:] != (self.d,):
             raise ValueError(f"context must give a ({self.d},) probability vector")
@@ -290,33 +287,6 @@ class LogisticProbitBasis(_TwoPointBasis):
         logit = np.where(eta >= 0, 1.0, e) / (1.0 + e)
         probit = ndtr(self.beta_p1 * X + self.beta_p0)
         return self.w * logit + (1.0 - self.w) * probit
-
-
-class CustomBasis(BasisFamily):
-    """Caller-supplied evaluator(x, ts) -> (d, ts.size) with declared support.
-
-    Monotonicity is not verified.
-    """
-
-    def __init__(self, d: int, evaluator, support_lo: float, support_hi: float,
-                 atoms=None):
-        self.d = int(d)
-        self.evaluator = evaluator
-        self._lo = float(support_lo)
-        self._hi = float(support_hi)
-        self._atoms = None if atoms is None else np.asarray(atoms, dtype=float)
-
-    def eval_nodes(self, x, ts):
-        X, T, single = _batch_form(x, ts)
-        out = np.stack([np.asarray(self.evaluator(xj, tj), dtype=float).reshape(self.d, tj.size)
-                        for xj, tj in zip(X, T)])
-        return out[0] if single else out
-
-    def support(self, x):
-        return (self._lo, self._hi)
-
-    def atoms(self, x):
-        return self._atoms
 
 
 def check_simplex(theta) -> np.ndarray:

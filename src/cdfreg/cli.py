@@ -27,8 +27,9 @@ _POS_INT = {"type": "integer", "minimum": 1}
 _DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 # One of the metric names the scaling sweep computes.  A pattern rather than an
 # enum accepts the same names and leaves the mutation corpus of
-# tests/test_config_check.py, whose cases are named by position, as it is.
-_METRIC = {"type": "string", "pattern": f"^({'|'.join(METRICS)})$"}
+# tests/test_config_check.py, whose cases are named by position, as it is.  Patterns
+# end in \Z, since $ also matches before a final newline.
+_METRIC = {"type": "string", "pattern": rf"^({'|'.join(METRICS)})\Z"}
 
 _SCALING_SCHEMA = {
     "type": "object",
@@ -103,7 +104,7 @@ _REAL_SCHEMA = {
         "csv_path": {"type": "string"},
         "outcome": {"type": "string"},
         "features": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "delimiter": {"type": "string", "pattern": "^.$"},  # csv takes one character
+        "delimiter": {"type": "string", "pattern": r"^.\Z"},  # csv takes one character
         "basis": {
             "type": "object",
             "additionalProperties": False,
@@ -320,10 +321,10 @@ def main(argv=None):
         return _cmd_real(args, config)
     except _ConfigError as exc:
         return _fail(2, "config", str(exc))
+    except (CdfRegError, ArithmeticError, LinAlgError) as exc:  # LinAlgError is a ValueError
+        return _fail(3, "numerical", f"{type(exc).__name__}: {exc}")
     except (ValueError, KeyError) as exc:
         return _fail(2, "config", f"{type(exc).__name__}: {exc}")
-    except (CdfRegError, ArithmeticError, LinAlgError) as exc:
-        return _fail(3, "numerical", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

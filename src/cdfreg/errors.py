@@ -10,15 +10,7 @@ class SingularGram(CdfRegError):
 
 
 class ConvergenceError(CdfRegError):
-    """Iterative solver failed to meet its stopping rule.
-
-    The best iterate found so far is attached as ``best``.
-    """
-
-    def __init__(self, message, best=None, objective=None):
-        super().__init__(message)
-        self.best = best
-        self.objective = objective
+    """Iterative solver failed to meet its stopping rule."""
 
 
 class BracketError(CdfRegError):

@@ -9,10 +9,8 @@ simplex-MLE baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .basis import BasisFamily
 from .errors import ConvergenceError, SingularGram
@@ -23,41 +21,14 @@ _SINGULAR_EIG_TOL = 1e-10
 _MLE_MAX_ITER, _MLE_TOL = 2000, 1e-8
 
 
-@dataclass
-class SigmaSequence:
-    """Regularization weights sigma_i with an optional eigenbasis rotation.
-
-    ``basis_rotation`` has the eigenvectors e_i as columns; when None the
-    eigenbasis of the supplied Gram matrix is used (ascending eigenvalues).
-    """
-    sigmas: np.ndarray
-    basis_rotation: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
-        if np.any(self.sigmas == 0):
-            raise ValueError("all sigma_i must be nonzero")
-
-
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Cholesky factor of A, or of each matrix of an (r, d, d) stack.
-
-    A matrix that fails gets one diagonal-jitter retry of its own; the
-    other matrices of its stack are factored as they are.
-    """
-    try:
-        return np.linalg.cholesky(A)
-    except LinAlgError:
-        if A.ndim > 2:
-            return np.stack([_cholesky(a) for a in A])
-        return np.linalg.cholesky(A + 1e-12 * np.trace(A) / A.shape[0] * np.eye(A.shape[0]))
-
-
 def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve of A x = b, or of each system of an (r, d, d), (r, d) stack."""
+    """Cholesky solve of A x = b, or of each system of an (r, d, d), (r, d) stack.
+
+    A matrix that Cholesky rejects raises LinAlgError; it is never perturbed.
+    """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    L = _cholesky(A)
+    L = np.linalg.cholesky(A)
     y = np.linalg.solve(L, b[..., None])
     return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
 
@@ -75,8 +46,7 @@ def ridge_estimate(state: GramState, lam: float) -> np.ndarray:
     resid = np.linalg.norm((A @ theta[..., None])[..., 0] - state.u, axis=-1)
     bad = resid > 1e-10 * (1.0 + np.linalg.norm(state.u, axis=-1))
     if bad.any():
-        raise ConvergenceError(f"ridge solve residual {np.max(resid[bad]):.3e} too large",
-                               best=theta)
+        raise ConvergenceError(f"ridge solve residual {np.max(resid[bad]):.3e} too large")
     return theta
 
 
@@ -159,23 +129,21 @@ def penalized_estimate(state: GramState, lam: float, delta_nU: float) -> np.ndar
     return theta.reshape(state.u.shape)
 
 
-def hilbert_estimate(U_coeffs, u_coeffs, sigma: SigmaSequence) -> np.ndarray:
+def hilbert_estimate(U_coeffs, u_coeffs, sigmas) -> np.ndarray:
     """Apply the sigma-regularized inverse coordinatewise in the eigenbasis of U.
 
     theta_hat = sum_i sigma_i^2 <e_i, u> / (1 + lambda_i sigma_i^2) e_i where
-    the e_i are eigenvectors of U (or the supplied rotation columns).
+    the e_i are eigenvectors of U (ascending eigenvalues) and every sigma_i is nonzero.
     """
     U = np.asarray(U_coeffs, dtype=float)
     u = np.asarray(u_coeffs, dtype=float)
-    m = u.size
-    if sigma.sigmas.size != m:
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.size != u.size:
         raise ValueError("sigma sequence length must match the coefficient dimension")
-    if sigma.basis_rotation is not None:
-        E = np.asarray(sigma.basis_rotation, dtype=float)
-    else:
-        _, E = np.linalg.eigh(0.5 * (U + U.T))
-    lam = np.einsum("im,ij,jm->m", E, U, E)
-    coeff = sigma.sigmas ** 2 * (E.T @ u) / (1.0 + lam * sigma.sigmas ** 2)
+    if np.any(sigmas == 0):
+        raise ValueError("all sigma_i must be nonzero")
+    lam, E = np.linalg.eigh(0.5 * (U + U.T))
+    coeff = sigmas ** 2 * (E.T @ u) / (1.0 + lam * sigmas ** 2)
     return E @ coeff
 
 

@@ -13,8 +13,7 @@ from cdfreg.basis import (BernoulliBasis, GaussianLaplaceBasis, PolynomialBasis,
                           inverse_cdf_sample)
 from cdfreg.bounds import epsilon_lambda, fit_loglog_slope, ks_distance, ks_grid
 from cdfreg.cli import main
-from cdfreg.estimators import (SigmaSequence, hilbert_estimate, project_simplex,
-                               ridge_estimate)
+from cdfreg.estimators import hilbert_estimate, project_simplex, ridge_estimate
 from cdfreg.gram import GramState, accumulate, gram_matrix_of_context
 from cdfreg.realdata import evaluate_pipeline
 from cdfreg.synth import run_coverage_experiment, run_scaling_experiment
@@ -183,7 +182,7 @@ def test_ks_bounded_by_scaled_l2():
 def test_hilbert_estimate_reduces_to_ridge():
     rng = np.random.default_rng(5)
     lam = 0.7
-    sig = lambda d: SigmaSequence(np.full(d, 1.0 / np.sqrt(lam)))
+    sig = lambda d: np.full(d, 1.0 / np.sqrt(lam))
     for _ in range(100):
         d = int(rng.integers(1, 8))
         diag = rng.uniform(0.0, 4.0, d)

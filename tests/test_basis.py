@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, _bisect, BernoulliBasis, CustomBasis,
+from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, _bisect, BernoulliBasis,
                           GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
                           check_simplex, inverse_cdf_sample, polynomial_exponent)
 from cdfreg.errors import BracketError
+from fakes import CustomBasis
 
 
 def test_polynomial_exponent_values():
@@ -144,7 +145,6 @@ def test_inverse_cdf_rejects_bad_u():
 
 
 def test_inverse_cdf_bracket_failure():
-    from cdfreg.basis import CustomBasis
     flat = CustomBasis(1, lambda x, ts: np.full((1, np.atleast_1d(ts).size), 0.1),
                        0.0, 1.0)
     with pytest.raises(BracketError):

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdfreg import measure as msr
-from cdfreg.basis import (BernoulliBasis, CustomBasis, GaussianLaplaceBasis,
+from cdfreg.basis import (BernoulliBasis, GaussianLaplaceBasis,
                           LogisticProbitBasis, PolynomialBasis, inverse_cdf_sample)
 from cdfreg.bounds import l2_error_crps, min_eigenvalue, weighted_norm
 from cdfreg.errors import BracketError
 from cdfreg.estimators import project_simplex
 from cdfreg.gram import GramState, accumulate, response_vector_of_sample
 from cdfreg.synth import bernoulli_ks_sup
+from fakes import CustomBasis
 
 _RNG = np.random.default_rng(11)
 

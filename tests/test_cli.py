@@ -196,7 +196,8 @@ def test_real_seeds_with_seed_or_n_seeds_is_a_config_error(tmp_path, capsys, ext
     assert not (out / "records.csv").exists()
 
 
-@pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"], ids=["empty", "two", "two_tabs"])
+@pytest.mark.parametrize("delimiter", ["", ";;", "\t\t", "a\n"],
+                         ids=["empty", "two", "two_tabs", "trailing_newline"])
 def test_real_delimiter_of_other_than_one_character_exits_2(tmp_path, capsys, delimiter):
     code, out = run(tmp_path, "real", dict(REAL_ONE_SEED, delimiter=delimiter))
     assert code == 2
@@ -253,8 +254,10 @@ def _config_error(capsys):
     return err["message"]
 
 
-@pytest.mark.parametrize("field", [{"metrics": ["l2", "l2x"]}, {"slope_metric": "foo"}],
-                         ids=["metrics", "slope_metric"])
+@pytest.mark.parametrize("field", [{"metrics": ["l2", "l2x"]}, {"slope_metric": "foo"},
+                                   {"metrics": ["l2\n"]}, {"slope_metric": "l2\n"}],
+                         ids=["metrics", "slope_metric", "metrics_newline",
+                              "slope_metric_newline"])
 def test_unknown_metric_name_exits_2(tmp_path, capsys, field):
     code, out = run(tmp_path, "synth-poly", dict(POLY_CFG, **field))
     assert code == 2

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import LinAlgError
 from scipy.optimize import minimize
 
 from cdfreg import measure as msr
 from cdfreg.basis import BernoulliBasis
-from cdfreg.errors import ConvergenceError, SingularGram
-from cdfreg.estimators import (EmpiricalCdf, SigmaSequence, delta_nU_default,
+from cdfreg.errors import SingularGram
+from cdfreg.estimators import (EmpiricalCdf, delta_nU_default,
                                fit_mle_simplex, hilbert_estimate,
                                penalized_estimate, project_simplex, ridge_estimate,
                                unregularized_estimate)
@@ -203,32 +204,33 @@ def test_penalized_stack_equals_per_state_calls(d, kinds, lam, delta, seed):
 def test_ridge_stack_equals_per_state_calls():
     """Each row of a stacked ridge solve is bit for bit its own state's solve.
 
-    The second row fails a plain Cholesky (A = diag(1 + lam, -1e-14)) and is
-    solved after its own jitter retry; the others are factored as they are.
-    A row whose jittered solve misses its residual check fails the stack.
+    A system that Cholesky rejects (A = diag(1 + lam, -1e-14)) raises
+    LinAlgError, alone and inside a stack: it is never perturbed until it factors.
     """
     rng = np.random.default_rng(5)
     lam, d = 1e-8, 2
     B = rng.normal(size=(3, d, d))
-    Us = [B[0] @ B[0].T, np.diag([1.0, -lam - 1e-14]), B[2] @ B[2].T]
-    us = [rng.normal(size=d), np.array([1.0, 0.0]), rng.normal(size=d)]
+    Us = [B[0] @ B[0].T, B[2] @ B[2].T]
+    us = [rng.normal(size=d), rng.normal(size=d)]
     stacked = ridge_estimate(GramState(d, UNIT, 1, np.stack(Us), np.stack(us)), lam)
-    assert stacked.shape == (3, d)
+    assert stacked.shape == (2, d)
     for U, u, row in zip(Us, us, stacked):
         assert row.tobytes() == ridge_estimate(GramState(d, UNIT, 1, U, u), lam).tobytes()
-    us[1] = np.array([0.0, 1.0])  # now the jitter shows in the residual
-    with pytest.raises(ConvergenceError, match="ridge solve residual"):
-        ridge_estimate(GramState(d, UNIT, 1, np.stack(Us), np.stack(us)), lam)
+    bad_U, bad_u = np.diag([1.0, -lam - 1e-14]), np.array([1.0, 0.0])
+    with pytest.raises(LinAlgError, match="not positive definite"):
+        ridge_estimate(GramState(d, UNIT, 1, bad_U, bad_u), lam)
+    with pytest.raises(LinAlgError, match="not positive definite"):
+        ridge_estimate(GramState(d, UNIT, 1, np.stack([Us[0], bad_U, Us[1]]),
+                                 np.stack([us[0], bad_u, us[1]])), lam)
 
 
 def test_hilbert_scalar():
-    out = hilbert_estimate(np.array([[1.0]]), np.array([1.0]),
-                           SigmaSequence(np.array([1.0])))
+    out = hilbert_estimate(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
     assert out[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_hilbert_zero_data():
-    out = hilbert_estimate(np.eye(3), np.zeros(3), SigmaSequence(np.ones(3)))
+    out = hilbert_estimate(np.eye(3), np.zeros(3), np.ones(3))
     assert np.allclose(out, 0.0)
 
 
@@ -240,15 +242,16 @@ def test_hilbert_ridge_reduction():
         M = rng.normal(size=(d, d))
         U = M @ M.T
         u = rng.normal(size=d)
-        sig = SigmaSequence(np.full(d, 1.0 / math.sqrt(lam)))
-        got = hilbert_estimate(U, u, sig)
+        got = hilbert_estimate(U, u, np.full(d, 1.0 / math.sqrt(lam)))
         expect = np.linalg.solve(U + lam * np.eye(d), u)
         assert np.max(np.abs(got - expect)) < 1e-10
 
 
-def test_sigma_sequence_rejects_zero():
-    with pytest.raises(ValueError):
-        SigmaSequence(np.array([1.0, 0.0]))
+def test_hilbert_estimate_rejects_a_zero_or_misfit_sigma():
+    with pytest.raises(ValueError, match="nonzero"):
+        hilbert_estimate(np.eye(2), np.ones(2), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="length"):
+        hilbert_estimate(np.eye(2), np.ones(2), np.ones(3))
 
 
 def test_ecdf():

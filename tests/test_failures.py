@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from cdfreg import realdata, synth
 from cdfreg.cli import main
@@ -183,23 +184,30 @@ def test_ridge_convergence_error_is_a_typed_failure(monkeypatch):
                                        "reps": 2, "basis": {"kind": "bernoulli_hard"}})
 
 
-def test_bound_check_failed_draw_raises_its_own_typed_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("bad", ["draw", "solve"])
+def test_bound_check_failed_draw_raises_its_own_typed_error(tmp_path, monkeypatch, capsys, bad):
+    """A rep whose draw raises, or whose state the ridge solve rejects, stops bound-check."""
     original, calls = synth._bernoulli_rep, []
 
     def flaky(*args):  # reps draw in order, so call i is rep i
         calls.append(None)
-        if len(calls) in (2, 4):
+        if len(calls) in (2, 4) and bad == "draw":
             raise SingularGram(f"degenerate draw at rep {len(calls) - 1}")
-        return original(*args)
+        state = original(*args)
+        if len(calls) in (2, 4):  # U = -I, which Cholesky rejects
+            state.U = -np.eye(state.d)
+        return state
 
     monkeypatch.setattr(synth, "_bernoulli_rep", flaky)
     config = {"mode": "self", "d": 2, "n": 50, "delta": 0.1, "reps": 5,
               "basis": {"kind": "bernoulli_hard"}}
-    with pytest.raises(SingularGram, match="^degenerate draw at rep 1$"):
+    error, message = {"draw": (SingularGram, "degenerate draw at rep 1"),
+                      "solve": (LinAlgError, "Matrix is not positive definite")}[bad]
+    with pytest.raises(error, match=f"^{message}$"):
         synth.run_coverage_experiment(config)
     calls.clear()
     code, out = _run(tmp_path, "bound-check", config)
     assert code == 3
     assert json.loads(capsys.readouterr().err) == {
-        "error": "numerical", "message": "SingularGram: degenerate draw at rep 1"}
+        "error": "numerical", "message": f"{error.__name__}: {message}"}
     assert not (out / "records.csv").exists()

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdfreg import measure as msr
-from cdfreg.basis import BernoulliBasis, CustomBasis, PolynomialBasis
+from cdfreg.basis import BernoulliBasis, PolynomialBasis
 from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context, regularized_gram,
                          response_vector_of_sample)
 from cdfreg.synth import _atom_statistics
+from fakes import CustomBasis
 
 UNIT = msr.make_uniform_measure(0.0, 1.0, 64)
 

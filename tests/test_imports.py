@@ -76,11 +76,10 @@ def test_cli_import_loads_neither_numpy_ma_nor_concurrent_futures():
             or m.split(".")[0] == "concurrent"] == []
 
 
-# Exports that no driver reaches: the paper results no command runs yet, the
-# error unregularized_estimate raises and the CustomBasis test fake.
+# Exports that no driver reaches: the paper results no command runs yet and the
+# error unregularized_estimate raises.
 LIBRARY_ONLY = {"hilbert_bound", "hilbert_estimate", "epsilon_unreg", "unregularized_estimate",
-                "SingularGram", "sample_scheme1", "sample_mismatched", "SigmaSequence",
-                "CustomBasis"}
+                "SingularGram", "sample_scheme1", "sample_mismatched"}
 
 
 def _exports_and_driver_names():

@@ -1,9 +1,13 @@
+import csv
+import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from cdfreg import realdata
+from cdfreg.cli import main
 from cdfreg.realdata import (evaluate_pipeline, fit_gaussian_laplace_basis,
                              fit_glm_univariate, fit_lad_univariate,
                              fit_logistic_probit_basis, fit_ols_univariate,
@@ -201,23 +205,44 @@ def test_evaluate_pipeline_smoke():
         assert stats["q05"] <= stats["q50"] <= stats["q95"]
 
 
-def test_evaluate_pipeline_discrete_mle(tmp_path):
+def test_evaluate_pipeline_discrete_mle(tmp_path, monkeypatch):
+    """real on a 4-feature binary CSV runs the simplex MLE, and each seed's fit meets its KKT
+    conditions: with g = sum_j rho_j / (rho_j . theta), g_i / n <= 1, with equality
+    where theta_i > 0."""
     rng = np.random.default_rng(4)
-    n = 40
-    x = rng.normal(size=n)
-    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x))).astype(float)
+    n, d = 300, 4
+    x = rng.normal(size=(n, d))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ [1.0, -0.5, 0.8, 0.3]))).astype(int)
     p = tmp_path / "b.csv"
-    lines = ["x1,y"] + [f"{a:.6f},{int(b)}" for a, b in zip(x, y)]
-    p.write_text("\n".join(lines) + "\n")
-    cfg = {"csv_path": str(p), "outcome": "y",
-           "measure": {"kind": "uniform_interval", "a": -0.5, "b": 1.5, "n_nodes": 32},
-           "basis": {"kind": "logistic_probit", "w": 0.0},
-           "lambdas": [1.0], "seeds": [0]}
-    out = evaluate_pipeline(cfg)
-    assert out["failures"] == []
-    mle_rows = [r for r in out["rows"] if r["method"] == "mle_simplex"]
-    assert len(mle_rows) == 1 and math.isfinite(mle_rows[0]["l2_error"])
-    assert "mle_simplex" in out["summary"]
+    p.write_text("\n".join([",".join([f"x{i}" for i in range(1, d + 1)] + ["y"])]
+                           + [",".join([f"{a:.6f}" for a in row] + [str(b)])
+                              for row, b in zip(x, y)]) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "csv_path": str(p), "outcome": "y",
+        "measure": {"kind": "uniform_interval", "a": -0.5, "b": 1.5, "n_nodes": 32},
+        "basis": {"kind": "logistic_probit", "w": 0.5},
+        "lambdas": [1.0], "seeds": [0, 1, 2, 3, 4]}))
+    fits, fit = [], realdata.fit_mle_simplex
+
+    def recorded(samples, basis):
+        fits.append((samples, basis, fit(samples, basis)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(realdata, "fit_mle_simplex", recorded)
+    out = tmp_path / "out"
+    assert main(["real", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["failures"] == []
+    with open(out / "records.csv") as fh:
+        mle = [float(r["l2_error"]) for r in csv.DictReader(fh) if r["method"] == "mle_simplex"]
+    assert len(mle) == 5 and all(map(math.isfinite, mle))
+    assert len(fits) == 5
+    for samples, basis, theta in fits:  # d = 4, so the ascent runs
+        assert basis.d == d
+        rho = basis.pmf_vector([c for c, _ in samples], np.array([o for _, o in samples]))
+        g = (rho / (rho @ theta)[:, None]).sum(axis=0) / len(samples)
+        assert np.all(g <= 1 + 1e-6)
+        assert np.all(np.abs(g - 1)[theta > 0] <= 1e-6)
 
 
 def test_write_report_csv(tmp_path):

@@ -17,6 +17,7 @@ from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design, bernoulli_k
                           hard_instance_matrix, run_coverage_experiment,
                           run_scaling_experiment, sample_mismatched, sample_scheme1,
                           sample_scheme2, sorted_quantile, stream_rng, uniform_contexts)
+from fakes import FirstCoordinateBernoulli
 
 
 def _hard_instance_loop(d, n, c):
@@ -280,7 +281,7 @@ def _alternating_draws(draw_context, n, seed, k):
 _DESIGNS = {
     "scalar": (PolynomialBasis(4), PolynomialBasis(1), lambda r: r.uniform(0.5, 2.0),
                uniform_contexts(0.5, 2.0)),
-    "vector": (BernoulliBasis(3), BernoulliBasis(1, p_map=lambda x: x[:1]),
+    "vector": (BernoulliBasis(3), FirstCoordinateBernoulli(),
                lambda r: r.uniform(0.2, 0.8, 3), uniform_contexts([0.2] * 3, [0.8] * 3)),
 }
 
@@ -350,7 +351,7 @@ def test_sample_scheme1_adversary_sees_history():
 def test_sample_mismatched_zero_weight():
     m = msr.make_uniform_measure(0.0, 1.0, 32)
     b = BernoulliBasis(2)
-    e = BernoulliBasis(1, p_map=lambda x: np.atleast_1d(x)[:1])
+    e = FirstCoordinateBernoulli()
     ds = sample_mismatched(b, e, 0.0, [0.5, 0.5], 30, 2,
                            uniform_contexts([0.2, 0.2], [0.8, 0.8]), m)
     assert np.allclose(ds.E_n, 0.0, atol=1e-12)
