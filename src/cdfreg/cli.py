@@ -30,6 +30,9 @@ _DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 # tests/test_config_check.py, whose cases are named by position, as it is.  Patterns
 # end in \Z, since $ also matches before a final newline.
 _METRIC = {"type": "string", "pattern": rf"^({'|'.join(METRICS)})\Z"}
+# Runs are serial.  threads is kept, at 1 only, because perfbench/run.py passes
+# --threads 1 to every command.
+_THREADS = {"type": "integer", "minimum": 1, "maximum": 1}
 
 _SCALING_SCHEMA = {
     "type": "object",
@@ -59,7 +62,7 @@ _SCALING_SCHEMA = {
         "metrics": {"type": "array", "items": _METRIC, "minItems": 1},
         "theta_star": {"type": "array", "items": {"type": "number"}},
         "seed": {"type": "integer", "minimum": 0},
-        "threads": _POS_INT,
+        "threads": _THREADS,
         "slope_metric": _METRIC,
     },
 }
@@ -92,7 +95,7 @@ _COVERAGE_SCHEMA = {
             },
         },
         "seed": {"type": "integer", "minimum": 0},
-        "threads": _POS_INT,
+        "threads": _THREADS,
     },
 }
 
@@ -119,7 +122,7 @@ _REAL_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
         "n_seeds": _POS_INT,
-        "threads": _POS_INT,
+        "threads": _THREADS,
     },
 }
 
@@ -286,9 +289,8 @@ def build_parser():
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override config seed")
     common.add_argument("--threads", type=int, default=None,
-                        help="override config parallelism degree")
-    common.add_argument("--long", action="store_true",
-                        help="full-size sweep defaults instead of desk scale")
+                        help="override config threads; runs are serial, so only 1 is "
+                             "accepted (kept for perfbench/run.py, which passes it)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
         ("synth-bernoulli", "scaling sweep on the adversarial Bernoulli design"),
@@ -296,7 +298,10 @@ def build_parser():
         ("bound-check", "empirical coverage of a stated error bound"),
         ("real", "tabular CSV pipeline with baseline comparison"),
     ]:
-        sub.add_parser(name, help=helptext, parents=[common])
+        command = sub.add_parser(name, help=helptext, parents=[common])
+        if name in _SCALING_KIND:  # only the sweeps have a full-size grid
+            command.add_argument("--long", action="store_true",
+                                 help="full-size sweep defaults instead of desk scale")
     return parser
 
 

@@ -13,15 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from . import measure as msr
 from .basis import GaussianLaplaceBasis, LogisticProbitBasis, ndtr
 from .bounds import l2_error_crps
-from .errors import CdfRegError
 from .estimators import EmpiricalCdf, fit_mle_simplex, project_simplex, ridge_estimate
 from .gram import GramState, accumulate
-from .synth import _write_csv, sorted_quantile, stream_rng
+from .synth import _FAILURES, _write_csv, sorted_quantile, stream_rng
 
 _GLM_COEF_CAP = 30.0
 # fit_glm_univariate stops after this many Newton steps or at this gradient norm.
@@ -264,7 +262,7 @@ def evaluate_pipeline(config) -> dict:
                              "seed": seed, "l2_error": float("nan"),
                              "unsupported": "continuous outcome"})
             del Phi  # not held through the next seed's accumulate
-        except (CdfRegError, LinAlgError, ValueError) as exc:  # reported, pipeline continues
+        except _FAILURES as exc:  # reported, pipeline continues
             errors.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
 
     summary = {}

@@ -44,7 +44,7 @@ _UNIT_INTERVAL = msr.make_uniform_measure(0.0, 1.0, 2)
 
 
 def stream_rng(seed: int, *key) -> np.random.Generator:
-    """Counter-based generator with a per-stream key; independent of thread order."""
+    """Counter-based generator with a per-stream key, independent of every other stream."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -265,7 +265,7 @@ def bernoulli_ks_sup(theta_hat, theta_star, d: int):
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-# Statistical and numerical errors: a failure row, not a crash.
+# Statistical and numerical errors: a sweep's failure row or real's failed seed, not a crash.
 _FAILURES = (CdfRegError, LinAlgError, ValueError)
 
 
@@ -488,20 +488,11 @@ def _theta_star(config, d):
     return check_simplex(theta)
 
 
-def _map_tasks(fn, tasks, threads: int) -> list:
-    """fn over tasks, in task order; on a thread pool when threads > 1."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not loaded by one-thread runs
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def run_scaling_experiment(config) -> tuple[list, list]:
     """Run the replicated sweep; returns (records, aggregate_rows).
 
-    Each grid point (d, n) is one task (_point) on its design, which is built
-    once, before any task runs: a design that fails is a config error and
+    Each grid point (d, n) is one _point call on its design, and every design
+    is built before any rep runs: a design that fails is a config error and
     fails the run.  Each rep draws its statistics from its own Philox stream,
     and each lambda's ridge estimates of all reps are one stacked solve and
     score.  A rep whose draw, solve or score fails gets one failure row.
@@ -520,21 +511,17 @@ def run_scaling_experiment(config) -> tuple[list, list]:
     delta = float(config.get("delta", 0.1))
     metrics = config.get("metrics", ["l2", "self_norm", "ks", "eps_lambda"])
 
-    # Every design is built before any task runs, so that a bad config value fails the run.
-    tasks = []
+    # Every design is built before any rep runs, so that a bad config value fails the run.
+    designs = []
     for d, n in points:
         theta_star = _theta_star(config, d)
         draw, Sigma_n, ks_fn, _ = _design(config, "self", d, n, theta_star)
-        tasks.append((d, n, draw, _metrics(metrics, n, delta, theta_star, Sigma_n, ks_fn)))
-
-    def grid_point(task):
-        d, n, draw, scores = task
-        return _point(lambda rep: _scaling_rep_state(draw, seed, d, n, rep), reps, _ridge,
-                      lambdas, scores)
+        designs.append((draw, _metrics(metrics, n, delta, theta_star, Sigma_n, ks_fn)))
 
     records, groups = [], {}
-    results = _map_tasks(grid_point, tasks, int(config.get("threads", 1)))
-    for (d, n), point in zip(points, results):
+    for (d, n), (draw, scores) in zip(points, designs):
+        point = _point(lambda rep: _scaling_rep_state(draw, seed, d, n, rep), reps, _ridge,
+                       lambdas, scores)
         for rep, result in enumerate(point):
             if isinstance(result, Exception):
                 records.append(ExperimentRecord(exp_id, scheme, d, n, float("nan"), rep, seed,

@@ -51,10 +51,6 @@ def test_synth_rerun_byte_identical(tmp_path):
         assert main(["synth-bernoulli", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "records.csv").read_bytes())
     assert outs[0] == outs[1]
-    out_t = tmp_path / "c"
-    assert main(["synth-bernoulli", "--config", cfg, "--out", str(out_t),
-                 "--threads", "4"]) == 0
-    assert (out_t / "records.csv").read_bytes() == outs[0]
 
 
 def test_invalid_delta_exits_2(tmp_path, capsys):
@@ -218,15 +214,29 @@ def test_real_integral_float_seed_runs_as_its_integer(tmp_path):
 def test_every_subcommand_takes_the_shared_options(command, capsys):
     parse = build_parser().parse_args
     args = parse([command, "--config", "c.json"])
-    assert (args.command, args.config, args.out, args.seed, args.threads, args.long) == (
-        command, "c.json", ".", None, None, False)
+    assert (args.command, args.config, args.out, args.seed, args.threads) == (
+        command, "c.json", ".", None, None)
     args = parse([command, "--config", "c.json", "--out", "o", "--seed", "3",
-                  "--threads", "2", "--long"])
-    assert (args.out, args.seed, args.threads, args.long) == ("o", 3, 2, True)
+                  "--threads", "1"])
+    assert (args.out, args.seed, args.threads) == ("o", 3, 1)
     with pytest.raises(SystemExit) as exc:
         parse([command])
     assert exc.value.code == 2
     assert "the following arguments are required: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, sweep", [("synth-bernoulli", True), ("synth-poly", True),
+                                            ("bound-check", False), ("real", False)])
+def test_only_the_sweeps_take_long(command, sweep, capsys):
+    parse = build_parser().parse_args
+    if sweep:
+        assert parse([command, "--config", "c.json"]).long is False
+        assert parse([command, "--config", "c.json", "--long"]).long is True
+        return
+    with pytest.raises(SystemExit) as exc:
+        parse([command, "--config", "c.json", "--long"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --long" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -265,19 +275,26 @@ def test_unknown_metric_name_exits_2(tmp_path, capsys, field):
     assert not (out / "records.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [("seed", -1), ("threads", 0)])
+_BOUND_CFG = {"mode": "self", "d": 2, "n": 50, "delta": 0.1, "reps": 2,
+              "basis": {"kind": "bernoulli_hard"}}
+_CFG = {"synth-bernoulli": BERN_CFG, "synth-poly": POLY_CFG, "bound-check": _BOUND_CFG,
+        "real": REAL_ONE_SEED}
+
+
+# Runs are serial, so threads is 1 or a config error, on every command.
+@pytest.mark.parametrize("command, key, value", [
+    ("synth-poly", "seed", -1), ("synth-poly", "threads", 0),
+    *((command, "threads", 2) for command in _CFG)],
+    ids=["seed--1", "threads-0", *(f"{command}-threads-2" for command in _CFG)])
 @pytest.mark.parametrize("where", ["file", "argv"])
-def test_bad_override_exits_2_like_the_config_field(tmp_path, capsys, key, value, where):
-    payload = dict(POLY_CFG, **{key: value}) if where == "file" else POLY_CFG
+def test_bad_override_exits_2_like_the_config_field(tmp_path, capsys, command, key, value,
+                                                    where):
+    payload = dict(_CFG[command], **{key: value}) if where == "file" else _CFG[command]
     extra = [f"--{key}", str(value)] if where == "argv" else []
-    code, out = run(tmp_path, "synth-poly", payload, extra)
+    code, out = run(tmp_path, command, payload, extra)
     assert code == 2
     assert _config_error(capsys).startswith(f"config field {key}: ")
     assert not (out / "records.csv").exists()
-
-
-_BOUND_CFG = {"mode": "self", "d": 2, "n": 50, "delta": 0.1, "reps": 2,
-              "basis": {"kind": "bernoulli_hard"}}
 
 
 @pytest.mark.parametrize("command, payload", [

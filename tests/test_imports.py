@@ -68,8 +68,7 @@ def test_main_imports_no_module(tmp_path):
 
 
 def test_cli_import_loads_neither_numpy_ma_nor_concurrent_futures():
-    # Quantiles come from synth.sorted_quantile, and a thread pool is imported
-    # only by a run with more than one thread.
+    # Quantiles come from synth.sorted_quantile, and runs are serial: no thread pool.
     loaded = _run("import json, sys; import cdfreg.cli; "
                   "print(json.dumps(sorted(sys.modules)))")
     assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")

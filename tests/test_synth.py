@@ -503,15 +503,6 @@ def test_run_scaling_experiment_polynomial_d_grid():
     assert all(r.n == 40 and r.scheme == "Random" for r in records)
 
 
-def test_run_scaling_experiment_thread_determinism():
-    cfg = {"basis": {"kind": "bernoulli_hard", "d": 2}, "n_grid": [50, 80],
-           "reps": 4, "lambdas": [0.001], "metrics": ["l2"], "seed": 7}
-    r1, a1 = run_scaling_experiment(cfg)
-    r2, a2 = run_scaling_experiment({**cfg, "threads": 4})
-    assert [r.row() for r in r1] == [r.row() for r in r2]
-    assert a1 == a2
-
-
 ALL_METRICS = ["l2", "self_norm", "sigma_norm", "ks", "eps_lambda", "mu_min_U"]
 
 
