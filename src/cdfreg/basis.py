@@ -300,6 +300,12 @@ def check_simplex(theta) -> np.ndarray:
 def inverse_cdf_sample(theta, basis: BasisFamily, x, u):
     """Smallest t with theta^T Phi(x, t) >= u, by atom lookup or bisection.
 
+    Bisection starts from a bracket doubled out from the declared support,
+    or for a PolynomialBasis from a grid cell of s = x t, which a Newton
+    estimate narrows to 4 cells of the bisection's final lattice where its
+    ends are checked to bracket u.  The narrowing leaves 2 halvings in place
+    of about 21 and never moves the draw (see _grid_bisect).
+
     A scalar u draws once for the context x and returns a float.  A 1-D u of
     n levels draws for the n contexts in x at once and returns an (n,)
     array; every draw takes the same steps as its scalar call, so the
@@ -366,17 +372,30 @@ def _bisect(theta, basis, X, us):
     return _narrow(cdf, us, lo, hi, np.full(len(us), _BISECT_TOL))
 
 
+def _power_terms(theta, r, s):
+    """The terms theta_i s^r_i of G(s) = sum_i theta_i s^r_i, one np.power per exponent.
+
+    Each s rounds alike however many draws are open, which eval_nodes can't promise.
+    """
+    return [w * s ** e for w, e in zip(theta, r)]
+
+
 def _grid_bisect(theta, basis, X, us):
     """Polynomial draws: F(x, t) = G(x t) with G(s) = theta^T Phi(1, s) = sum_i theta_i s^r_i.
 
     One G serves the batch: it is evaluated once on _GRID, each level is bracketed between
     two grid points, and s = x t is bisected to x _BISECT_TOL, so t = s / x meets _BISECT_TOL.
+    Bisection from the grid cell stops on the lattice of the largest power of two <= x
+    _BISECT_TOL.  A Newton estimate of s narrows the cell to 4 cells of that lattice, kept
+    only where cdf puts u above their low end and at or below their high end: G's power sum
+    does not decrease along the lattice, so bisection stops on the same point from there.
     """
     x = _positive_contexts(X)
+    r = basis.exponents
+    tol = _BISECT_TOL * x
 
-    # One np.power per exponent rounds each s alike however many draws are open; eval_nodes can't
     def cdf(idx, s):
-        return sum(w * s ** r for w, r in zip(theta, basis.exponents))
+        return sum(_power_terms(theta, r, s))
 
     g = theta @ basis.eval_nodes(1.0, _GRID)
     failed = np.flatnonzero(g[-1] + _LEVEL_SLACK < us)
@@ -384,8 +403,29 @@ def _grid_bisect(theta, basis, X, us):
         raise BracketError(f"could not bracket u={us[failed[0]]} within search bounds")
     # The first grid point where G reaches u > 0 = G(0), by a search kept sorted by the running
     # maximum; a level that only the slack reaches takes the last cell.
-    k = np.minimum(np.searchsorted(np.maximum.accumulate(g), us), _GRID.size - 1)
-    return _narrow(cdf, us, _GRID[k - 1], _GRID[k], _BISECT_TOL * x) / x
+    g = np.maximum.accumulate(g)
+    k = np.minimum(np.searchsorted(g, us), _GRID.size - 1)
+    lo, hi = _GRID[k - 1], _GRID[k]
+    # Bisection from [lo, hi] halves down to step, the largest power of two <= tol.  Narrow where
+    # floats hold that lattice exactly up to hi, so that no halving stops early, and where more
+    # than 4 of its cells fit in the grid cell.
+    step = np.ldexp(0.5, np.frexp(tol)[1])
+    j = np.flatnonzero((4 * step < hi - lo) & (hi <= 2.0 ** 53 * step))
+    uj, lj, hj, sj = us[j], lo[j], hi[j], step[j]
+    # The secant of the tabulated G, then Newton on log G = log u in log s: s G' reuses the terms.
+    with np.errstate(all="ignore"):  # a draw whose estimate goes non-finite fails the check below
+        s = lj + (uj - g[k[j] - 1]) / (g[k[j]] - g[k[j] - 1]) * (hj - lj)
+        for _ in range(3):  # s held in the cell, and at least one lattice step, where G > 0
+            s = np.clip(s, np.maximum(lj, sj), hj)
+            terms = _power_terms(theta, r, s)
+            G = sum(terms)
+            s *= np.exp((np.log(uj) - np.log(G)) * G / sum(e * t for e, t in zip(r, terms)))
+        a = np.clip(np.floor(s / sj) * sj - 2 * sj, lj, hj - 4 * sj)
+    b = a + 4 * sj
+    ends = cdf(j, np.concatenate([a, b]))
+    keep = (ends[:j.size] < uj) & (ends[j.size:] >= uj)
+    lo[j[keep]], hi[j[keep]] = a[keep], b[keep]
+    return _narrow(cdf, us, lo, hi, tol) / x
 
 
 def _narrow(cdf, us, lo, hi, tol):

@@ -64,6 +64,9 @@ def load_csv(path, outcome: str, features=None, delimiter=",") -> TabularDataset
     missing = [c for c in features if c not in rows[0]]
     if missing:
         raise ValueError(f"feature columns {missing} not found")
+    if outcome in features or len(set(features)) < len(features):
+        raise ValueError(f"features must name distinct columns other than the outcome "
+                         f"{outcome!r}; got {list(features)}")
 
     kept, dropped = [], 0
     for row in rows:

@@ -198,7 +198,8 @@ def _atom_statistics(P, m):
     The atoms are Bernoulli p-vectors.  Each atom's Gram G (k, d, d) and its
     responses R0, R1 (k, d) at y = 0 and y = 1 are integrated against m
     once, the 2k responses in one call; a state is then the count-weighted
-    sums U_n = counts.G and u_n = (counts - ones).R0 + ones.R1.
+    sums U_n = counts.G and u_n = (counts - ones).R0 + ones.R1.  A caller
+    whose counts are fixed passes their U_n once built, as U.
     """
     k, d = P.shape
     basis = BernoulliBasis(d)
@@ -206,10 +207,11 @@ def _atom_statistics(P, m):
     R0, R1 = response_vector_of_sample(basis, np.vstack([P, P]), np.repeat([0.0, 1.0], k),
                                        m).reshape(2, k, d)
 
-    def state(counts, ones) -> GramState:
-        U = (counts @ G).reshape(d, d)
-        return GramState(d, m, int(counts.sum()), 0.5 * (U + U.T),
-                         (counts - ones) @ R0 + ones @ R1)
+    def state(counts, ones, U=None) -> GramState:
+        if U is None:
+            U = (counts @ G).reshape(d, d)
+            U = 0.5 * (U + U.T)
+        return GramState(d, m, int(counts.sum()), U, (counts - ones) @ R0 + ones @ R1)
 
     return state
 
@@ -352,6 +354,8 @@ def _design(config, mode, d, n, theta_star):
             ks_fn = None
         success = P @ theta_star  # P(y = 1) at each atom
         Sigma_n = state(expected, 0 * expected).U
+        if kind == "bernoulli_hard":  # fixed counts: every rep's U_n is Sigma_n
+            state = functools.partial(state, U=Sigma_n)
         extra = {}
         if mode == "mismatch":
             # Outcomes from (1-q) theta*^T Phi + q phi_e, phi_e the Bernoulli(p_e) CDF.

@@ -1,8 +1,11 @@
-"""Basis families that exist only to test the package's generic code paths."""
+"""Basis families that exist only to test the package's generic code paths, and reference
+samplers that the package's faster ones must match bit for bit."""
 
 import numpy as np
 
-from cdfreg.basis import BasisFamily, BernoulliBasis, _batch_form
+from cdfreg.basis import (_BISECT_TOL, _GRID, _LEVEL_SLACK, BasisFamily, BernoulliBasis,
+                          _batch_form, _narrow, _positive_contexts)
+from cdfreg.errors import BracketError
 
 
 class CustomBasis(BasisFamily):
@@ -40,3 +43,21 @@ class FirstCoordinateBernoulli(BernoulliBasis):
 
     def _probs_batch(self, X) -> np.ndarray:
         return super()._probs_batch([np.atleast_1d(x)[:1] for x in X])
+
+
+def grid_bisect_reference(theta, basis, X, us):
+    """Polynomial draws by bisecting each level's whole grid cell of _GRID to x _BISECT_TOL.
+
+    The sampler basis._grid_bisect narrows the cell first; its draws must equal these.
+    """
+    x = _positive_contexts(X)
+
+    def cdf(idx, s):
+        return sum(w * s ** r for w, r in zip(theta, basis.exponents))
+
+    g = theta @ basis.eval_nodes(1.0, _GRID)
+    failed = np.flatnonzero(g[-1] + _LEVEL_SLACK < us)
+    if failed.size:
+        raise BracketError(f"could not bracket u={us[failed[0]]} within search bounds")
+    k = np.minimum(np.searchsorted(np.maximum.accumulate(g), us), _GRID.size - 1)
+    return _narrow(cdf, us, _GRID[k - 1], _GRID[k], _BISECT_TOL * x) / x

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdfreg import basis as basis_module
 from cdfreg.basis import (_BISECT_TOL, _LEVEL_SLACK, _bisect, BernoulliBasis,
                           GaussianLaplaceBasis, LogisticProbitBasis, PolynomialBasis,
                           check_simplex, inverse_cdf_sample, polynomial_exponent)
 from cdfreg.errors import BracketError
-from fakes import CustomBasis
+from fakes import CustomBasis, grid_bisect_reference
 
 
 def test_polynomial_exponent_values():
@@ -191,6 +192,81 @@ def test_polynomial_draws_agree_with_the_doubling_bracket(seed, zero, draws):
     # the CDF by about an ulp, which moves its crossing by up to 1 / 0.4 steps: 0.4, the least
     # exponent, is the least elasticity s G'(s) / G(s).  So 8 steps bound the two together.
     assert np.all(np.abs(ys - ref) <= np.maximum(2 * _BISECT_TOL, 8 * np.spacing(ref)))
+
+
+def _draws_or_error(sample, theta, basis, X, us):
+    try:
+        return sample(theta, basis, X, us)
+    except BracketError as exc:
+        return type(exc)
+
+
+# Contexts where x _BISECT_TOL is at or above the grid width 2^-12 (no halving), or leaves
+# one or two halvings, which a 4-cell lattice bracket cannot shorten.
+_EDGE_CONTEXTS = [2.0 ** -e / _BISECT_TOL for e in (11, 12, 13, 14, 15)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 6, 8, 12]), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.integers(0, 2 ** 12 - 1), short=st.booleans(),
+       draws=st.lists(st.tuples(st.one_of(st.floats(-9.0, 7.0).map(lambda e: 10.0 ** e),
+                                          st.sampled_from(_EDGE_CONTEXTS)),
+                                st.one_of(st.sampled_from([1e-300, 1e-20, 1.0 - 1e-16]),
+                                          st.floats(0.0, 1.0, exclude_min=True,
+                                                    exclude_max=True))),
+                      min_size=1, max_size=8))
+def test_polynomial_draws_equal_the_whole_cell_bisection_bit_for_bit(d, seed, zeros, short,
+                                                                     draws):
+    """The narrowed lattice bracket decides how many halvings are left, never the draw.
+
+    Contexts 1e-9 to 1e7 include those whose lattice is finer than floats near s = 1 and
+    those the grid already resolves; theta has zero weights, and a short theta (sum
+    1 - 2^-50) leaves u = 1 - 1e-16 to the slack.  Each batch draw is also its scalar call.
+    """
+    basis = PolynomialBasis(d)
+    theta = np.random.default_rng(seed).dirichlet(np.ones(d))
+    theta[[i for i in range(d - 1) if zeros >> i & 1]] = 0.0
+    theta /= theta.sum()
+    if short:
+        theta *= 1.0 - 2.0 ** -50
+    X = np.array([x for x, _ in draws])
+    us = np.array([u for _, u in draws])
+    ys = _draws_or_error(inverse_cdf_sample, theta, basis, X, us)
+    ref = _draws_or_error(grid_bisect_reference, theta, basis, X, us)
+    if isinstance(ref, type):
+        assert ys is ref
+        return
+    assert ys.tobytes() == ref.tobytes()
+    assert np.array([inverse_cdf_sample(theta, basis, x, u)
+                     for x, u in zip(X, us)]).tobytes() == ys.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12])
+def test_polynomial_draws_equal_the_whole_cell_bisection_in_bulk(d):
+    """10,000 draws per d, contexts 1e-9 to 1e7 and levels down to 1e-300, bit for bit."""
+    rng = np.random.default_rng(d)
+    basis, theta = PolynomialBasis(d), rng.dirichlet(np.ones(d))
+    theta[rng.random(d) < 0.3] = 0.0
+    theta = theta / theta.sum() if theta.sum() else np.eye(d)[0]
+    X = 10.0 ** rng.uniform(-9.0, 7.0, 10_000)
+    us = np.where(rng.random(10_000) < 0.1, 10.0 ** rng.uniform(-300, 0, 10_000),
+                  rng.random(10_000)).clip(1e-300, 1.0 - 1e-16)
+    assert (inverse_cdf_sample(theta, basis, X, us).tobytes()
+            == grid_bisect_reference(theta, basis, X, us).tobytes())
+
+
+def test_polynomial_sampling_call_evaluates_g_at_most_8_times(monkeypatch):
+    """2,000 draws on the default design (d = 5, theta* = (1, ..., 5) / 15, x uniform on
+    [0.5, 2]): 3 Newton steps, one check of both ends of each lattice bracket and 2 halvings
+    are 6 power sums.  Bisecting whole grid cells, which gives the same draws, takes ~24."""
+    calls = []
+    power_terms = basis_module._power_terms
+    monkeypatch.setattr(basis_module, "_power_terms",
+                        lambda *args: calls.append(1) or power_terms(*args))
+    rng = np.random.default_rng(0)
+    inverse_cdf_sample(np.arange(1.0, 6.0) / 15.0, PolynomialBasis(5),
+                       rng.uniform(0.5, 2.0, 2000), rng.random(2000))
+    assert 0 < len(calls) <= 8
 
 
 def test_laplace_cdf_far_tails_do_not_overflow():

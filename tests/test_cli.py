@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import pathlib
 
@@ -167,6 +168,21 @@ def test_real_unusable_csv_exits_2(tmp_path, capsys, csv_text, features):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("features", [["x1", "y"], ["x1", "x2", "x1"]],
+                         ids=["outcome_as_feature", "repeated_feature"])
+def test_real_rejects_outcome_or_repeated_feature(tmp_path, capsys, features):
+    """Listing y as a feature would regress y on itself, a CRPS near 0, and exit 0."""
+    payload = {"csv_path": str(DATA / "gaussmix_500.csv"), "outcome": "y", "features": features,
+               "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 16},
+               "basis": {"kind": "gaussian_laplace", "w": 0.5},
+               "lambdas": [0.01], "seeds": [0]}
+    code, out = run(tmp_path, "real", payload)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "features" in err["message"]
+    assert not (out / "records.csv").exists()
+
+
 REAL_ONE_SEED = {"csv_path": str(DATA / "smoke_12.csv"), "outcome": "y",
                  "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 16},
                  "basis": {"kind": "gaussian_laplace", "w": 0.0},
@@ -256,6 +272,22 @@ def test_malformed_json(tmp_path, capsys):
 
 POLY_CFG = {"basis": {"kind": "polynomial", "d": 2}, "lambdas": [0.01],
             "n_grid": [50, 100], "reps": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "e767cb28574537a55916805789f4df6323ca74ceb0c38d6706ab592679644bb6"),
+    (1701, "457c15793ab51d47e091161a96b013995f92b5333ef4ea9ef666cb452d092096"),
+])
+def test_synth_poly_desk_records_are_pinned(tmp_path, seed, digest):
+    """SHA-256 of the desk-grid records (d = 5, n 200 / 600 / 2000, 3 reps), written by the
+    sampler that bisects each level's whole grid cell.  The narrowed lattice bracket must
+    leave every draw, and so these bytes, as they were.  The digests are of numpy 2.4 on
+    x86-64 Linux; a libm that rounds a power differently can move a draw, and so them."""
+    code, out = run(tmp_path, "synth-poly", {"basis": {"kind": "polynomial"},
+                                             "lambdas": [0.001], "reps": 3},
+                    ("--seed", str(seed)))
+    assert code == 0
+    assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == digest
 
 
 def _config_error(capsys):

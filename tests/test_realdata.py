@@ -46,6 +46,15 @@ def test_load_csv_rejects_missing_features(tmp_path):
         load_csv(p, "y", features=["x1", "x2"])
 
 
+@pytest.mark.parametrize("features", [["x1", "y"], ["x1", "x1"]],
+                         ids=["outcome_as_feature", "repeated_feature"])
+def test_load_csv_rejects_outcome_or_repeated_feature(tmp_path, features):
+    p = tmp_path / "t.csv"
+    p.write_text("x1,y\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ValueError, match="features"):
+        load_csv(p, "y", features=features)
+
+
 def test_load_csv_rejects_no_complete_row(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x1,y\n1.0,\nabc,2.0\n3.0,nan\n")
