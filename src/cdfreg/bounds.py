@@ -129,21 +129,26 @@ def ks_grid(support_lo: float, support_hi: float, jump_points=()) -> np.ndarray:
     return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
-def l2_error_crps(ys, F, m: msr.QuadMeasure) -> float:
+def l2_error_crps(ys, F, m: msr.QuadMeasure):
     """Mean over outcomes y_j of the squared L2(m) distance between 1{y_j<=.} and F_j.
 
     F is the (n, K) array of predicted CDF values at the measure's nodes,
     row j for outcome j; the score is the mean over j of
     sum_k w_k (1{y_j<=t_k} - F[j, k])^2, expanded as 1{y<=t} - 2 1{y<=t} F + F^2.
+    An (..., n, K) stack of predictors gives their (...) scores as an array, each
+    with the bits of its own (n, K) call; one (n, K) F gives a float.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1)
     F = np.asarray(F, dtype=float)
     if ys.size == 0:
         raise ValueError("samples must be non-empty")
-    if F.shape != (ys.size, m.nodes.size):
-        raise ValueError(f"F has shape {F.shape}, need {(ys.size, m.nodes.size)}")
-    cross = np.sum(msr.jump_panel(ys, m)[1] * F, axis=1)
-    return float(np.mean(msr.tail_mass(ys, m) - 2.0 * cross + F ** 2 @ m.weights))
+    if F.shape[-2:] != (ys.size, m.nodes.size):
+        raise ValueError(f"F has shape {F.shape}, need (..., {ys.size}, {m.nodes.size})")
+    buf = np.multiply(msr.jump_panel(ys, m)[1], F)  # reused below for F^2
+    cross = buf.sum(axis=-1)
+    sq = np.square(F, out=buf) @ m.weights  # one product per slice; (r n, K) rounds rows apart
+    err = np.mean(msr.tail_mass(ys, m) - 2.0 * cross + sq, axis=-1)
+    return float(err) if F.ndim == 2 else err
 
 
 def fit_loglog_slope(points):

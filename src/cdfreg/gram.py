@@ -96,9 +96,10 @@ def accumulate(state: GramState, basis: BasisFamily, x, y) -> GramState:
     return GramState(state.d, state.measure, state.n + ys.size, U, state.u + du)
 
 
-def regularized_gram(state: GramState, lam: float) -> np.ndarray:
-    """U_n + lambda I."""
-    if lam < 0:
+def regularized_gram(state: GramState, lam) -> np.ndarray:
+    """U_n + lambda I; an (r,) array of lambdas gives the (r, d, d) stack of U_n + lambda_r I."""
+    vector = isinstance(lam, np.ndarray)
+    if (lam.min() if vector else lam) < 0:
         raise ValueError("lambda must be non-negative")
-    return state.U + lam * np.eye(state.d)
+    return state.U + (lam[..., None, None] if vector else lam) * np.eye(state.d)
 

@@ -51,39 +51,38 @@ def standardize(column: np.ndarray) -> np.ndarray:
 
 
 def load_csv(path, outcome: str, features=None, delimiter=",") -> TabularDataset:
-    """Read a headered CSV, drop rows with missing values, standardize features."""
+    """Read a headered CSV, skip blank lines, drop rows with missing values, standardize."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        rows = list(reader)
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"no data rows in {path}")
+    index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
     if features is None:
-        features = [c for c in rows[0].keys() if c != outcome]
-    if outcome not in rows[0]:
+        features = [c for c in index if c != outcome]
+    if outcome not in index:
         raise ValueError(f"outcome column {outcome!r} not found")
-    missing = [c for c in features if c not in rows[0]]
+    missing = [c for c in features if c not in index]
     if missing:
         raise ValueError(f"feature columns {missing} not found")
     if outcome in features or len(set(features)) < len(features):
         raise ValueError(f"features must name distinct columns other than the outcome "
                          f"{outcome!r}; got {list(features)}")
 
-    kept, dropped = [], 0
+    cols = [index[c] for c in features + [outcome]]
+    kept = []
     for row in rows:
         try:
-            vals = [float(row[c]) for c in features + [outcome]]
-        except (ValueError, TypeError, KeyError):
-            dropped += 1
-            continue
-        if not all(math.isfinite(v) for v in vals):
-            dropped += 1
-            continue
-        kept.append(vals)
-    if not kept:
+            kept.append([float(row[i]) for i in cols])
+        except (ValueError, IndexError):  # a short row or a non-numeric value: dropped
+            pass
+    arr = np.array(kept, dtype=float).reshape(-1, len(cols))
+    arr = arr[np.isfinite(arr).all(axis=1)]
+    if not len(arr):
         raise ValueError(f"no complete numeric row in {path}")
-    arr = np.asarray(kept, dtype=float)
     X = np.column_stack([standardize(arr[:, i]) for i in range(len(features))])
-    return TabularDataset(X, arr[:, -1], dropped)
+    return TabularDataset(X, arr[:, -1], len(rows) - len(arr))
 
 
 def three_way_split(n: int, seed: int):
@@ -106,19 +105,19 @@ def fit_ols_univariate(xs, ys) -> UnivariateFit:
     return UnivariateFit(float(coef), float(intercept), float(np.mean(resid ** 2)))
 
 
-def fit_lad_univariate(xs, ys) -> UnivariateFit:
+def fit_lad_univariate(xs, ys, ols: UnivariateFit | None = None) -> UnivariateFit:
     """Least absolute residual line, exact: some optimal line passes through two points.
 
     The best line through an anchor point k has the weighted median of the
     slopes (y_i - y_k) / (x_i - x_k), weighted by |x_i - x_k|. Starting at
-    the point nearest the OLS line, the anchor moves to the other point on
-    that line until the L1 objective stops falling.
+    the point nearest the OLS line (ols, when the caller has fitted it), the
+    anchor moves to the other point on that line until the L1 objective stops falling.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if np.ptp(xs) == 0:
         raise ValueError("LAD needs at least two distinct x values")
-    a, b = np.polyfit(xs, ys, 1)
+    a, b = (ols.coef, ols.intercept) if ols is not None else np.polyfit(xs, ys, 1)
     k = int(np.argmin(np.abs(ys - a * xs - b)))
     best = math.inf
     while True:
@@ -183,7 +182,7 @@ def fit_gaussian_laplace_basis(X, y, w: float) -> GaussianLaplaceBasis:
     bn1, bn0, bl1, bl0, s2, b = (np.empty(d) for _ in range(6))
     for i in range(d):
         ols = fit_ols_univariate(X[:, i], y)
-        lad = fit_lad_univariate(X[:, i], y)
+        lad = fit_lad_univariate(X[:, i], y, ols)
         bn1[i], bn0[i] = ols.coef, ols.intercept
         bl1[i], bl0[i] = lad.coef, lad.intercept
         s2[i] = max(ols.scale, 1e-8)
@@ -246,25 +245,24 @@ def evaluate_pipeline(config) -> dict:
             # Phi(x, t) at the test contexts and the measure's nodes, (n, d, K):
             # the predicted CDF of every fitted theta is theta @ Phi.
             Phi = basis.eval_nodes(Xt, np.broadcast_to(m.nodes, (len(Xt), m.nodes.size)))
-            for lam in lambdas:
-                proj = project_simplex(ridge_estimate(state, lam))
-                rows.append({"method": "ridge_projected", "lambda": lam,
-                             "seed": seed, "l2_error": l2_error_crps(yt, proj @ Phi, m)})
-
-            F_e = EmpiricalCdf(yr)(m.nodes)
-            err_e = l2_error_crps(yt, np.broadcast_to(F_e, (len(yt), F_e.size)), m)
-            rows.append({"method": "ecdf", "lambda": float("nan"),
-                         "seed": seed, "l2_error": err_e})
-
+            thetas = project_simplex(ridge_estimate(state, np.array(lambdas)))
+            # Every fit first, then the seed's rows: its predicted CDFs (a row per lambda, the
+            # ECDF's and, on a discrete outcome, the simplex MLE's) are scored as one stack.
+            n_lam = len(lambdas)
+            F = np.empty((n_lam + 1 + discrete, len(yt), m.nodes.size))
+            F[:n_lam] = (thetas[:, None, None, :] @ Phi)[:, :, 0, :]  # the bits of each theta @ Phi
+            F[n_lam] = EmpiricalCdf(yr)(m.nodes)
             if discrete:
-                theta_mle = fit_mle_simplex(list(zip(Xr, yr)), basis)
-                rows.append({"method": "mle_simplex", "lambda": float("nan"),
-                             "seed": seed, "l2_error": l2_error_crps(yt, theta_mle @ Phi, m)})
-            else:
-                rows.append({"method": "mle_simplex", "lambda": float("nan"),
-                             "seed": seed, "l2_error": float("nan"),
-                             "unsupported": "continuous outcome"})
-            del Phi  # not held through the next seed's accumulate
+                F[n_lam + 1] = fit_mle_simplex(list(zip(Xr, yr)), basis) @ Phi
+            errs = l2_error_crps(yt, F, m).tolist()
+            del Phi, F  # not held through the next seed's accumulate
+            rows += [{"method": "ridge_projected", "lambda": lam, "seed": seed, "l2_error": err}
+                     for lam, err in zip(lambdas, errs)]
+            rows.append({"method": "ecdf", "lambda": float("nan"), "seed": seed,
+                         "l2_error": errs[n_lam]})
+            mle = ({"l2_error": errs[n_lam + 1]} if discrete
+                   else {"l2_error": float("nan"), "unsupported": "continuous outcome"})
+            rows.append({"method": "mle_simplex", "lambda": float("nan"), "seed": seed, **mle})
         except _FAILURES as exc:  # reported, pipeline continues
             errors.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
 

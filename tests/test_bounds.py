@@ -151,6 +151,23 @@ def test_l2_error_crps_averages():
             l2_error_crps([0.0, bad], _flat(0.0, 2), UNIT)
 
 
+@pytest.mark.parametrize("n", [1, 7, 50, 84])  # 4 divides some n and not others
+def test_l2_error_crps_stack_equals_its_2d_calls(n):
+    """An (r, n, K) or (a, b, n, K) stack of predictors scores each (n, K) slice with
+    the bits of its own call; one (n, K) F gives a float."""
+    rng = np.random.default_rng(n)
+    m = msr.make_gaussian_measure(0.0, 9.0, 48)
+    ys = 3.0 * rng.normal(size=n)
+    F = rng.random((2, 3, n, m.nodes.size))
+    single = [l2_error_crps(ys, f, m) for f in F.reshape(-1, n, m.nodes.size)]
+    assert all(type(v) is float for v in single)
+    assert l2_error_crps(ys, F, m).tobytes() == np.reshape(single, (2, 3)).tobytes()
+    assert l2_error_crps(ys, F[0], m).tobytes() == np.array(single[:3]).tobytes()
+    for bad in (F[0, 0, 0], F[..., :-1], F[..., :-1, :]):  # 1-D, wrong K, wrong n
+        with pytest.raises(ValueError, match="shape"):
+            l2_error_crps(ys, bad, m)
+
+
 def test_l2_error_crps_uniform_predictor():
     # F(t)=t against y=0: Gauss-Legendre integrates (1-t)^2 exactly, 1/3
     F = UNIT.nodes[None, :]

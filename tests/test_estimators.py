@@ -13,7 +13,7 @@ from cdfreg.estimators import (EmpiricalCdf, delta_nU_default,
                                fit_mle_simplex, hilbert_estimate,
                                penalized_estimate, project_simplex, ridge_estimate,
                                unregularized_estimate)
-from cdfreg.gram import GramState, accumulate
+from cdfreg.gram import GramState, accumulate, regularized_gram
 
 UNIT = msr.make_uniform_measure(0.0, 1.0, 64)
 
@@ -122,6 +122,19 @@ def test_penalized_zero_cases():
     assert np.allclose(penalized_estimate(s2, 0.0, huge), 0.0)
 
 
+def test_penalized_rows_closing_at_mu_zero_on_a_zero_eigenvalue():
+    """U = diag(0, a), u = (0, 1), lambda = 0: each row's bracket closes at the smallest
+    positive mu, the a = 1 row some 660 rounds before the a = 1e100 row, and no round
+    scores the closed row at mu = 0, where w = 0 / 0."""
+    Us, u = [np.diag([0.0, 1.0]), np.diag([0.0, 1e100])], np.array([0.0, 1.0])
+    stacked = penalized_estimate(GramState(2, UNIT, 1, np.stack(Us), np.stack([u, u])),
+                                 0.0, 0.5)
+    for U, row in zip(Us, stacked):
+        assert row.tobytes() == penalized_estimate(GramState(2, UNIT, 1, U, u), 0.0,
+                                                   0.5).tobytes()
+    assert np.array_equal(stacked[0], [0.0, 1.0])
+
+
 def test_penalized_small_delta_limit():
     rng = np.random.default_rng(2)
     s = bernoulli_state([(rng.uniform(0.1, 0.9, 2), float(rng.integers(0, 2)))
@@ -222,6 +235,27 @@ def test_ridge_stack_equals_per_state_calls():
     with pytest.raises(LinAlgError, match="not positive definite"):
         ridge_estimate(GramState(d, UNIT, 1, np.stack([Us[0], bad_U, Us[1]]),
                                  np.stack([us[0], bad_u, us[1]])), lam)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_ridge_lambda_vector_equals_one_lambda_calls(d):
+    """One state solved at an (r,) array of lambdas gives, row by row, the bits of its
+    one-lambda solves, and regularized_gram the bits of each U + lambda I."""
+    rng = np.random.default_rng(d)
+    B = rng.normal(size=(d, d + 2))
+    state = GramState(d, UNIT, 1, B @ B.T, rng.normal(size=d))
+    lams = np.array([1e-8, 1e-3, 0.1, 1.0, 7.5])
+    stacked, grams = ridge_estimate(state, lams), regularized_gram(state, lams)
+    assert stacked.shape == (lams.size, d) and grams.shape == (lams.size, d, d)
+    for lam, row, A in zip(lams.tolist(), stacked, grams):
+        assert row.tobytes() == ridge_estimate(state, lam).tobytes()
+        assert A.tobytes() == regularized_gram(state, lam).tobytes()
+    assert regularized_gram(state, np.array([0.0, 1.0]))[0].tobytes() == state.U.tobytes()
+    for bad in ([0.1, 0.0], [-1e-3, 0.1]):  # a non-positive entry fails the whole solve
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            ridge_estimate(state, np.array(bad))
+    with pytest.raises(ValueError, match="lambda must be non-negative"):
+        regularized_gram(state, np.array([0.1, -1e-3]))
 
 
 def test_hilbert_scalar():

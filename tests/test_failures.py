@@ -92,6 +92,62 @@ def test_cli_keeps_partial_failures_as_rows(tmp_path, monkeypatch):
     assert all(f["error"] == "ValueError: rep 1 is degenerate" for f in summary["failures"])
 
 
+def _binary_csv(path, n=120, d=2):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(n, d))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ np.linspace(1.0, -0.5, d)))).astype(int)
+    lines = [",".join([f"x{i}" for i in range(d)] + ["y"])]
+    lines += [",".join([f"{v:.6f}" for v in row] + [str(o)]) for row, o in zip(x, y)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("stage", ["ridge", "mle"])
+def test_a_failed_seed_leaves_no_rows(tmp_path, monkeypatch, stage):
+    """A seed whose ridge solve (at its second lambda) or simplex MLE fails writes no
+    row and feeds no summary; the other seed's rows and the exit code are unchanged."""
+    payload = {**REAL, "lambdas": [0.01, 0.1]}
+    if stage == "mle":
+        payload.update(csv_path=_binary_csv(tmp_path / "b.csv"),
+                       measure={"kind": "counting", "points": [0.0, 1.0]},
+                       basis={"kind": "logistic_probit", "w": 0.5})
+    (tmp_path / "clean").mkdir()
+    (tmp_path / "failed").mkdir()
+    clean_code, clean_out = _run(tmp_path / "clean", "real", payload)
+    seed_1_summary = realdata.evaluate_pipeline({**payload, "seeds": [1]})["summary"]
+    seed, split = [None], realdata.three_way_split
+    fit = {"ridge": realdata.ridge_estimate, "mle": realdata.fit_mle_simplex}[stage]
+
+    def tracked(n, s):
+        seed[0] = s
+        return split(n, s)
+
+    def failing_ridge(state, lam):
+        if seed[0] == 0 and 0.1 in np.atleast_1d(lam):
+            raise ConvergenceError("ridge solve residual 1e-3 too large")
+        return fit(state, lam)
+
+    def failing_mle(samples, basis):
+        if seed[0] == 0:
+            raise ConvergenceError("simplex MLE did not converge")
+        return fit(samples, basis)
+
+    monkeypatch.setattr(realdata, "three_way_split", tracked)
+    if stage == "ridge":
+        monkeypatch.setattr(realdata, "ridge_estimate", failing_ridge)
+    else:
+        monkeypatch.setattr(realdata, "fit_mle_simplex", failing_mle)
+    code, out = _run(tmp_path / "failed", "real", payload)
+    assert code == clean_code == 0
+    with open(out / "records.csv") as fh, open(clean_out / "records.csv") as clean:
+        assert list(csv.DictReader(fh)) == [r for r in csv.DictReader(clean) if r["seed"] == "1"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [f["seed"] for f in summary["failures"]] == [0]
+    assert summary["failures"][0]["error"].startswith("ConvergenceError: " + {
+        "ridge": "ridge solve", "mle": "simplex MLE"}[stage])
+    assert summary["summary"] == seed_1_summary
+
+
 THREE = {**SCALING, "reps": 3, "lambdas": [0.001, 0.1], "metrics": ["l2", "ks"]}
 
 

@@ -62,6 +62,29 @@ def test_load_csv_rejects_no_complete_row(tmp_path):
         load_csv(p, "y")
 
 
+def test_load_csv_row_shapes(tmp_path):
+    """Blank lines are skipped and not counted; a short row is dropped and counted; a
+    repeated header name takes its last column; a row longer than the header keeps
+    its named fields."""
+    p = tmp_path / "t.csv"
+    p.write_text("x1,x2,x1,y\n\n0.0,9.0,1.0,2.0\n\n5.0,6.0\n0.0,8.0,3.0,4.0,7.0,8.0\n"
+                 "0.0,6.0,5.0,9.0\n")
+    ds = load_csv(p, "y")
+    assert ds.dropped_rows == 1
+    assert np.array_equal(ds.outcomes, [2.0, 4.0, 9.0])
+    assert np.array_equal(ds.features[:, 0], standardize(np.array([1.0, 3.0, 5.0])))
+    assert np.array_equal(ds.features[:, 1], standardize(np.array([9.0, 8.0, 6.0])))
+
+
+def test_load_csv_default_features_follow_the_header(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("b,y,a,c\n1.0,0.0,4.0,9.0\n2.0,1.0,3.0,7.0\n4.0,5.0,1.0,8.0\n")
+    ds = load_csv(p, "y")
+    assert np.array_equal(ds.outcomes, [0.0, 1.0, 5.0])
+    for i, column in enumerate([[1.0, 2.0, 4.0], [4.0, 3.0, 1.0], [9.0, 7.0, 8.0]]):
+        assert np.array_equal(ds.features[:, i], standardize(np.array(column)))
+
+
 def test_three_way_split():
     a, b, c = three_way_split(6, 0)
     assert (len(a), len(b), len(c)) == (2, 3, 1)
@@ -252,6 +275,33 @@ def test_evaluate_pipeline_discrete_mle(tmp_path, monkeypatch):
         g = (rho / (rho @ theta)[:, None]).sum(axis=0) / len(samples)
         assert np.all(g <= 1 + 1e-6)
         assert np.all(np.abs(g - 1)[theta > 0] <= 1e-6)
+
+
+def test_each_seed_solves_and_scores_once(monkeypatch):
+    """Per seed, one ridge solve for every lambda, one projection of its rows and one
+    CRPS call for every predictor; per feature, one OLS line, which the LAD fit reuses."""
+    calls = {"ridge_estimate": 0, "project_simplex": 0, "l2_error_crps": 0, "polyfit": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("ridge_estimate", "project_simplex", "l2_error_crps"):
+        counted(realdata, name, name)
+    counted(np, "polyfit", "polyfit")
+    cfg = {"csv_path": str(DATA / "gaussmix_500.csv"), "outcome": "y",
+           "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 48},
+           "basis": {"kind": "gaussian_laplace", "w": 0.5},
+           "lambdas": [0.01, 0.1, 1.0], "seeds": [0, 1]}
+    out = evaluate_pipeline(cfg)
+    assert out["failures"] == [] and len(out["rows"]) == 2 * 5
+    assert calls == {"ridge_estimate": 2, "project_simplex": 2, "l2_error_crps": 2,
+                     "polyfit": 2 * 3}  # 3 features
 
 
 def test_write_report_csv(tmp_path):
