@@ -39,14 +39,12 @@ def ridge_estimate(state: GramState, lam) -> np.ndarray:
     A state whose U is an (r, d, d) stack and u an (r, d) stack, or an (r,) array of lambdas,
     gives the r solutions as an (r, d) array; each row is held to its own residual check.
     """
-    vector = isinstance(lam, np.ndarray)
-    if (lam.min() if vector else lam) <= 0:
+    if np.asarray(lam).min() <= 0:
         raise ValueError("lambda must be positive; use unregularized_estimate for lambda=0")
     A = regularized_gram(state, lam)
-    u = np.broadcast_to(state.u, A.shape[:-1]) if vector else state.u
-    theta = _spd_solve(A, u)
-    resid = np.linalg.norm((A @ theta[..., None])[..., 0] - u, axis=-1)
-    bad = resid > 1e-10 * (1.0 + np.linalg.norm(u, axis=-1))
+    theta = _spd_solve(A, state.u)  # one u_n broadcasts against an (r,) lambda stack
+    resid = np.linalg.norm((A @ theta[..., None])[..., 0] - state.u, axis=-1)
+    bad = resid > 1e-10 * (1.0 + np.linalg.norm(state.u, axis=-1))
     if bad.any():
         raise ConvergenceError(f"ridge solve residual {np.max(resid[bad]):.3e} too large")
     return theta
@@ -90,8 +88,8 @@ def penalized_estimate(state: GramState, lam: float, delta_nU: float) -> np.ndar
     With A = U_n + lambda I = V diag(s) V^T and c = V^T u_n, the minimizer is
     theta(mu) = (A^2 + mu I)^-1 A u_n = V s w, w = c / (s^2 + mu), at the mu >= 0
     where ||s w|| = delta_nU ||w||. That ratio increases with mu, so mu is bisected.
-    A state whose U is an (r, d, d) stack and u an (r, d) stack gives the r minimizers
-    as an (r, d) array, all rows bisected at once to the mu each reaches alone; one is r = 1.
+    A state whose U is an (r, d, d) stack and u an (r, d) stack gives the r
+    minimizers as an (r, d) array, each row bisected on its own; one state is r = 1.
     """
     if delta_nU <= 0:
         raise ValueError("delta_nU must be positive")
@@ -106,28 +104,27 @@ def penalized_estimate(state: GramState, lam: float, delta_nU: float) -> np.ndar
     c = np.einsum("rji,rj->ri", V, b[live])
     s2 = s * s
 
-    def below(mu):  # ||s w|| < delta_nU ||w|| on every row, compared in squares
-        w = c / (s2 + mu[:, None])
-        return np.einsum("ri,ri->r", s2 * w, w) < delta_nU ** 2 * np.einsum("ri,ri->r", w, w)
+    def below(mu, rows):  # ||s w|| < delta_nU ||w|| on the given rows, compared in squares
+        w = c[rows] / (s2[rows] + mu[:, None])
+        return np.einsum("ri,ri->r", s2[rows] * w, w) < delta_nU ** 2 * np.einsum("ri,ri->r", w, w)
 
     lo, hi = np.zeros(len(s)), s2[:, -1].copy()
     grow = np.ones(len(s), dtype=bool)
     while grow.any():
-        grow &= below(hi)
-        np.multiply(hi, 2.0, out=hi, where=grow)
-    # A nonsingular with A theta = u_n already optimal: the residual vanishes. Only rows with
-    # s_min > 0 see mu = 0, and closed rows are scored at their hi, so no row divides 0 by 0.
+        grow[grow] = below(hi[grow], grow)
+        hi[grow] *= 2.0
+    # A nonsingular with A theta = u_n already optimal: the residual vanishes.
     exact = s[:, 0] > 0
-    exact &= ~below(np.where(exact, 0.0, hi))
+    exact[exact] = ~below(np.zeros(exact.sum()), exact)
     hi[exact] = 0.0
     while True:
         mid = 0.5 * (lo + hi)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
+        rows = np.flatnonzero((lo < mid) & (mid < hi))
+        if not rows.size:
             break
-        go = below(np.where(open_, mid, hi))
-        np.copyto(lo, mid, where=open_ & go)
-        np.copyto(hi, mid, where=open_ & ~go)
+        go = below(mid[rows], rows)
+        lo[rows[go]] = mid[rows[go]]
+        hi[rows[~go]] = mid[rows[~go]]
     theta[live] = np.einsum("rij,rj->ri", V, s * c / (s2 + hi[:, None]))
     return theta.reshape(state.u.shape)
 

@@ -98,8 +98,7 @@ def accumulate(state: GramState, basis: BasisFamily, x, y) -> GramState:
 
 def regularized_gram(state: GramState, lam) -> np.ndarray:
     """U_n + lambda I; an (r,) array of lambdas gives the (r, d, d) stack of U_n + lambda_r I."""
-    vector = isinstance(lam, np.ndarray)
-    if (lam.min() if vector else lam) < 0:
+    if np.asarray(lam).min() < 0:
         raise ValueError("lambda must be non-negative")
-    return state.U + (lam[..., None, None] if vector else lam) * np.eye(state.d)
+    return state.U + np.multiply.outer(lam, np.eye(state.d))
 

@@ -105,19 +105,19 @@ def fit_ols_univariate(xs, ys) -> UnivariateFit:
     return UnivariateFit(float(coef), float(intercept), float(np.mean(resid ** 2)))
 
 
-def fit_lad_univariate(xs, ys, ols: UnivariateFit | None = None) -> UnivariateFit:
+def fit_lad_univariate(xs, ys, ols: UnivariateFit) -> UnivariateFit:
     """Least absolute residual line, exact: some optimal line passes through two points.
 
     The best line through an anchor point k has the weighted median of the
     slopes (y_i - y_k) / (x_i - x_k), weighted by |x_i - x_k|. Starting at
-    the point nearest the OLS line (ols, when the caller has fitted it), the
-    anchor moves to the other point on that line until the L1 objective stops falling.
+    the point nearest the OLS line ols, the anchor moves to the other point
+    on that line until the L1 objective stops falling.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if np.ptp(xs) == 0:
         raise ValueError("LAD needs at least two distinct x values")
-    a, b = (ols.coef, ols.intercept) if ols is not None else np.polyfit(xs, ys, 1)
+    a, b = ols.coef, ols.intercept
     k = int(np.argmin(np.abs(ys - a * xs - b)))
     best = math.inf
     while True:
@@ -205,8 +205,8 @@ def evaluate_pipeline(config) -> dict:
     """Fit basis parameters, mixture weights, and baselines; report test CRPS rows.
 
     The seeds are config["seeds"], or n_seeds consecutive ones from seed; a
-    config that gives seeds with seed or n_seeds, or a negative seed, is an
-    error raised before any seed runs.
+    config that gives seeds with seed or n_seeds, a negative seed, or no
+    lambdas, is an error raised before any seed runs.
     """
     seeds = config.get("seeds")
     if seeds is None:
@@ -218,12 +218,14 @@ def evaluate_pipeline(config) -> dict:
         raise ValueError(f"seeds: {seeds!r} has a negative seed; seeds are non-negative")
     else:
         seeds = [int(s) for s in seeds]  # the config check lets 2.0 through as an integer
+    lambdas = [float(l) for l in config["lambdas"]]
+    if not lambdas:
+        raise ValueError("lambdas: give at least one ridge lambda")
     data = load_csv(config["csv_path"], config["outcome"],
                     config.get("features"), config.get("delimiter", ","))
     m = msr.measure_from_spec(config["measure"])
     basis_kind = config["basis"]["kind"]
     w = float(config["basis"].get("w", 0.0))
-    lambdas = [float(l) for l in config["lambdas"]]
 
     discrete = basis_kind == "logistic_probit"
     rows, errors = [], []

@@ -118,7 +118,8 @@ def test_ols_exact_and_normal_equations():
 
 
 def test_lad_exact_line_and_robustness():
-    fit = fit_lad_univariate([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    xs, ys = [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]
+    fit = fit_lad_univariate(xs, ys, fit_ols_univariate(xs, ys))
     assert fit.coef == pytest.approx(1.0, abs=1e-6)
     assert fit.intercept == pytest.approx(1.0, abs=1e-6)
 
@@ -126,8 +127,8 @@ def test_lad_exact_line_and_robustness():
     xs = np.linspace(0, 1, 40)
     ys = 2.0 * xs + 1.0
     ys[3] += 50.0  # single gross outlier
-    lad = fit_lad_univariate(xs, ys)
     ols = fit_ols_univariate(xs, ys)
+    lad = fit_lad_univariate(xs, ys, ols)
     obj = lambda f: np.sum(np.abs(ys - f.coef * xs - f.intercept))
     assert obj(lad) <= obj(ols) + 1e-8
     assert abs(lad.coef - 2.0) < 0.05
@@ -152,7 +153,7 @@ def test_lad_matches_brute_force_over_point_pairs():
         best = np.abs(ys - slopes[:, None] * xs - icpts[:, None]).sum(axis=1).min()
         if best == 0.0:
             continue  # a perfect fit leaves no relative tolerance
-        fit = fit_lad_univariate(xs, ys)
+        fit = fit_lad_univariate(xs, ys, fit_ols_univariate(xs, ys))
         obj = np.sum(np.abs(ys - fit.coef * xs - fit.intercept))
         assert obj <= best * (1 + 1e-12), (n, obj, best)
         assert fit.scale == pytest.approx(obj / n, rel=1e-12)
@@ -235,6 +236,14 @@ def test_evaluate_pipeline_smoke():
     assert "mle_simplex" not in out["summary"]
     for stats in out["summary"].values():
         assert stats["q05"] <= stats["q50"] <= stats["q95"]
+
+
+def test_evaluate_pipeline_rejects_no_lambdas():
+    cfg = {"csv_path": str(DATA / "smoke_12.csv"), "outcome": "y",
+           "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 32},
+           "basis": {"kind": "gaussian_laplace", "w": 0.0}, "lambdas": [], "seeds": [0]}
+    with pytest.raises(ValueError, match="lambdas"):
+        evaluate_pipeline(cfg)
 
 
 def test_evaluate_pipeline_discrete_mle(tmp_path, monkeypatch):
