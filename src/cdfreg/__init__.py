@@ -22,7 +22,5 @@ from .gram import (GramState, accumulate, gram_matrix_of_context, regularized_gr
 from .measure import (QuadMeasure, jump_panel,
                       make_counting_measure, make_gaussian_measure,
                       make_uniform_measure, measure_from_spec, tail_mass)
-from .synth import (Dataset, ExperimentRecord, hard_instance_matrix,
-                    run_coverage_experiment, run_scaling_experiment,
-                    sample_mismatched, sample_scheme1, sample_scheme2,
-                    uniform_contexts)
+from .synth import (ExperimentRecord, hard_instance_matrix, run_coverage_experiment,
+                    run_scaling_experiment, sample_scheme2, uniform_contexts)

@@ -238,13 +238,13 @@ def _exit_code(what, failures, any_succeeded):
 
 def _cmd_scaling(args, config):
     defaults = _LONG[args.command] if args.long else _DESK[args.command]
-    if "n_grid" not in config and "d_grid" not in config:
-        config["n_grid"] = defaults["n_grid"]
-    config["basis"].setdefault("d", 5)
     if "n_grid" in config and "d_grid" in config:
         raise _ConfigError("give exactly one of n_grid / d_grid")
     if "d_grid" in config and "n" not in config:
         raise _ConfigError("d_grid sweeps need a fixed n")
+    if "d_grid" not in config:  # an n_grid sweep, at d = 5 unless basis.d says otherwise
+        config.setdefault("n_grid", defaults["n_grid"])
+        config["basis"].setdefault("d", 5)
     records, aggregates = run_scaling_experiment(config)
     write_records_csv(os.path.join(args.out, "records.csv"), records)
     write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), aggregates)

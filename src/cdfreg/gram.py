@@ -3,9 +3,10 @@
 Accumulates U_n (integrated outer products of the basis vector) and u_n
 (integrated empirical-CDF responses) across samples.
 
-Every statistic is a weighted sum over the measure's nodes, computed by
-_sums for a batch of samples at once, a block of _BLOCK_ROWS rows at a
-time; the per-sample functions are the n=1 case of the same panel products.
+Every statistic is a weighted sum over the measure's nodes.  accumulate
+sums a batch of samples, a block of _BLOCK_ROWS rows at a time (_sums); the
+per-context Grams and responses take k contexts from one eval_nodes call,
+and one context is the k = 1 case.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure):
 
     Both integrals are sums over the measure's nodes, so one evaluation of
     Phi per block of _BLOCK_ROWS rows serves both, and no temporary grows
-    beyond one block.  ys=None leaves u at 0.
+    beyond one block.
     """
     d, K = basis.d, m.nodes.size
     U, u = np.zeros((d, d)), np.zeros(d)
@@ -55,14 +56,15 @@ def _sums(basis: BasisFamily, X, ys, m: msr.QuadMeasure):
         # (b, d, K) -> (d, b*K): one matrix product sums over rows and nodes.
         A = basis.eval_nodes(Xb, T[:len(Xb)]).transpose(1, 0, 2).reshape(d, -1)
         U += (A.reshape(d, -1, K) * m.weights).reshape(d, -1) @ A.T
-        if ys is not None:
-            u += A @ msr.jump_panel(ys[rows], m)[1].reshape(-1)
+        u += A @ msr.jump_panel(ys[rows], m)[1].reshape(-1)
     return U, u
 
 
-def gram_matrix_of_context(basis: BasisFamily, x, m: msr.QuadMeasure) -> np.ndarray:
-    """Integral of Phi(x,t) Phi(x,t)^T against the measure."""
-    return _sums(basis, [x], None, m)[0]
+def gram_matrix_of_context(basis: BasisFamily, X, m: msr.QuadMeasure) -> np.ndarray:
+    """The (k, d, d) integrals of Phi(x,t) Phi(x,t)^T against the measure, one per context of
+    the k in X, from one eval_nodes call; [x] gives one context's as the k = 1 case."""
+    P = basis.eval_nodes(X, np.broadcast_to(m.nodes, (len(X), m.nodes.size)))
+    return (P * m.weights) @ P.transpose(0, 2, 1)
 
 
 def response_vector_of_sample(basis: BasisFamily, x, y, m: msr.QuadMeasure) -> np.ndarray:

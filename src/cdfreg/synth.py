@@ -1,8 +1,8 @@
 """Synthetic data generators and the replicated experiment driver.
 
 Includes the adversarial Bernoulli hard instance, the Bernoulli atom
-design, the polynomial random-design setup, mismatched-model sampling, and
-the scaling / coverage runs that emit plot-ready records.
+design, the polynomial random-design sampler, and the scaling / coverage
+runs that emit plot-ready records.
 
 One driver (_point) serves both runs: on a design built once (_design), it
 draws each rep's statistics from the rep's own Philox stream, solves each
@@ -27,8 +27,7 @@ from .basis import (BasisFamily, BernoulliBasis, PolynomialBasis, check_simplex,
 from .errors import CdfRegError
 from .estimators import (delta_nU_default, penalized_estimate, project_simplex,
                          ridge_estimate)
-from .gram import (_BLOCK_ROWS, GramState, gram_matrix_of_context, regularized_gram,
-                   response_vector_of_sample)
+from .gram import GramState, gram_matrix_of_context, regularized_gram, response_vector_of_sample
 
 RECORD_COLUMNS = ["experiment_id", "scheme", "d", "n", "lambda", "rep", "seed",
                   "metric_name", "value"]
@@ -46,13 +45,6 @@ _UNIT_INTERVAL = msr.make_uniform_measure(0.0, 1.0, 2)
 def stream_rng(seed: int, *key) -> np.random.Generator:
     """Counter-based generator with a per-stream key, independent of every other stream."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-@dataclass
-class Dataset:
-    contexts: np.ndarray | list  # n contexts, indexed by the first axis
-    outcomes: np.ndarray
-    E_n: np.ndarray | None = None  # realized mismatch vector (sample_mismatched only)
 
 
 @dataclass
@@ -109,75 +101,25 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> tuple[np.ndarray, np
 def uniform_contexts(lo, hi):
     """Batch sampler of contexts uniform on the box [lo, hi]; scalar bounds give scalar contexts.
 
-    sampler(rng, n, k) returns the n contexts and an (n, k) array of levels,
-    uniform on [0, 1), from one generator call whose row j is context j and
-    then its k levels: the doubles a loop drawing sample by sample would draw.
+    sampler(rng, n) returns the n contexts and their n levels, uniform on
+    [0, 1), from one generator call whose row j is context j and then its
+    level: the doubles a loop drawing sample by sample would draw.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = lo.size
 
-    def sampler(rng, n, k):
-        D = rng.uniform(np.append(lo, np.zeros(k)), np.append(hi, np.ones(k)), (n, c + k))
-        return (D[:, 0] if lo.ndim == 0 else D[:, :c]), D[:, c:]
+    def sampler(rng, n):
+        D = rng.uniform(np.append(lo, 0.0), np.append(hi, 1.0), (n, c + 1))
+        return (D[:, 0] if lo.ndim == 0 else D[:, :c]), D[:, c]
 
     return sampler
 
 
-def sample_scheme2(basis: BasisFamily, context_sampler, theta_star, n: int,
-                   seed: int) -> Dataset:
-    """I.i.d. contexts: draw each x with its level u, then y from the mixture CDF by inverse sampling.
-
-    context_sampler(rng, n, k) gives n contexts and an (n, k) array of levels
-    in [0, 1) (see uniform_contexts); here k = 1.
-    """
-    theta_star = np.asarray(theta_star, dtype=float)
-    X, U = context_sampler(stream_rng(seed), n, 1)
-    ys = inverse_cdf_sample(theta_star, basis, X, U[:, 0])
-    return Dataset(X, ys)
-
-
-def sample_scheme1(basis: BasisFamily, adversary, theta_star, n: int,
-                   seed: int) -> Dataset:
-    """Adaptive contexts: the adversary sees the full (x, y) history."""
-    theta_star = np.asarray(theta_star, dtype=float)
-    rng = stream_rng(seed)
-    history, contexts, ys = [], [], np.empty(n)
-    for j in range(n):
-        x = adversary(history)
-        u = rng.uniform()
-        ys[j] = inverse_cdf_sample(theta_star, basis, x, u)
-        contexts.append(x)
-        history.append((x, ys[j]))
-    return Dataset(contexts, ys)
-
-
-def sample_mismatched(basis: BasisFamily, phi_e: BasisFamily, q: float,
-                      theta_star, n: int, seed: int, context_sampler,
-                      m: msr.QuadMeasure) -> Dataset:
-    """Sample from (1-q) theta*^T Phi + q phi_e and record the realized mismatch vector E_n.
-
-    phi_e is a one-dimensional basis family sharing the context space.
-    context_sampler is a batch sampler as in sample_scheme2, drawing k = 2
-    levels per sample: the first picks phi_e, the second is the level u.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("mixture weight q must lie in [0,1]")
-    theta_star = np.asarray(theta_star, dtype=float)
-    X, U = context_sampler(stream_rng(seed), n, 2)
-    X = np.asarray(X)
-    pick_e, us = U[:, 0] < q, U[:, 1]
-    ys = np.empty(n)
-    ys[pick_e] = inverse_cdf_sample(np.array([1.0]), phi_e, X[pick_e], us[pick_e])
-    ys[~pick_e] = inverse_cdf_sample(theta_star, basis, X[~pick_e], us[~pick_e])
-    # e_j(t) = q (phi_e(x_j,t) - theta*^T Phi(x_j,t)); accumulate its Gram response.
-    E_n = np.zeros(basis.d)
-    for s in range(0, n, _BLOCK_ROWS):
-        Xb = X[s:s + _BLOCK_ROWS]
-        T = np.broadcast_to(m.nodes, (len(Xb), m.nodes.size))
-        P = basis.eval_nodes(Xb, T)
-        e_vals = q * (phi_e.eval_nodes(Xb, T)[:, 0] - theta_star @ P)
-        E_n += np.einsum("bik,bk->i", P, m.weights * e_vals)
-    return Dataset(X, ys, E_n)
+def sample_scheme2(basis: BasisFamily, context_sampler, theta_star, n: int, seed: int):
+    """I.i.d. contexts: draw each x with its level u, then y from the mixture CDF by inverse
+    sampling.  context_sampler is a batch sampler as uniform_contexts gives; returns (X, ys)."""
+    X, us = context_sampler(stream_rng(seed), n)
+    return X, inverse_cdf_sample(np.asarray(theta_star, dtype=float), basis, X, us)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +139,14 @@ def _atom_statistics(P, m):
 
     The atoms are Bernoulli p-vectors.  Each atom's Gram G (k, d, d) and its
     responses R0, R1 (k, d) at y = 0 and y = 1 are integrated against m
-    once, the 2k responses in one call; a state is then the count-weighted
-    sums U_n = counts.G and u_n = (counts - ones).R0 + ones.R1.  A caller
-    whose counts are fixed passes their U_n once built, as U.
+    once, the k Grams in one call and the 2k responses in another; a state
+    is then the count-weighted sums U_n = counts.G and u_n = (counts -
+    ones).R0 + ones.R1.  A caller whose counts are fixed passes their U_n
+    once built, as U.
     """
     k, d = P.shape
     basis = BernoulliBasis(d)
-    G = np.array([gram_matrix_of_context(basis, p, m) for p in P]).reshape(k, d * d)
+    G = gram_matrix_of_context(basis, P, m).reshape(k, d * d)
     R0, R1 = response_vector_of_sample(basis, np.vstack([P, P]), np.repeat([0.0, 1.0], k),
                                        m).reshape(2, k, d)
 
@@ -320,6 +263,13 @@ def _atom_fields(spec, d):
     return P_atoms, np.clip(probs, 0.0, None), m
 
 
+# The basis fields each design reads.  d is the n_grid sweep's, which run_scaling_experiment
+# checks, and run_coverage_experiment leaves p_e to mismatch mode.
+_BASIS_FIELDS = {"bernoulli_hard": {"kind", "d", "c", "p_e"},
+                 "bernoulli_atoms": {"kind", "atoms", "probs", "measure"},
+                 "polynomial": {"kind", "d", "x_lo", "x_hi"}}
+
+
 def _design(config, mode, d, n, theta_star):
     """(draw, Sigma_n, ks_fn, extra), what every rep of grid point (d, n) shares.
 
@@ -332,10 +282,16 @@ def _design(config, mode, d, n, theta_star):
     ones from their exact law (_bernoulli_rep).  A polynomial rep integrates
     its samples' statistics exactly, and so does its Sigma_n.  ks_fn is None
     on the atom design, which no sweep runs.  Only mode "mismatch" changes
-    the design: its outcomes mix in phi_e, and extra holds E_n_norm.
+    the design: its outcomes mix in phi_e, and extra holds E_n_norm.  A
+    basis field that the design does not read is a config error.
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
+    if kind not in _BASIS_FIELDS:
+        raise ValueError(f"unknown basis kind {kind!r}")
+    unread = sorted(set(spec) - _BASIS_FIELDS[kind])
+    if unread:
+        raise ValueError(f"basis.{unread[0]}: the {kind} design does not read it")
     if mode == "mismatch" and kind != "bernoulli_hard":
         raise ValueError("mismatch mode uses the bernoulli_hard design")
     if kind in ("bernoulli_hard", "bernoulli_atoms"):
@@ -370,8 +326,6 @@ def _design(config, mode, d, n, theta_star):
         success = np.clip(success, 0.0, 1.0)
         return ((lambda rng: _bernoulli_rep(state, counts(rng), success, rng)), Sigma_n,
                 ks_fn, extra)
-    if kind != "polynomial":
-        raise ValueError(f"unknown basis kind {kind!r}")
     x_lo, x_hi = float(spec.get("x_lo", 0.5)), float(spec.get("x_hi", 2.0))
     if not 0.0 < x_lo < x_hi < math.inf:
         raise ValueError(f"basis.x_lo must lie in (0, basis.x_hi); got x_lo={x_lo}, x_hi={x_hi}")
@@ -380,8 +334,8 @@ def _design(config, mode, d, n, theta_star):
     contexts = uniform_contexts(x_lo, x_hi)
 
     def draw(rng) -> GramState:
-        ds = sample_scheme2(basis, contexts, theta_star, n, int(rng.integers(2 ** 62)))
-        return _polynomial_rep(basis.exponents, m, ds.contexts, ds.outcomes)
+        X, ys = sample_scheme2(basis, contexts, theta_star, n, int(rng.integers(2 ** 62)))
+        return _polynomial_rep(basis.exponents, m, X, ys)
 
     Sigma_n = n * _polynomial_sigma_1(basis.exponents, x_lo, x_hi)
     grid = bounds.ks_grid(0.0, 2.0, jump_points=[1.0 / x for x in (x_lo, 1.0, x_hi)])
@@ -507,9 +461,14 @@ def run_scaling_experiment(config) -> tuple[list, list]:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     scheme = "Fixed" if config["basis"]["kind"] == "bernoulli_hard" else "Random"
+    # Each sweep reads one of n and basis.d beside its grid; the other is a config error.
     if "n_grid" in config:
+        if "n" in config:
+            raise ValueError("n: an n_grid sweep takes its n from n_grid")
         points = [(int(config["basis"]["d"]), int(n)) for n in config["n_grid"]]
     else:
+        if "d" in config["basis"]:
+            raise ValueError("basis.d: a d_grid sweep takes its d from d_grid")
         points = [(int(d), int(config["n"])) for d in config["d_grid"]]
     lambdas = [float(l) for l in config["lambdas"]]
     delta = float(config.get("delta", 0.1))
@@ -567,10 +526,11 @@ def run_coverage_experiment(config) -> dict:
     mode = config.get("mode", "self")
     if mode not in _MODE_METRIC:
         raise ValueError(f"unknown coverage mode {mode!r}")
-    if mode == "mismatch" and "q" not in config:  # checked here, before any rep runs
-        raise ValueError("mismatch mode needs q")
-    if mode == "mismatch" and "p_e" not in config.get("basis", {}):
-        raise ValueError("mismatch mode needs basis.p_e")
+    for field, given in (("q", "q" in config), ("basis.p_e", "p_e" in config.get("basis", {}))):
+        if mode == "mismatch" and not given:  # checked here, before any rep runs
+            raise ValueError(f"mismatch mode needs {field}")
+        if mode != "mismatch" and given:
+            raise ValueError(f"{field}: only mismatch mode reads it")
     if mode == "penalized" and "lambda" in config:
         raise ValueError("lambda: penalized mode takes no lambda; its penalty comes from delta")
     seed = int(config.get("seed", 0))

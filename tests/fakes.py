@@ -3,8 +3,8 @@ samplers that the package's faster ones must match bit for bit."""
 
 import numpy as np
 
-from cdfreg.basis import (_BISECT_TOL, _GRID, _LEVEL_SLACK, BasisFamily, BernoulliBasis,
-                          _batch_form, _narrow, _positive_contexts)
+from cdfreg.basis import (_BISECT_TOL, _GRID, _LEVEL_SLACK, BasisFamily, _batch_form, _narrow,
+                          _positive_contexts)
 from cdfreg.errors import BracketError
 
 
@@ -33,16 +33,6 @@ class CustomBasis(BasisFamily):
 
     def atoms(self, x):
         return self._atoms
-
-
-class FirstCoordinateBernoulli(BernoulliBasis):
-    """One Bernoulli coordinate whose success probability is the context's first entry."""
-
-    def __init__(self):
-        super().__init__(1)
-
-    def _probs_batch(self, X) -> np.ndarray:
-        return super()._probs_batch([np.atleast_1d(x)[:1] for x in X])
 
 
 def grid_bisect_reference(theta, basis, X, us):

@@ -210,7 +210,7 @@ def test_bernoulli_gram_fast_path_matches_quadrature():
         unit = msr.make_uniform_measure(0.0, 1.0, n_nodes)
         for _ in range(100):
             p = rng.random(4)
-            G = gram_matrix_of_context(basis, p, unit)
+            G = gram_matrix_of_context(basis, [p], unit)[0]
             assert np.max(np.abs(G - np.outer(1.0 - p, 1.0 - p))) <= 1e-14
 
 

@@ -116,9 +116,9 @@ def test_bound_check_writes_plain_numbers(tmp_path, mode):
     """Every number bound-check writes is a plain float literal, whatever type the
     scores and bounds took on the way."""
     payload = {"mode": mode, "d": 3, "n": 300, "delta": 0.1, "reps": 5, "seed": 1,
-               "basis": {"kind": "bernoulli_hard", "p_e": 0.4}}
+               "basis": {"kind": "bernoulli_hard"}}
     if mode == "mismatch":
-        payload["q"] = 0.2
+        payload.update(q=0.2, basis={"kind": "bernoulli_hard", "p_e": 0.4})
     code, out = run(tmp_path, "bound-check", payload)
     assert code == 0
     for name in ("records.csv", "aggregates.csv"):
@@ -448,6 +448,35 @@ def test_bad_mode_fields_exit_2_naming_the_field(tmp_path, capsys, message, payl
                                               **payload})
     assert code == 2
     assert message in _config_error(capsys)
+    assert not (out / "records.csv").exists()
+
+
+_HARD_SELF = dict(_BOUND_CFG, d=3)
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("bound-check", dict(_HARD_SELF, q=0.5), "q"),
+    ("bound-check", dict(_HARD_SELF, basis={"kind": "bernoulli_hard", "p_e": 0.4}), "basis.p_e"),
+    ("bound-check", dict(_HARD_SELF, basis={"kind": "bernoulli_hard", "atoms": [[1, 2]]}),
+     "basis.atoms"),
+    ("bound-check", dict(_HARD_SELF, q=0.5, basis={"kind": "bernoulli_hard", "p_e": 0.4,
+                                                   "atoms": [[1, 2]]}), "q"),
+    ("bound-check", {"mode": "penalized", "d": 3, "n": 50, "delta": 0.1, "reps": 2,
+                     "basis": dict(_ATOMS, c=2.0)}, "basis.c"),
+    ("synth-poly", dict(POLY_CFG, basis={"kind": "polynomial", "d": 2, "c": 7}), "basis.c"),
+    ("synth-bernoulli", dict(BERN_CFG, basis={"kind": "bernoulli_hard", "d": 2, "x_lo": 0.5,
+                                              "x_hi": 2.0}), "basis.x_hi"),
+    ("synth-bernoulli", {"basis": {"kind": "bernoulli_hard", "d": 7}, "lambdas": [0.001],
+                         "reps": 2, "d_grid": [3, 4], "n": 100}, "basis.d"),
+    ("synth-bernoulli", dict(BERN_CFG, n=999), "n"),
+], ids=["self_q", "self_p_e", "hard_atoms", "self_q_p_e_atoms", "atoms_c", "poly_c",
+        "hard_x_range", "d_beside_d_grid", "n_beside_n_grid"])
+def test_unread_config_field_exits_2_naming_it(tmp_path, capsys, command, payload, field):
+    """A field that the chosen mode, design or grid never reads is a config error, not
+    silently ignored."""
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert _config_error(capsys).startswith(f"ValueError: {field}: ")
     assert not (out / "records.csv").exists()
 
 

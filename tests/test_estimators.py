@@ -73,7 +73,7 @@ def test_unregularized_recovers_noiseless_theta():
     b = BernoulliBasis(d)
     from cdfreg.gram import gram_matrix_of_context
     for _ in range(6):
-        U += gram_matrix_of_context(b, rng.uniform(0.1, 0.9, d), UNIT)
+        U += gram_matrix_of_context(b, [rng.uniform(0.1, 0.9, d)], UNIT)[0]
     s = GramState(d, UNIT, 6, U, U @ theta_star)
     assert np.allclose(unregularized_estimate(s), theta_star, atol=1e-8)
 

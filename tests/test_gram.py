@@ -14,19 +14,19 @@ UNIT = msr.make_uniform_measure(0.0, 1.0, 64)
 
 def test_bernoulli_gram_closed_form():
     b = BernoulliBasis(2)
-    G = gram_matrix_of_context(b, [0.5, 0.75], UNIT)
+    G = gram_matrix_of_context(b, [[0.5, 0.75]], UNIT)[0]
     assert np.allclose(G, [[0.25, 0.125], [0.125, 0.0625]], atol=1e-14)
 
 
 def test_constant_one_basis_gram():
     b = CustomBasis(1, lambda x, ts: np.ones((1, np.atleast_1d(ts).size)), 0.0, 1.0)
-    G = gram_matrix_of_context(b, None, UNIT)
+    G = gram_matrix_of_context(b, [None], UNIT)[0]
     assert G[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_polynomial_gram_quadrature():
     b = PolynomialBasis(1)
-    G = gram_matrix_of_context(b, 1.0, UNIT)
+    G = gram_matrix_of_context(b, [1.0], UNIT)[0]
     assert G[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
@@ -36,7 +36,7 @@ def test_bernoulli_fast_path_matches_quadrature():
     b = BernoulliBasis(3)
     for _ in range(10):
         p = rng.random(3)
-        G = gram_matrix_of_context(b, p, UNIT)
+        G = gram_matrix_of_context(b, [p], UNIT)[0]
         assert np.max(np.abs(G - np.outer(1.0 - p, 1.0 - p))) < 1e-14
 
 

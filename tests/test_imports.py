@@ -1,5 +1,5 @@
 """numpy and the standard library are the only imports of the CLI path, and
-every name the package exports is used by a driver or is listed as library-only.
+every public name of the package is used by a driver or is listed as library-only.
 
 Each import check runs in a fresh interpreter, so the modules the test session
 has already loaded (scipy, jsonschema, hypothesis) do not hide an import.
@@ -75,15 +75,16 @@ def test_cli_import_loads_neither_numpy_ma_nor_concurrent_futures():
             or m.split(".")[0] == "concurrent"] == []
 
 
-# Exports that no driver reaches: the paper results no command runs yet and the
+# Public names that no driver reaches: the paper results no command runs yet and the
 # error unregularized_estimate raises.
 LIBRARY_ONLY = {"hilbert_bound", "hilbert_estimate", "epsilon_unreg", "unregularized_estimate",
-                "SingularGram", "sample_scheme1", "sample_mismatched"}
+                "SingularGram"}
 
 
-def _exports_and_driver_names():
-    """Names cdfreg/__init__.py exports, and every name the cli, synth and realdata
-    modules refer to, directly or through the package functions and classes they use."""
+def _public_and_driver_names():
+    """The package's public names, which are what cdfreg/__init__.py exports and every
+    top-level def and class not named with a leading _, and every name the cli, synth and
+    realdata modules refer to, directly or through the package functions and classes they use."""
     trees = {p.stem: ast.parse(p.read_text()) for p in (SRC / "cdfreg").glob("*.py")}
     defs = {node.name: node for stem, tree in trees.items() if stem != "__init__"
             for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -97,11 +98,11 @@ def _exports_and_driver_names():
                     todo.append(defs[name])
     exported = {alias.asname or alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    return exported, used
+    return exported | {name for name in defs if not name.startswith("_")}, used
 
 
 def test_every_export_is_used_by_a_driver_or_library_only():
-    exported, used = _exports_and_driver_names()
-    assert sorted(exported - used - LIBRARY_ONLY) == []
-    assert sorted(LIBRARY_ONLY - exported) == []  # the list names only exports
+    public, used = _public_and_driver_names()
+    assert sorted(public - used - LIBRARY_ONLY) == []
+    assert sorted(LIBRARY_ONLY - public) == []  # the list names only public names
     assert sorted(LIBRARY_ONLY & used) == []  # a name a driver reaches leaves the list

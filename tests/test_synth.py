@@ -15,9 +15,8 @@ from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context,
                          response_vector_of_sample)
 from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
-                          run_scaling_experiment, sample_mismatched, sample_scheme1,
-                          sample_scheme2, sorted_quantile, stream_rng, uniform_contexts)
-from fakes import FirstCoordinateBernoulli
+                          run_scaling_experiment, sample_scheme2, sorted_quantile, stream_rng,
+                          uniform_contexts)
 
 
 def _hard_instance_loop(d, n, c):
@@ -263,26 +262,24 @@ def test_stream_rng_keyed_and_reproducible():
 
 def _fixed_context(x):
     """Batch sampler of the one context x: it draws only the levels."""
-    return lambda rng, n, k: (np.tile(x, (n, 1)), rng.random((n, k)))
+    return lambda rng, n: (np.tile(x, (n, 1)), rng.random(n))
 
 
-def _alternating_draws(draw_context, n, seed, k):
-    """Reference: the per-sample loop the batch draw replaces, each context then its k levels."""
+def _alternating_draws(draw_context, n, seed):
+    """Reference: the per-sample loop the batch draw replaces, each context then its level."""
     rng = stream_rng(seed)
-    contexts, U = [], np.empty((n, k))
+    contexts, us = [], np.empty(n)
     for j in range(n):
         contexts.append(draw_context(rng))
-        for i in range(k):
-            U[j, i] = rng.uniform()
-    return np.asarray(contexts), U
+        us[j] = rng.uniform()
+    return np.asarray(contexts), us
 
 
-# name -> (basis, one-dimensional phi_e on its contexts, per-sample draw, batch sampler)
+# name -> (basis, per-sample draw, batch sampler)
 _DESIGNS = {
-    "scalar": (PolynomialBasis(4), PolynomialBasis(1), lambda r: r.uniform(0.5, 2.0),
-               uniform_contexts(0.5, 2.0)),
-    "vector": (BernoulliBasis(3), FirstCoordinateBernoulli(),
-               lambda r: r.uniform(0.2, 0.8, 3), uniform_contexts([0.2] * 3, [0.8] * 3)),
+    "scalar": (PolynomialBasis(4), lambda r: r.uniform(0.5, 2.0), uniform_contexts(0.5, 2.0)),
+    "vector": (BernoulliBasis(3), lambda r: r.uniform(0.2, 0.8, 3),
+               uniform_contexts([0.2] * 3, [0.8] * 3)),
 }
 
 
@@ -290,97 +287,36 @@ _DESIGNS = {
 @pytest.mark.parametrize("design", _DESIGNS)
 def test_batch_draw_is_the_alternating_stream(design, n):
     """One generator call gives the contexts and outcomes of the per-sample loop, bit for bit."""
-    basis, phi_e, draw_context, sampler = _DESIGNS[design]
+    basis, draw_context, sampler = _DESIGNS[design]
     theta = np.arange(1.0, basis.d + 1) / (basis.d * (basis.d + 1) / 2)
-    X, U = _alternating_draws(draw_context, n, 3, 1)
-    ds = sample_scheme2(basis, sampler, theta, n, seed=3)
-    assert ds.contexts.tobytes() == X.tobytes()
-    assert ds.outcomes.tobytes() == inverse_cdf_sample(theta, basis, X, U[:, 0]).tobytes()
-
-    q = 0.3
-    X, U = _alternating_draws(draw_context, n, 5, 2)
-    pick = U[:, 0] < q
-    ys = np.empty(n)
-    ys[pick] = inverse_cdf_sample(np.array([1.0]), phi_e, X[pick], U[pick, 1])
-    ys[~pick] = inverse_cdf_sample(theta, basis, X[~pick], U[~pick, 1])
-    ds = sample_mismatched(basis, phi_e, q, theta, n, 5, sampler,
-                           msr.make_uniform_measure(0.0, 2.0, 8))
-    assert ds.contexts.tobytes() == X.tobytes()
-    assert ds.outcomes.tobytes() == ys.tobytes()
+    X, us = _alternating_draws(draw_context, n, 3)
+    contexts, outcomes = sample_scheme2(basis, sampler, theta, n, seed=3)
+    assert contexts.tobytes() == X.tobytes()
+    assert outcomes.tobytes() == inverse_cdf_sample(theta, basis, X, us).tobytes()
 
 
 def test_sample_scheme2_deterministic():
     b = BernoulliBasis(2)
     sampler = uniform_contexts([0.2, 0.2], [0.8, 0.8])
-    d1 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
-    d2 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
-    assert np.array_equal(d1.outcomes, d2.outcomes)
-    assert set(np.unique(d1.outcomes)) <= {0.0, 1.0}
+    _, y1 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
+    _, y2 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
+    assert np.array_equal(y1, y2)
+    assert set(np.unique(y1)) <= {0.0, 1.0}
 
 
 def test_sample_scheme2_degenerate_context():
     b = BernoulliBasis(1)
-    ds = sample_scheme2(b, _fixed_context([1.0]), [1.0], 50, seed=0)
-    assert np.all(ds.outcomes == 1.0)  # p = P(y=1) = 1
+    _, ys = sample_scheme2(b, _fixed_context([1.0]), [1.0], 50, seed=0)
+    assert np.all(ys == 1.0)  # p = P(y=1) = 1
 
 
 def test_sample_scheme2_binomial_rate():
     b = BernoulliBasis(1)
     n = 10000
-    ds = sample_scheme2(b, _fixed_context([0.7]), [1.0], n, seed=1)
+    _, ys = sample_scheme2(b, _fixed_context([0.7]), [1.0], n, seed=1)
     # P(y=1) = p = 0.7; three-sigma band
-    rate = float(np.mean(ds.outcomes))
+    rate = float(np.mean(ys))
     assert abs(rate - 0.7) < 3.0 * np.sqrt(0.3 * 0.7 / n)
-
-
-def test_sample_scheme1_adversary_sees_history():
-    b = BernoulliBasis(2)
-    seen = []
-
-    def adversary(history):
-        seen.append(len(history))
-        return np.array([0.5, 0.5])
-
-    ds = sample_scheme1(b, adversary, [0.5, 0.5], 5, seed=9)
-    assert seen == [0, 1, 2, 3, 4]
-    replay = sample_scheme1(b, lambda h: np.array([0.5, 0.5]), [0.5, 0.5], 5,
-                            seed=9)
-    assert np.array_equal(ds.outcomes, replay.outcomes)
-
-
-def test_sample_mismatched_zero_weight():
-    m = msr.make_uniform_measure(0.0, 1.0, 32)
-    b = BernoulliBasis(2)
-    e = FirstCoordinateBernoulli()
-    ds = sample_mismatched(b, e, 0.0, [0.5, 0.5], 30, 2,
-                           uniform_contexts([0.2, 0.2], [0.8, 0.8]), m)
-    assert np.allclose(ds.E_n, 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        sample_mismatched(b, e, 1.5, [0.5, 0.5], 5, 0,
-                          uniform_contexts([0.2, 0.2], [0.8, 0.8]), m)
-
-
-def test_sample_mismatched_identical_contaminant():
-    # phi_e equal to the mixture itself leaves no realized mismatch
-    m = msr.make_uniform_measure(0.0, 1.0, 32)
-    b = BernoulliBasis(1)
-    e = BernoulliBasis(1)
-    ds = sample_mismatched(b, e, 0.7, [1.0], 40, 5, _fixed_context([0.4]), m)
-    assert np.allclose(ds.E_n, 0.0, atol=1e-10)
-
-
-def test_sample_mismatched_nonzero_direction():
-    m = msr.make_uniform_measure(0.0, 1.0, 32)
-    b = BernoulliBasis(1)
-
-    class Shifted(BernoulliBasis):
-        def eval_nodes(self, x, ts):
-            return super().eval_nodes(np.asarray(x) * 0.5, ts)
-
-    ds = sample_mismatched(b, Shifted(1), 1.0, [1.0], 10, 5, _fixed_context([0.8]), m)
-    # e(t) = 1{t in [0,1)} (q_e - q) with q=0.2, q_e=0.6; response vs q=0.2 basis
-    # E_n = n * 0.4 * integral of q over [0,1) = 10 * 0.4 * 0.2
-    assert ds.E_n[0] == pytest.approx(10 * 0.4 * 0.2, abs=1e-8)
 
 
 def test_run_scaling_experiment_shapes():
@@ -437,11 +373,11 @@ def test_polynomial_statistics_equal_exact_panels(d, x_lo):
     the batch sums them.  x_lo = 0.3 puts 1/x, and some outcomes, above the outcome range."""
     basis = PolynomialBasis(d)
     theta = np.arange(1, d + 1.0) / (d * (d + 1) / 2)
-    ds = sample_scheme2(basis, uniform_contexts(x_lo, 1.0), theta, 100, 17)
+    X, ys = sample_scheme2(basis, uniform_contexts(x_lo, 1.0), theta, 100, 17)
+    assert (ys > 2).any() == (x_lo < 0.5)
     # outcomes at 0 and at 1/x, and outside the draws' [0, 1/x]: above 1/x and below 0
-    X = np.append(ds.contexts, [0.3, 0.3, 0.7, 0.7, 1.5])
-    ys = np.append(ds.outcomes, [0.0, 1 / 0.3, 1 / 0.7, 1.9, -0.2])
-    assert (ds.outcomes > 2).any() == (x_lo < 0.5)
+    X = np.append(X, [0.3, 0.3, 0.7, 0.7, 1.5])
+    ys = np.append(ys, [0.0, 1 / 0.3, 1 / 0.7, 1.9, -0.2])
     U_sum, u_sum = np.zeros((d, d)), np.zeros(d)
     for x, y in zip(X, ys):
         U, u = _panel_statistics(basis, x, y)
@@ -527,9 +463,9 @@ def _scaling_reference(config):
                 ks = lambda th: bernoulli_ks_sup(project_simplex(th), theta, d)
             else:
                 basis, m = PolynomialBasis(d), msr.make_uniform_measure(0.0, 2.0)
-                ds = sample_scheme2(basis, uniform_contexts(0.5, 2.0), theta, n,
-                                    int(rng.integers(2 ** 62)))
-                state = synth._polynomial_rep(basis.exponents, m, ds.contexts, ds.outcomes)
+                X, ys = sample_scheme2(basis, uniform_contexts(0.5, 2.0), theta, n,
+                                       int(rng.integers(2 ** 62)))
+                state = synth._polynomial_rep(basis.exponents, m, X, ys)
                 Sigma_n = n * synth._polynomial_sigma_1(basis.exponents, 0.5, 2.0)
                 grid = bounds.ks_grid(0.0, 2.0, jump_points=[2.0, 1.0, 0.5])
 
@@ -692,7 +628,8 @@ def test_sorted_quantile_is_np_quantile(vals, q):
 @pytest.mark.parametrize("atoms", ["hard", "coverage"])
 def test_atom_statistics_equal_per_atom_calls_bit_for_bit(atoms):
     """The atom statistics' per-atom Grams and their y = 0 and y = 1 responses, all
-    atoms' responses from one call, have the bits of one call per atom."""
+    atoms' Grams from one call and all their responses from another, have the bits of
+    one call per atom."""
     if atoms == "hard":
         P, m = hard_instance_matrix(5, 10, 1.0)[0], _UNIT_INTERVAL
     else:
@@ -701,7 +638,7 @@ def test_atom_statistics_equal_per_atom_calls_bit_for_bit(atoms):
     k, d = P.shape
     state, basis = _atom_statistics(P, m), BernoulliBasis(d)
     for a, e in enumerate(np.eye(k, dtype=int)):  # one draw at atom a
-        G = gram_matrix_of_context(basis, P[a], m)
+        G = gram_matrix_of_context(basis, [P[a]], m)[0]
         assert state(e, 0 * e).U.tobytes() == (0.5 * (G + G.T)).tobytes()
         for y, ones in ((0.0, 0 * e), (1.0, e)):
             assert state(e, ones).u.tobytes() == response_vector_of_sample(
@@ -740,9 +677,10 @@ def test_run_coverage_rejects_unknown_mode():
 
 
 def test_coverage_builds_the_atom_design_once(monkeypatch):
-    """Each atom's Gram and the measure are built once per run, not once per rep, and
-    Sigma_n comes from the same per-atom Grams; the responses of every atom at y = 0
-    and y = 1 are one call, and the penalized estimates are one stacked solve."""
+    """The atoms' Grams and the measure are built once per run, not once per rep, and
+    Sigma_n comes from the same per-atom Grams; the Grams of every atom are one call,
+    their responses at y = 0 and y = 1 another, and the penalized estimates are one
+    stacked solve."""
     from cdfreg import synth
     calls = {}
 
@@ -763,5 +701,5 @@ def test_coverage_builds_the_atom_design_once(monkeypatch):
         "basis": {"kind": "bernoulli_atoms", "atoms": [[0.2, 0.5, 0.8], [0.7, 0.3, 0.6]],
                   "probs": [0.5, 0.5], "measure": {"kind": "counting", "points": [0.0, 1.0]}}})
     assert len(report["rows"]) == 50
-    assert calls == {"gram_matrix_of_context": 2, "response_vector_of_sample": 1,
+    assert calls == {"gram_matrix_of_context": 1, "response_vector_of_sample": 1,
                      "measure_from_spec": 1, "penalized_estimate": 1}
