@@ -23,4 +23,4 @@ from .measure import (QuadMeasure, jump_panel,
                       make_counting_measure, make_gaussian_measure,
                       make_uniform_measure, measure_from_spec, tail_mass)
 from .synth import (ExperimentRecord, hard_instance_matrix, run_coverage_experiment,
-                    run_scaling_experiment, sample_scheme2, uniform_contexts)
+                    run_scaling_experiment, sample_scheme2)

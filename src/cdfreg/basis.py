@@ -128,14 +128,6 @@ class BasisFamily:
         """
         raise NotImplementedError
 
-    def support(self, x):
-        """Natural (lo, hi) bracket containing all outcome mass.
-
-        For one context x, two floats.  For a batch X of n contexts, each
-        bound is an (n,) array, or a float that holds for every context.
-        """
-        raise NotImplementedError
-
     def atoms(self, x):
         """Atom locations of a purely discrete family, else None.
 
@@ -164,9 +156,6 @@ class _TwoPointBasis(BasisFamily):
         T = T[:, None, :]
         out = np.where(T >= 1, 1.0, np.where(T >= 0, q[:, :, None], 0.0))
         return out[0] if single else out
-
-    def support(self, x):
-        return (0.0, 1.0)
 
     def atoms(self, x):
         return np.array([0.0, 1.0])
@@ -213,10 +202,6 @@ class PolynomialBasis(BasisFamily):
                  where=((T >= 0) & (T <= top))[:, None, :])
         return out[0] if single else out
 
-    def support(self, x):
-        top = 1.0 / np.asarray(x, dtype=float)
-        return (0.0, float(top)) if top.ndim == 0 else (0.0, top.reshape(-1))
-
 
 class GaussianLaplaceBasis(BasisFamily):
     """Convex mixtures of Gaussian and Laplace CDFs with per-coordinate linear locations."""
@@ -252,17 +237,6 @@ class GaussianLaplaceBasis(BasisFamily):
         zl = (T - mu_l[:, :, None]) / self.b[:, None]
         out = (1.0 - self.w) * ndtr(zn) + self.w * self._laplace_cdf(zl)
         return out[0] if single else out
-
-    def support(self, x):
-        X = np.asarray(x, dtype=float)
-        if X.shape[-1:] != (self.d,) or X.ndim > 2:
-            raise ValueError(f"context must be a ({self.d},) vector")
-        mu_n = self.beta_n1 * X + self.beta_n0
-        mu_l = self.beta_l1 * X + self.beta_l0
-        scale = max(float(np.sqrt(self.sigma2).max()), float(self.b.max()))
-        lo = np.minimum(mu_n.min(axis=-1), mu_l.min(axis=-1)) - 40.0 * scale
-        hi = np.maximum(mu_n.max(axis=-1), mu_l.max(axis=-1)) + 40.0 * scale
-        return (float(lo), float(hi)) if X.ndim == 1 else (lo, hi)
 
 
 class LogisticProbitBasis(_TwoPointBasis):
@@ -300,8 +274,11 @@ def check_simplex(theta) -> np.ndarray:
 def inverse_cdf_sample(theta, basis: BasisFamily, x, u):
     """Smallest t with theta^T Phi(x, t) >= u, by atom lookup or bisection.
 
-    Bisection starts from a bracket doubled out from the declared support,
-    or for a PolynomialBasis from a grid cell of s = x t, which a Newton
+    A level that theta^T Phi reaches only within _LEVEL_SLACK, when theta sums
+    to a rounding below it, is drawn where the CDF reaches its top.
+
+    Bisection starts from a bracket doubled out from [0, 1], or for a
+    PolynomialBasis from a grid cell of s = x t, which a Newton
     estimate narrows to 4 cells of the bisection's final lattice where its
     ends are checked to bracket u.  The narrowing leaves 2 halvings in place
     of about 21 and never moves the draw (see _grid_bisect).
@@ -341,35 +318,43 @@ def _atom_lookup(theta, basis, X, us):
 
 
 def _bisect(theta, basis, X, us):
-    """Bracket each level u_j by doubling out from the support, then bisect t to _BISECT_TOL."""
+    """Bracket each level by doubling out from [0, 1], then bisect t to _BISECT_TOL.
+
+    The level is u_j, or the CDF's top theta^T Phi(x_j, +inf) where u_j lies above it by at
+    most _LEVEL_SLACK: such a draw is where the CDF reaches its top, whatever the bracket.
+    """
     def cdf(idx, ts):  # theta^T Phi(x_j, t_j) for the draws idx
         return (theta @ basis.eval_nodes(X[idx], ts[:, None]))[:, 0]
 
-    lo, hi = (np.array(np.broadcast_to(b, us.shape), dtype=float) for b in basis.support(X))
-    # Double outward where the declared support does not yet bracket u.
-    span = np.maximum(hi - lo, 1.0)
+    top = cdf(np.arange(len(us)), np.full(len(us), np.inf))
+    levels = np.minimum(us, top)
+    reach = top + _LEVEL_SLACK >= us  # a level further above the top cannot be bracketed
+    lo, hi = np.zeros(len(us)), np.ones(len(us))
+    # Double outward where [lo, hi] does not yet bracket the level.
+    span = np.ones(len(us))
     tries = np.zeros(len(us), dtype=int)
-    idx = np.arange(len(us))
+    idx = np.flatnonzero(reach)
     while idx.size:
-        idx = idx[(cdf(idx, hi[idx]) + _LEVEL_SLACK < us[idx]) & (tries[idx] < 60)]
+        idx = idx[(cdf(idx, hi[idx]) < levels[idx]) & (tries[idx] < 60)]
         hi[idx] += span[idx]
         span[idx] *= 2
         tries[idx] += 1
     capped = tries >= 60
     span = np.maximum(hi - lo, 1.0)
-    idx = np.arange(len(us))
+    idx = np.flatnonzero(reach)
     while idx.size:
-        idx = idx[(cdf(idx, lo[idx]) >= us[idx]) & (lo[idx] > -1e308) & (tries[idx] < 120)]
+        idx = idx[(cdf(idx, lo[idx]) >= levels[idx]) & (lo[idx] > -1e308) & (tries[idx] < 120)]
         lo[idx] -= span[idx]
         span[idx] *= 2
         tries[idx] += 1
-    # Only a draw that left a loop at its cap can be unbracketed.
-    idx = np.flatnonzero(capped | (tries >= 120) | ~(lo > -1e308))
+    # Only a level above the top, or a draw that left a loop at its cap, can be unbracketed.
+    idx = np.flatnonzero(~reach | capped | (tries >= 120) | ~(lo > -1e308))
     if idx.size:
-        failed = idx[(cdf(idx, hi[idx]) + _LEVEL_SLACK < us[idx]) | (cdf(idx, lo[idx]) >= us[idx])]
+        failed = idx[~reach[idx] | (cdf(idx, hi[idx]) < levels[idx])
+                     | (cdf(idx, lo[idx]) >= levels[idx])]
         if failed.size:
             raise BracketError(f"could not bracket u={us[failed[0]]} within search bounds")
-    return _narrow(cdf, us, lo, hi, np.full(len(us), _BISECT_TOL))
+    return _narrow(cdf, levels, lo, hi, np.full(len(us), _BISECT_TOL))
 
 
 def _power_terms(theta, r, s):

@@ -5,10 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401
-import math
-import operator
 import os
-import re
 import sys
 
 # Loaded now rather than inside main: locale (above) for argparse.
@@ -18,113 +15,10 @@ from numpy.linalg import LinAlgError
 from . import __version__
 from .bounds import fit_loglog_slope
 from .errors import CdfRegError
-from .realdata import evaluate_pipeline, write_report_csv
-from .synth import (METRICS, _write_csv, run_coverage_experiment, run_scaling_experiment,
-                    write_aggregates_csv, write_records_csv)
-
-_POS_NUM = {"type": "number", "exclusiveMinimum": 0}
-_POS_INT = {"type": "integer", "minimum": 1}
-_DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
-# One of the metric names the scaling sweep computes.  A pattern rather than an
-# enum accepts the same names and leaves the mutation corpus of
-# tests/test_config_check.py, whose cases are named by position, as it is.  Patterns
-# end in \Z, since $ also matches before a final newline.
-_METRIC = {"type": "string", "pattern": rf"^({'|'.join(METRICS)})\Z"}
-# Runs are serial.  threads is kept, at 1 only, because perfbench/run.py passes
-# --threads 1 to every command.
-_THREADS = {"type": "integer", "minimum": 1, "maximum": 1}
-
-_SCALING_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["basis", "lambdas", "reps"],
-    "properties": {
-        "experiment_id": {"type": "string"},
-        "basis": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["bernoulli_hard", "polynomial"]},
-                "d": _POS_INT,
-                "c": _POS_NUM,
-                "x_lo": _POS_NUM,
-                "x_hi": _POS_NUM,
-            },
-        },
-        "lambdas": {"type": "array", "items": _POS_NUM, "minItems": 1},
-        "reps": _POS_INT,
-        "n_grid": {"type": "array", "items": _POS_INT, "minItems": 1},
-        "d_grid": {"type": "array", "items": {"type": "integer", "minimum": 2},
-                   "minItems": 1},
-        "n": _POS_INT,
-        "delta": _DELTA,
-        "metrics": {"type": "array", "items": _METRIC, "minItems": 1},
-        "theta_star": {"type": "array", "items": {"type": "number"}},
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": _THREADS,
-        "slope_metric": _METRIC,
-    },
-}
-
-_COVERAGE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["d", "n", "delta", "reps"],
-    "properties": {
-        "experiment_id": {"type": "string"},
-        "mode": {"enum": ["self", "sigma", "penalized", "mismatch"]},
-        "d": {"type": "integer", "minimum": 2},
-        "n": _POS_INT,
-        "delta": _DELTA,
-        "lambda": _POS_NUM,
-        "q": {"type": "number", "minimum": 0, "maximum": 1},
-        "reps": _POS_INT,
-        "theta_star": {"type": "array", "items": {"type": "number"}},
-        "basis": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["bernoulli_hard", "bernoulli_atoms"]},
-                "c": _POS_NUM,
-                "atoms": {"type": "array"},
-                "probs": {"type": "array", "items": {"type": "number"}},
-                "measure": {"type": "object"},
-                "p_e": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": _THREADS,
-    },
-}
-
-_REAL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["csv_path", "outcome", "basis", "lambdas", "measure"],
-    "properties": {
-        "csv_path": {"type": "string"},
-        "outcome": {"type": "string"},
-        "features": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "delimiter": {"type": "string", "pattern": r"^.\Z"},  # csv takes one character
-        "basis": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["gaussian_laplace", "logistic_probit"]},
-                "w": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "measure": {"type": "object"},
-        "lambdas": {"type": "array", "items": _POS_NUM, "minItems": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "n_seeds": _POS_INT,
-        "threads": _THREADS,
-    },
-}
+from .realdata import _REAL_SCHEMA, evaluate_pipeline, write_report_csv
+from .synth import (_COVERAGE_SCHEMA, _SCALING_SCHEMA, _ConfigError, _check, _write_csv,
+                    run_coverage_experiment, run_scaling_experiment, write_aggregates_csv,
+                    write_records_csv)
 
 _SCHEMAS = {"synth-bernoulli": _SCALING_SCHEMA, "synth-poly": _SCALING_SCHEMA,
             "bound-check": _COVERAGE_SCHEMA, "real": _REAL_SCHEMA}
@@ -135,49 +29,6 @@ _DESK = {"synth-bernoulli": {"n_grid": [1000, 3000, 10000]},
          "synth-poly": {"n_grid": [200, 600, 2000]}}
 _LONG = {"synth-bernoulli": {"n_grid": [1000, 10000, 100000, 1000000]},
          "synth-poly": {"n_grid": [1000, 10000, 100000]}}
-
-
-class _ConfigError(Exception):
-    pass
-
-
-# JSON Schema's types: a boolean is not a number, and 2.0 is an integer.
-_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
-_BOUNDS = {"minimum": operator.lt, "exclusiveMinimum": operator.le,
-           "maximum": operator.gt, "exclusiveMaximum": operator.ge}
-
-
-def _check(value, schema, path=""):
-    """Raise _ConfigError at the first field that breaks the JSON Schema keywords used above."""
-    def fail(message):
-        raise _ConfigError(f"config field {path or '<root>'}: {message}")
-
-    kind = schema.get("type")
-    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])) and not (
-            kind == "integer" and isinstance(value, float) and value.is_integer()):
-        fail(f"{value!r} is not of type {kind!r}")
-    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
-        fail(f"{value!r} is not a finite number")
-    if "enum" in schema and value not in schema["enum"]:
-        fail(f"{value!r} is not one of {schema['enum']!r}")
-    if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
-        fail(f"{value!r} does not match {schema['pattern']!r}")
-    for key, breaks in _BOUNDS.items():
-        if key in schema and breaks(value, schema[key]):
-            fail(f"{value!r} breaks {key} {schema[key]!r}")
-    if "minItems" in schema and len(value) < schema["minItems"]:
-        fail(f"{value!r} has fewer than {schema['minItems']} items")
-    for j, item in enumerate(value if "items" in schema else ()):
-        _check(item, schema["items"], f"{path}.{j}" if path else str(j))
-    props = schema.get("properties", {})
-    missing = [key for key in schema.get("required", ()) if key not in value]
-    if missing:
-        fail(f"missing required {missing}")
-    if schema.get("additionalProperties") is False and set(value) - set(props):
-        fail(f"unknown properties {sorted(set(value) - set(props))}")
-    for key, sub in props.items():
-        if key in value:
-            _check(value[key], sub, f"{path}.{key}" if path else key)
 
 
 def _load_config(args):
@@ -238,10 +89,6 @@ def _exit_code(what, failures, any_succeeded):
 
 def _cmd_scaling(args, config):
     defaults = _LONG[args.command] if args.long else _DESK[args.command]
-    if "n_grid" in config and "d_grid" in config:
-        raise _ConfigError("give exactly one of n_grid / d_grid")
-    if "d_grid" in config and "n" not in config:
-        raise _ConfigError("d_grid sweeps need a fixed n")
     if "d_grid" not in config:  # an n_grid sweep, at d = 5 unless basis.d says otherwise
         config.setdefault("n_grid", defaults["n_grid"])
         config["basis"].setdefault("d", 5)

@@ -19,11 +19,39 @@ from .basis import GaussianLaplaceBasis, LogisticProbitBasis, ndtr
 from .bounds import l2_error_crps
 from .estimators import EmpiricalCdf, fit_mle_simplex, project_simplex, ridge_estimate
 from .gram import GramState, accumulate
-from .synth import _FAILURES, _write_csv, sorted_quantile, stream_rng
+from .synth import (_FAILURES, _POS_INT, _POS_NUM, _THREADS, _check, _write_csv,
+                    sorted_quantile, stream_rng)
 
 _GLM_COEF_CAP = 30.0
 # fit_glm_univariate stops after this many Newton steps or at this gradient norm.
 _GLM_MAX_ITER, _GLM_TOL = 100, 1e-8
+
+_REAL_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["csv_path", "outcome", "basis", "lambdas", "measure"],
+    "properties": {
+        "csv_path": {"type": "string"},
+        "outcome": {"type": "string"},
+        "features": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+        "delimiter": {"type": "string", "pattern": r"^.\Z"},  # csv takes one character
+        "basis": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["gaussian_laplace", "logistic_probit"]},
+                "w": {"type": "number", "minimum": 0, "maximum": 1},
+            },
+        },
+        "measure": {"type": "object"},
+        "lambdas": {"type": "array", "items": _POS_NUM, "minItems": 1},
+        "seed": {"type": "integer", "minimum": 0},
+        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+        "n_seeds": _POS_INT,
+        "threads": _THREADS,
+    },
+}
 
 
 @dataclass
@@ -204,10 +232,12 @@ def fit_logistic_probit_basis(X, y, w: float) -> LogisticProbitBasis:
 def evaluate_pipeline(config) -> dict:
     """Fit basis parameters, mixture weights, and baselines; report test CRPS rows.
 
-    The seeds are config["seeds"], or n_seeds consecutive ones from seed; a
-    config that gives seeds with seed or n_seeds, a negative seed, or no
-    lambdas, is an error raised before any seed runs.
+    The config is checked against _REAL_SCHEMA first.  The seeds are
+    config["seeds"], or n_seeds consecutive ones from seed; a config that gives
+    seeds with seed or n_seeds, or a negative seed, is an error raised before
+    any seed runs.
     """
+    _check(config, _REAL_SCHEMA)
     seeds = config.get("seeds")
     if seeds is None:
         base = int(config.get("seed", 0))
@@ -219,15 +249,12 @@ def evaluate_pipeline(config) -> dict:
     else:
         seeds = [int(s) for s in seeds]  # the config check lets 2.0 through as an integer
     lambdas = [float(l) for l in config["lambdas"]]
-    if not lambdas:
-        raise ValueError("lambdas: give at least one ridge lambda")
     data = load_csv(config["csv_path"], config["outcome"],
                     config.get("features"), config.get("delimiter", ","))
     m = msr.measure_from_spec(config["measure"])
-    basis_kind = config["basis"]["kind"]
     w = float(config["basis"].get("w", 0.0))
 
-    discrete = basis_kind == "logistic_probit"
+    discrete = config["basis"]["kind"] == "logistic_probit"
     rows, errors = [], []
     for seed in seeds:
         try:
@@ -236,12 +263,8 @@ def evaluate_pipeline(config) -> dict:
             Xr, yr = data.features[i_train], data.outcomes[i_train]
             Xt, yt = data.features[i_test], data.outcomes[i_test]
 
-            if basis_kind == "gaussian_laplace":
-                basis = fit_gaussian_laplace_basis(Xf, yf, w)
-            elif basis_kind == "logistic_probit":
-                basis = fit_logistic_probit_basis(Xf, yf, w)
-            else:
-                raise ValueError(f"unknown pipeline basis kind {basis_kind!r}")
+            fit = fit_logistic_probit_basis if discrete else fit_gaussian_laplace_basis
+            basis = fit(Xf, yf, w)
 
             state = accumulate(GramState(basis.d, m), basis, Xr, yr)
             # Phi(x, t) at the test contexts and the measure's nodes, (n, d, K):

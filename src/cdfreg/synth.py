@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,28 +100,19 @@ def hard_instance_matrix(d: int, n: int, c: float = 1.0) -> tuple[np.ndarray, np
 # Scheme samplers
 # ---------------------------------------------------------------------------
 
-def uniform_contexts(lo, hi):
-    """Batch sampler of contexts uniform on the box [lo, hi]; scalar bounds give scalar contexts.
+def sample_scheme2(basis: BasisFamily, lo, hi, theta_star, n: int, seed: int):
+    """I.i.d. contexts uniform on the box [lo, hi], scalar for scalar bounds: draw each x with
+    its level u, then y from the mixture CDF by inverse sampling; returns (X, ys).
 
-    sampler(rng, n) returns the n contexts and their n levels, uniform on
-    [0, 1), from one generator call whose row j is context j and then its
-    level: the doubles a loop drawing sample by sample would draw.
+    One generator call draws an (n, c + 1) array whose row j is context j and then
+    its level, uniform on [0, 1): the doubles a loop drawing sample by sample would
+    draw.  lo == hi fixes the context.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = lo.size
-
-    def sampler(rng, n):
-        D = rng.uniform(np.append(lo, 0.0), np.append(hi, 1.0), (n, c + 1))
-        return (D[:, 0] if lo.ndim == 0 else D[:, :c]), D[:, c]
-
-    return sampler
-
-
-def sample_scheme2(basis: BasisFamily, context_sampler, theta_star, n: int, seed: int):
-    """I.i.d. contexts: draw each x with its level u, then y from the mixture CDF by inverse
-    sampling.  context_sampler is a batch sampler as uniform_contexts gives; returns (X, ys)."""
-    X, us = context_sampler(stream_rng(seed), n)
-    return X, inverse_cdf_sample(np.asarray(theta_star, dtype=float), basis, X, us)
+    D = stream_rng(seed).uniform(np.append(lo, 0.0), np.append(hi, 1.0), (n, c + 1))
+    X = D[:, 0] if lo.ndim == 0 else D[:, :c]
+    return X, inverse_cdf_sample(np.asarray(theta_star, dtype=float), basis, X, D[:, c])
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +256,134 @@ def _atom_fields(spec, d):
     return P_atoms, np.clip(probs, 0.0, None), m
 
 
+# ---------------------------------------------------------------------------
+# Config contract
+# ---------------------------------------------------------------------------
+
+# The schema of each driver's config, in the subset of JSON Schema that _check reads.
+# run_scaling_experiment, run_coverage_experiment and realdata.evaluate_pipeline each
+# check their config with it first, so a library call accepts what the CLI accepts.
+_POS_NUM = {"type": "number", "exclusiveMinimum": 0}
+_POS_INT = {"type": "integer", "minimum": 1}
+_DELTA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+# One of the metric names the scaling sweep computes.  A pattern rather than an
+# enum accepts the same names and leaves the mutation corpus of
+# tests/test_config_check.py, whose cases are named by position, as it is.  Patterns
+# end in \Z, since $ also matches before a final newline.
+_METRIC = {"type": "string", "pattern": rf"^({'|'.join(METRICS)})\Z"}
+# Runs are serial.  threads is kept, at 1 only, because perfbench/run.py passes
+# --threads 1 to every command.
+_THREADS = {"type": "integer", "minimum": 1, "maximum": 1}
+
+_SCALING_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["basis", "lambdas", "reps"],
+    "properties": {
+        "experiment_id": {"type": "string"},
+        "basis": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["bernoulli_hard", "polynomial"]},
+                "d": _POS_INT,
+                "c": _POS_NUM,
+                "x_lo": _POS_NUM,
+                "x_hi": _POS_NUM,
+            },
+        },
+        "lambdas": {"type": "array", "items": _POS_NUM, "minItems": 1},
+        "reps": _POS_INT,
+        "n_grid": {"type": "array", "items": _POS_INT, "minItems": 1},
+        "d_grid": {"type": "array", "items": {"type": "integer", "minimum": 2},
+                   "minItems": 1},
+        "n": _POS_INT,
+        "delta": _DELTA,
+        "metrics": {"type": "array", "items": _METRIC, "minItems": 1},
+        "theta_star": {"type": "array", "items": {"type": "number"}},
+        "seed": {"type": "integer", "minimum": 0},
+        "threads": _THREADS,
+        "slope_metric": _METRIC,
+    },
+}
+
+_COVERAGE_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["d", "n", "delta", "reps"],
+    "properties": {
+        "experiment_id": {"type": "string"},
+        "mode": {"enum": ["self", "sigma", "penalized", "mismatch"]},
+        "d": {"type": "integer", "minimum": 2},
+        "n": _POS_INT,
+        "delta": _DELTA,
+        "lambda": _POS_NUM,
+        "q": {"type": "number", "minimum": 0, "maximum": 1},
+        "reps": _POS_INT,
+        "theta_star": {"type": "array", "items": {"type": "number"}},
+        "basis": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["bernoulli_hard", "bernoulli_atoms"]},
+                "c": _POS_NUM,
+                "atoms": {"type": "array"},
+                "probs": {"type": "array", "items": {"type": "number"}},
+                "measure": {"type": "object"},
+                "p_e": {"type": "number", "minimum": 0, "maximum": 1},
+            },
+        },
+        "seed": {"type": "integer", "minimum": 0},
+        "threads": _THREADS,
+    },
+}
+
+
+class _ConfigError(ValueError):
+    """A config that breaks its schema or a rule of its driver: the CLI's exit 2."""
+
+
+# JSON Schema's types: a boolean is not a number, and 2.0 is an integer.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+_BOUNDS = {"minimum": operator.lt, "exclusiveMinimum": operator.le,
+           "maximum": operator.gt, "exclusiveMaximum": operator.ge}
+
+
+def _check(value, schema, path=""):
+    """Raise _ConfigError at the first field that breaks the JSON Schema keywords used above."""
+    def fail(message):
+        raise _ConfigError(f"config field {path or '<root>'}: {message}")
+
+    kind = schema.get("type")
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])) and not (
+            kind == "integer" and isinstance(value, float) and value.is_integer()):
+        fail(f"{value!r} is not of type {kind!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        fail(f"{value!r} is not a finite number")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
+        fail(f"{value!r} does not match {schema['pattern']!r}")
+    for key, breaks in _BOUNDS.items():
+        if key in schema and breaks(value, schema[key]):
+            fail(f"{value!r} breaks {key} {schema[key]!r}")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        fail(f"{value!r} has fewer than {schema['minItems']} items")
+    for j, item in enumerate(value if "items" in schema else ()):
+        _check(item, schema["items"], f"{path}.{j}" if path else str(j))
+    props = schema.get("properties", {})
+    missing = [key for key in schema.get("required", ()) if key not in value]
+    if missing:
+        fail(f"missing required {missing}")
+    if schema.get("additionalProperties") is False and set(value) - set(props):
+        fail(f"unknown properties {sorted(set(value) - set(props))}")
+    for key, sub in props.items():
+        if key in value:
+            _check(value[key], sub, f"{path}.{key}" if path else key)
+
+
 # The basis fields each design reads.  d is the n_grid sweep's, which run_scaling_experiment
 # checks, and run_coverage_experiment leaves p_e to mismatch mode.
 _BASIS_FIELDS = {"bernoulli_hard": {"kind", "d", "c", "p_e"},
@@ -287,8 +408,6 @@ def _design(config, mode, d, n, theta_star):
     """
     spec = config.get("basis", {"kind": "bernoulli_hard"})
     kind = spec["kind"]
-    if kind not in _BASIS_FIELDS:
-        raise ValueError(f"unknown basis kind {kind!r}")
     unread = sorted(set(spec) - _BASIS_FIELDS[kind])
     if unread:
         raise ValueError(f"basis.{unread[0]}: the {kind} design does not read it")
@@ -331,10 +450,9 @@ def _design(config, mode, d, n, theta_star):
         raise ValueError(f"basis.x_lo must lie in (0, basis.x_hi); got x_lo={x_lo}, x_hi={x_hi}")
     basis = PolynomialBasis(d)
     m = msr.make_uniform_measure(0.0, 2.0)  # the outcome law, which the states integrate exactly
-    contexts = uniform_contexts(x_lo, x_hi)
 
     def draw(rng) -> GramState:
-        X, ys = sample_scheme2(basis, contexts, theta_star, n, int(rng.integers(2 ** 62)))
+        X, ys = sample_scheme2(basis, x_lo, x_hi, theta_star, n, int(rng.integers(2 ** 62)))
         return _polynomial_rep(basis.exponents, m, X, ys)
 
     Sigma_n = n * _polynomial_sigma_1(basis.exponents, x_lo, x_hi)
@@ -449,27 +567,33 @@ def _theta_star(config, d):
 def run_scaling_experiment(config) -> tuple[list, list]:
     """Run the replicated sweep; returns (records, aggregate_rows).
 
+    The config is checked first, by _SCALING_SCHEMA and then the grid rule.
     Each grid point (d, n) is one _point call on its design, and every design
     is built before any rep runs: a design that fails is a config error and
     fails the run.  Each rep draws its statistics from its own Philox stream,
     and each lambda's ridge estimates of all reps are one stacked solve and
     score.  A rep whose draw, solve or score fails gets one failure row.
     """
-    exp_id = config.get("experiment_id", "scaling")
-    seed = int(config.get("seed", 0))
-    reps = int(config["reps"])
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    scheme = "Fixed" if config["basis"]["kind"] == "bernoulli_hard" else "Random"
-    # Each sweep reads one of n and basis.d beside its grid; the other is a config error.
+    _check(config, _SCALING_SCHEMA)
+    # The grid rule: an n_grid sweep at basis.d, or a d_grid sweep at n, and not the other field.
+    if ("n_grid" in config) == ("d_grid" in config):
+        raise _ConfigError("give exactly one of n_grid / d_grid")
     if "n_grid" in config:
+        if "d" not in config["basis"]:
+            raise _ConfigError("n_grid sweeps need basis.d")
         if "n" in config:
             raise ValueError("n: an n_grid sweep takes its n from n_grid")
         points = [(int(config["basis"]["d"]), int(n)) for n in config["n_grid"]]
     else:
+        if "n" not in config:
+            raise _ConfigError("d_grid sweeps need a fixed n")
         if "d" in config["basis"]:
             raise ValueError("basis.d: a d_grid sweep takes its d from d_grid")
         points = [(int(d), int(config["n"])) for d in config["d_grid"]]
+    exp_id = config.get("experiment_id", "scaling")
+    seed = int(config.get("seed", 0))
+    reps = int(config["reps"])
+    scheme = "Fixed" if config["basis"]["kind"] == "bernoulli_hard" else "Random"
     lambdas = [float(l) for l in config["lambdas"]]
     delta = float(config.get("delta", 0.1))
     metrics = config.get("metrics", ["l2", "self_norm", "ks", "eps_lambda"])
@@ -515,17 +639,13 @@ def run_coverage_experiment(config) -> dict:
 
     The run is one grid point (d, n) of the sweep's _point, on its own
     (0xC0, rep) streams, at one lambda: the config's for the ridge modes and
-    0 for the penalized estimate.  A rep that fails raises its error.
+    0 for the penalized estimate.  The config is checked first, by
+    _COVERAGE_SCHEMA and then the mode's fields.  A rep that fails raises its error.
     """
+    _check(config, _COVERAGE_SCHEMA)
     delta = float(config["delta"])
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0,1)")
     reps = int(config["reps"])
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     mode = config.get("mode", "self")
-    if mode not in _MODE_METRIC:
-        raise ValueError(f"unknown coverage mode {mode!r}")
     for field, given in (("q", "q" in config), ("basis.p_e", "p_e" in config.get("basis", {}))):
         if mode == "mismatch" and not given:  # checked here, before any rep runs
             raise ValueError(f"mismatch mode needs {field}")

@@ -9,17 +9,14 @@ from cdfreg.errors import BracketError
 
 
 class CustomBasis(BasisFamily):
-    """Caller-supplied evaluator(x, ts) -> (d, ts.size) with declared support.
+    """Caller-supplied evaluator(x, ts) -> (d, ts.size), with optional atoms.
 
     Monotonicity is not verified.
     """
 
-    def __init__(self, d: int, evaluator, support_lo: float, support_hi: float,
-                 atoms=None):
+    def __init__(self, d: int, evaluator, atoms=None):
         self.d = int(d)
         self.evaluator = evaluator
-        self._lo = float(support_lo)
-        self._hi = float(support_hi)
         self._atoms = None if atoms is None else np.asarray(atoms, dtype=float)
 
     def eval_nodes(self, x, ts):
@@ -27,9 +24,6 @@ class CustomBasis(BasisFamily):
         out = np.stack([np.asarray(self.evaluator(xj, tj), dtype=float).reshape(self.d, tj.size)
                         for xj, tj in zip(X, T)])
         return out[0] if single else out
-
-    def support(self, x):
-        return (self._lo, self._hi)
 
     def atoms(self, x):
         return self._atoms

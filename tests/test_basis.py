@@ -81,6 +81,18 @@ def test_logistic_probit_eval():
     assert np.allclose(b.eval(z, -0.5), 0.0)
 
 
+def _t_range(basis, x):
+    """A t-range that holds the family's outcome mass at context x: [0, 1/x] for the
+    polynomial CDFs, 40 scales around every Gaussian-Laplace location, else [0, 1]."""
+    if isinstance(basis, PolynomialBasis):
+        return 0.0, 1.0 / x
+    if isinstance(basis, GaussianLaplaceBasis):
+        mu = np.concatenate([basis.beta_n1 * x + basis.beta_n0, basis.beta_l1 * x + basis.beta_l0])
+        scale = max(np.sqrt(basis.sigma2).max(), basis.b.max())
+        return mu.min() - 40.0 * scale, mu.max() + 40.0 * scale
+    return 0.0, 1.0
+
+
 @pytest.mark.parametrize("make", [
     lambda rng: (BernoulliBasis(3), rng.random(3)),
     lambda rng: (PolynomialBasis(4), float(rng.uniform(0.5, 2.0))),
@@ -93,7 +105,7 @@ def test_monotone_and_in_range(make):
     rng = np.random.default_rng(42)
     for _ in range(5):
         basis, x = make(rng)
-        lo, hi = basis.support(x)
+        lo, hi = _t_range(basis, x)
         ts = np.linspace(lo, hi, 100)
         vals = basis.eval_nodes(x, ts)
         assert np.all(vals >= -1e-12) and np.all(vals <= 1 + 1e-12)
@@ -146,8 +158,7 @@ def test_inverse_cdf_rejects_bad_u():
 
 
 def test_inverse_cdf_bracket_failure():
-    flat = CustomBasis(1, lambda x, ts: np.full((1, np.atleast_1d(ts).size), 0.1),
-                       0.0, 1.0)
+    flat = CustomBasis(1, lambda x, ts: np.full((1, np.atleast_1d(ts).size), 0.1))
     with pytest.raises(BracketError):
         inverse_cdf_sample([1.0], flat, None, 0.9)
 
@@ -168,6 +179,15 @@ def test_inverse_cdf_brackets_level_within_rounding_of_one(basis, theta, x):
     assert theta @ basis.eval(x, t) >= u - 1e-15
     ts = inverse_cdf_sample(theta, basis, [x, x], np.array([0.5, u]))
     assert ts[1] == t and ts[0] == inverse_cdf_sample(theta, basis, x, 0.5)
+
+
+def test_level_within_the_slack_of_the_top_is_drawn_where_the_cdf_reaches_it():
+    """theta sums to a rounding below u, so theta^T Phi never reaches it: the draw is the first t,
+    to _BISECT_TOL, where theta^T Phi reaches its top theta^T Phi(x, +inf)."""
+    theta, x = np.array([0.5, 0.5 - 2.0 ** -52]), np.array([0.2, -0.1])
+    top = theta @ _GL2.eval(x, np.inf)
+    t = inverse_cdf_sample(theta, _GL2, x, 1.0 - 1e-16)
+    assert theta @ _GL2.eval(x, t) == top > theta @ _GL2.eval(x, t - 2 * _BISECT_TOL)
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,7 +325,7 @@ def _family_at(name, rng, scale):
 def test_every_family_is_a_cdf_in_t_at_extreme_contexts(name, seed, scale, extra):
     """Monotone in t (to within rounding) and inside [0, 1], for any context size."""
     basis, x = _family_at(name, np.random.default_rng(seed), scale)
-    lo, hi = basis.support(x)
+    lo, hi = _t_range(basis, x)
     ts = np.sort(np.concatenate([np.linspace(lo, hi, 257), extra, [-np.inf, np.inf]]))
     vals = basis.eval_nodes(x, ts)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -323,7 +343,7 @@ def test_inverse_cdf_sample_round_trips(name, seed, scale, us):
     rng = np.random.default_rng(seed)
     if name == "custom":  # a context-scaled ramp and the identity ramp on [0, 1]
         basis = CustomBasis(2, lambda x, ts: np.vstack([np.clip(ts * x, 0.0, 1.0),
-                                                        np.clip(ts, 0.0, 1.0)]), 0.0, 1.0)
+                                                        np.clip(ts, 0.0, 1.0)]))
         x = float(rng.uniform(0.5, 2.0))
     else:
         basis, x = _family_at(name, rng, scale)

@@ -39,7 +39,7 @@ FAMILIES = {
                          lambda r: r.normal(size=3)),
     "logistic_probit": (LogisticProbitBasis(0.3, *_RNG.normal(size=(4, 2))),
                         lambda r: r.normal(size=2)),
-    "custom": (CustomBasis(2, _ramp, 0.0, 1.0), lambda r: float(r.uniform(0.5, 2.0))),
+    "custom": (CustomBasis(2, _ramp), lambda r: float(r.uniform(0.5, 2.0))),
 }
 MEASURES = {
     "unit": msr.make_uniform_measure(0.0, 1.0, 16),
@@ -90,7 +90,7 @@ def test_batched_eval_nodes_rows_equal_single_calls(family, n, k, seed):
 
 
 def _bounded_ramp(x, ts):
-    """A CDF on [-5, 5] whose declared support [-1, 1] is too narrow."""
+    """A CDF on [-5, 5], wider on both sides than the bisection's first bracket [0, 1]."""
     return (0.5 + 0.1 * np.clip(np.asarray(ts), -5.0, 5.0)).reshape(1, -1)
 
 
@@ -100,12 +100,12 @@ SAMPLERS = {
     "custom_atoms": (CustomBasis(2, lambda x, ts: np.vstack([(np.asarray(ts) >= 0) * 0.3
                                                             + (np.asarray(ts) >= 1) * 0.7,
                                                             (np.asarray(ts) >= 1) * 1.0]),
-                                 0.0, 1.0, atoms=[0.0, 1.0]),
+                                 atoms=[0.0, 1.0]),
                      lambda r: None),
-    "custom_narrow": (CustomBasis(1, _bounded_ramp, -1.0, 1.0), lambda r: None),
+    "custom_narrow": (CustomBasis(1, _bounded_ramp), lambda r: None),
 }
-# Levels near 0 and 1 make the bisection double its bracket: the Laplace part
-# of the Gaussian-Laplace family leaves more than 1e-300 below its support.
+# Levels near 0 and 1 make the bisection double its bracket [0, 1] outward: the
+# Laplace part of the Gaussian-Laplace family leaves more than 1e-300 below 0.
 LEVELS = st.one_of(st.sampled_from([1e-300, 1e-20, 0.01, 0.5, 0.9, 0.99, 1.0 - 1e-16]),
                    st.floats(1e-6, 1.0 - 1e-6))
 
@@ -134,14 +134,10 @@ def test_batched_inverse_cdf_matches_scalar_loop(family, us, seed):
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_support_and_atoms_equal_stacked_single_calls(family, n, seed):
-    """A bound or atom set given once for a batch holds for each of its contexts."""
+    """An atom set given once for a batch holds for each of its contexts."""
     basis, sampler = {**FAMILIES, **SAMPLERS}[family]
     rng = np.random.default_rng(seed)
     xs = [sampler(rng) for _ in range(n)]
-    single = [basis.support(x) for x in xs]
-    assert all(type(b) is float for bounds in single for b in bounds)
-    for batch, loop in zip(basis.support(np.asarray(xs)), np.array(single).T):
-        assert np.broadcast_to(batch, (n,)).tobytes() == loop.tobytes()
     atoms, loop = basis.atoms(np.asarray(xs)), [basis.atoms(x) for x in xs]
     if atoms is None:
         assert all(a is None for a in loop)
@@ -162,16 +158,17 @@ def test_polynomial_batch_equals_scalar_calls_at_the_float_resolution_of_s():
 def test_bracket_doubling_is_exercised():
     basis, sampler = SAMPLERS["gaussian_laplace"]
     x = sampler(np.random.default_rng(0))
-    lo, hi = basis.support(x)
     theta = np.full(3, 1.0 / 3.0)
-    assert theta @ basis.eval(x, lo) >= 1e-300  # so u = 1e-300 must widen the bracket
-    assert inverse_cdf_sample(theta, basis, [x, x], np.array([1e-300, 0.5]))[0] < lo
+    # The bisection starts from [0, 1]: u = 1e-300 must widen it below 0, and by more
+    # than one doubling, since the CDF still tops 1e-300 at t = -1.
+    assert theta @ basis.eval(x, -1.0) >= 1e-300
+    assert inverse_cdf_sample(theta, basis, [x, x], np.array([1e-300, 0.5]))[0] < -1.0
     narrow = SAMPLERS["custom_narrow"][0]
     assert inverse_cdf_sample([1.0], narrow, [None], np.array([0.9]))[0] > 1.0
 
 
 def test_batch_with_one_unbracketable_draw_raises_like_the_loop():
-    capped = CustomBasis(1, lambda x, ts: np.clip(ts, 0.0, 0.5).reshape(1, -1), 0.0, 1.0)
+    capped = CustomBasis(1, lambda x, ts: np.clip(ts, 0.0, 0.5).reshape(1, -1))
     us = [0.3, 0.9, 0.2]
     with pytest.raises(BracketError) as scalar:
         for u in us:

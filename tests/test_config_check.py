@@ -16,6 +16,8 @@ import jsonschema
 import pytest
 
 from cdfreg.cli import _SCHEMAS, _ConfigError, _check
+from cdfreg.realdata import evaluate_pipeline
+from cdfreg.synth import run_coverage_experiment, run_scaling_experiment
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -148,3 +150,22 @@ def test_check_matches_jsonschema(command, path, config, key):
     assert any(message.startswith(f"config field {where}: ") for where in named)
     if key is not None and len(errors) == 1:
         assert repr(key) in message
+
+
+DRIVERS = {"synth-bernoulli": run_scaling_experiment, "synth-poly": run_scaling_experiment,
+           "bound-check": run_coverage_experiment, "real": evaluate_pipeline}
+
+
+def test_each_driver_rejects_what_check_rejects_with_the_same_message():
+    """A library call is checked like a CLI config: every corpus case that _check rejects
+    makes its command's driver raise a ValueError with the message _check gives."""
+    rejected = 0
+    for command, _, config, _ in CORPUS:
+        try:
+            _check(config, _SCHEMAS[command])
+        except _ConfigError as exc:
+            with pytest.raises(ValueError) as info:
+                DRIVERS[command](config)
+            assert str(info.value) == str(exc)
+            rejected += 1
+    assert rejected > len(CORPUS) // 2

@@ -19,7 +19,7 @@ def test_bernoulli_gram_closed_form():
 
 
 def test_constant_one_basis_gram():
-    b = CustomBasis(1, lambda x, ts: np.ones((1, np.atleast_1d(ts).size)), 0.0, 1.0)
+    b = CustomBasis(1, lambda x, ts: np.ones((1, np.atleast_1d(ts).size)))
     G = gram_matrix_of_context(b, [None], UNIT)[0]
     assert G[0, 0] == pytest.approx(1.0, abs=1e-12)
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,14 @@ def test_evaluate_pipeline_rejects_no_lambdas():
            "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 32},
            "basis": {"kind": "gaussian_laplace", "w": 0.0}, "lambdas": [], "seeds": [0]}
     with pytest.raises(ValueError, match="lambdas"):
+        evaluate_pipeline(cfg)
+
+
+def test_evaluate_pipeline_rejects_a_misspelled_key():
+    cfg = {"csv_path": str(DATA / "smoke_12.csv"), "outcome": "y", "delimeter": ";",
+           "measure": {"kind": "gaussian", "c": 0.0, "var": 9.0, "n_nodes": 32},
+           "basis": {"kind": "gaussian_laplace", "w": 0.0}, "lambdas": [1.0], "seeds": [0]}
+    with pytest.raises(ValueError, match=re.escape("unknown properties ['delimeter']")):
         evaluate_pipeline(cfg)
 
 

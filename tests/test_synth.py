@@ -15,8 +15,7 @@ from cdfreg.gram import (GramState, accumulate, gram_matrix_of_context,
                          response_vector_of_sample)
 from cdfreg.synth import (_UNIT_INTERVAL, _atom_statistics, _design, bernoulli_ks_sup,
                           hard_instance_matrix, run_coverage_experiment,
-                          run_scaling_experiment, sample_scheme2, sorted_quantile, stream_rng,
-                          uniform_contexts)
+                          run_scaling_experiment, sample_scheme2, sorted_quantile, stream_rng)
 
 
 def _hard_instance_loop(d, n, c):
@@ -260,11 +259,6 @@ def test_stream_rng_keyed_and_reproducible():
     assert not np.array_equal(a, c)
 
 
-def _fixed_context(x):
-    """Batch sampler of the one context x: it draws only the levels."""
-    return lambda rng, n: (np.tile(x, (n, 1)), rng.random(n))
-
-
 def _alternating_draws(draw_context, n, seed):
     """Reference: the per-sample loop the batch draw replaces, each context then its level."""
     rng = stream_rng(seed)
@@ -275,11 +269,10 @@ def _alternating_draws(draw_context, n, seed):
     return np.asarray(contexts), us
 
 
-# name -> (basis, per-sample draw, batch sampler)
+# name -> (basis, per-sample draw, box bounds lo and hi of the batch draw)
 _DESIGNS = {
-    "scalar": (PolynomialBasis(4), lambda r: r.uniform(0.5, 2.0), uniform_contexts(0.5, 2.0)),
-    "vector": (BernoulliBasis(3), lambda r: r.uniform(0.2, 0.8, 3),
-               uniform_contexts([0.2] * 3, [0.8] * 3)),
+    "scalar": (PolynomialBasis(4), lambda r: r.uniform(0.5, 2.0), 0.5, 2.0),
+    "vector": (BernoulliBasis(3), lambda r: r.uniform(0.2, 0.8, 3), [0.2] * 3, [0.8] * 3),
 }
 
 
@@ -287,33 +280,32 @@ _DESIGNS = {
 @pytest.mark.parametrize("design", _DESIGNS)
 def test_batch_draw_is_the_alternating_stream(design, n):
     """One generator call gives the contexts and outcomes of the per-sample loop, bit for bit."""
-    basis, draw_context, sampler = _DESIGNS[design]
+    basis, draw_context, lo, hi = _DESIGNS[design]
     theta = np.arange(1.0, basis.d + 1) / (basis.d * (basis.d + 1) / 2)
     X, us = _alternating_draws(draw_context, n, 3)
-    contexts, outcomes = sample_scheme2(basis, sampler, theta, n, seed=3)
+    contexts, outcomes = sample_scheme2(basis, lo, hi, theta, n, seed=3)
     assert contexts.tobytes() == X.tobytes()
     assert outcomes.tobytes() == inverse_cdf_sample(theta, basis, X, us).tobytes()
 
 
 def test_sample_scheme2_deterministic():
     b = BernoulliBasis(2)
-    sampler = uniform_contexts([0.2, 0.2], [0.8, 0.8])
-    _, y1 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
-    _, y2 = sample_scheme2(b, sampler, [0.5, 0.5], 20, seed=4)
+    _, y1 = sample_scheme2(b, [0.2, 0.2], [0.8, 0.8], [0.5, 0.5], 20, seed=4)
+    _, y2 = sample_scheme2(b, [0.2, 0.2], [0.8, 0.8], [0.5, 0.5], 20, seed=4)
     assert np.array_equal(y1, y2)
     assert set(np.unique(y1)) <= {0.0, 1.0}
 
 
 def test_sample_scheme2_degenerate_context():
     b = BernoulliBasis(1)
-    _, ys = sample_scheme2(b, _fixed_context([1.0]), [1.0], 50, seed=0)
+    _, ys = sample_scheme2(b, [1.0], [1.0], [1.0], 50, seed=0)  # lo == hi: a fixed context
     assert np.all(ys == 1.0)  # p = P(y=1) = 1
 
 
 def test_sample_scheme2_binomial_rate():
     b = BernoulliBasis(1)
     n = 10000
-    _, ys = sample_scheme2(b, _fixed_context([0.7]), [1.0], n, seed=1)
+    _, ys = sample_scheme2(b, [0.7], [0.7], [1.0], n, seed=1)
     # P(y=1) = p = 0.7; three-sigma band
     rate = float(np.mean(ys))
     assert abs(rate - 0.7) < 3.0 * np.sqrt(0.3 * 0.7 / n)
@@ -373,7 +365,7 @@ def test_polynomial_statistics_equal_exact_panels(d, x_lo):
     the batch sums them.  x_lo = 0.3 puts 1/x, and some outcomes, above the outcome range."""
     basis = PolynomialBasis(d)
     theta = np.arange(1, d + 1.0) / (d * (d + 1) / 2)
-    X, ys = sample_scheme2(basis, uniform_contexts(x_lo, 1.0), theta, 100, 17)
+    X, ys = sample_scheme2(basis, x_lo, 1.0, theta, 100, 17)
     assert (ys > 2).any() == (x_lo < 0.5)
     # outcomes at 0 and at 1/x, and outside the draws' [0, 1/x]: above 1/x and below 0
     X = np.append(X, [0.3, 0.3, 0.7, 0.7, 1.5])
@@ -463,8 +455,7 @@ def _scaling_reference(config):
                 ks = lambda th: bernoulli_ks_sup(project_simplex(th), theta, d)
             else:
                 basis, m = PolynomialBasis(d), msr.make_uniform_measure(0.0, 2.0)
-                X, ys = sample_scheme2(basis, uniform_contexts(0.5, 2.0), theta, n,
-                                       int(rng.integers(2 ** 62)))
+                X, ys = sample_scheme2(basis, 0.5, 2.0, theta, n, int(rng.integers(2 ** 62)))
                 state = synth._polynomial_rep(basis.exponents, m, X, ys)
                 Sigma_n = n * synth._polynomial_sigma_1(basis.exponents, 0.5, 2.0)
                 grid = bounds.ks_grid(0.0, 2.0, jump_points=[2.0, 1.0, 0.5])
@@ -508,7 +499,7 @@ def test_stacked_sweep_equals_per_rep_reference(kind, d, n_grid, reps, monkeypat
               "lambdas": [0.001, 0.1], "metrics": ALL_METRICS, "seed": 5}
     rows, aggregates = _scaling_reference(config)
     calls = {"ridge_estimate": 0, "build": 0}
-    built = "hard_instance_matrix" if kind == "bernoulli_hard" else "uniform_contexts"
+    built = "hard_instance_matrix" if kind == "bernoulli_hard" else "_polynomial_sigma_1"
     for name, key in (("ridge_estimate", "ridge_estimate"), (built, "build")):
         original = getattr(synth, name)
 
@@ -674,6 +665,35 @@ def test_run_coverage_rejects_unknown_mode():
            "basis": {"kind": "bernoulli_hard"}}
     with pytest.raises(ValueError):
         run_coverage_experiment(cfg)
+
+
+_SWEEP = {"basis": {"kind": "bernoulli_hard", "d": 2}, "n_grid": [50], "reps": 1,
+          "lambdas": [0.01]}
+_COVER = {"mode": "self", "d": 3, "n": 50, "delta": 0.1, "reps": 1,
+          "basis": {"kind": "bernoulli_hard"}}
+
+
+@pytest.mark.parametrize("driver, config, message", [
+    (run_scaling_experiment, dict(_SWEEP, metric=["l2"]), "unknown properties ['metric']"),
+    (run_coverage_experiment, dict(_COVER, lamda=0.5), "unknown properties ['lamda']"),
+    (run_scaling_experiment, dict(_SWEEP, q=0.5), "unknown properties ['q']"),
+    (run_scaling_experiment, dict(_SWEEP, basis={"kind": "bernoulli_hard", "d": 2, "p_e": 0.4}),
+     "config field basis: unknown properties ['p_e']"),
+    (run_coverage_experiment, dict(_COVER, basis={"kind": "bernoulli_hard", "d": 7}),
+     "config field basis: unknown properties ['d']"),
+    (run_scaling_experiment, dict(_SWEEP, d_grid=[2, 3]), "give exactly one of n_grid / d_grid"),
+    (run_scaling_experiment, {"basis": {"kind": "bernoulli_hard"}, "d_grid": [2, 3], "reps": 1,
+                              "lambdas": [0.01]}, "d_grid sweeps need a fixed n"),
+    (run_scaling_experiment, dict(_SWEEP, basis={"kind": "bernoulli_hard"}),
+     "n_grid sweeps need basis.d"),
+], ids=["metric", "lamda", "sweep_q", "sweep_p_e", "coverage_d", "both_grids",
+        "d_grid_without_n", "n_grid_without_d"])
+def test_drivers_reject_what_the_cli_rejects(driver, config, message):
+    """A library call checks its config as the CLI does: a misspelled or unread key, or a
+    grid the sweep cannot run, raises a ValueError naming it before any rep runs."""
+    with pytest.raises(ValueError) as info:
+        driver(config)
+    assert message in str(info.value)
 
 
 def test_coverage_builds_the_atom_design_once(monkeypatch):
